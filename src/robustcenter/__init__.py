@@ -41,7 +41,6 @@ from .distributed import (
     outlier_budget_grid,
     run_protocol,
     site_round_one,
-    site_round_two,
 )
 from .generate import (
     GeneratorSpec,

@@ -154,6 +154,8 @@ def _run_one(spec: ExperimentSpec, algo: str, seed: int) -> dict:
         raise ValueError(f"unknown algorithm {algo!r}")
     rec["wall_time_s"] = time.perf_counter() - t0
     rec["dist_evals"] = ps.stats.evals - evals_before
+    if protocol is not None:
+        rec["dist_evals"] += sum(p.dist_evals for p in protocol.profiles)
 
     excluded = None
     if centers is not None:

@@ -279,9 +279,6 @@ class NearestTracker:
         t.add_centers(centers)
         return t
 
-    def farthest(self, m: int) -> np.ndarray:
-        return farthest_m(self.mindist, m)
-
 
 def farthest_m(source, m: int) -> np.ndarray:
     """Indices of the m points with largest tracked distance, ascending.
@@ -310,19 +307,13 @@ def _center_indices(centers) -> np.ndarray:
     return idx
 
 
-def _exclusion_order(mindist: np.ndarray) -> np.ndarray:
-    # Farthest first; equal distances exclude the lower index first.
-    return np.lexsort((np.arange(mindist.shape[0]), -mindist))
-
-
 @dataclass(frozen=True)
 class ClusteringEval:
-    """Outcome of evaluating a center set: radius after exclusions,
-    the excluded indices, and the nearest-center assignment of the rest."""
+    """Outcome of evaluating a center set: the radius after exclusions and
+    the excluded indices (the farthest points, lower index first on ties)."""
 
     radius: float
     excluded: frozenset[int]
-    assignment: dict[int, int]
 
 
 def clustering_cost(ps: PointSet, centers, z: int, eps: float = 0.0) -> ClusteringEval:
@@ -337,26 +328,13 @@ def clustering_cost(ps: PointSet, centers, z: int, eps: float = 0.0) -> Clusteri
     if m >= ps.n:
         raise ValueError("exclusion budget swallows the dataset")
     tracker = NearestTracker.over(ps, idx)
-    order = _exclusion_order(tracker.mindist)
-    excluded = order[:m]
-    kept = order[m:]
-    radius = float(tracker.mindist[kept[0]])
-    assignment = {int(p): int(tracker.owner[p]) for p in kept}
-    return ClusteringEval(
-        radius=radius,
-        excluded=frozenset(int(i) for i in excluded),
-        assignment=assignment,
-    )
+    excluded = frozenset(farthest_m(tracker, m).tolist()) if m else frozenset()
+    return ClusteringEval(radius_after_exclusions(tracker.mindist, m), excluded)
 
 
 def cost_radius(ps: PointSet, centers, z: int, eps: float = 0.0) -> float:
-    """Radius only, skipping the assignment map (partition selection)."""
-    idx = _center_indices(centers)
-    m = relaxed_exclusions(z, eps)
-    if m >= ps.n:
-        raise ValueError("exclusion budget swallows the dataset")
-    tracker = NearestTracker.over(ps, idx)
-    return radius_after_exclusions(tracker.mindist, m)
+    """The radius of clustering_cost alone."""
+    return clustering_cost(ps, centers, z, eps).radius
 
 
 def radius_after_exclusions(mindist: np.ndarray, m: int) -> float:
@@ -385,7 +363,8 @@ def weighted_cost(ps: PointSet, point_indices, weights, centers, z: float) -> fl
         raise ValueError("outlier weight budget consumes the whole coreset")
     cidx = _center_indices(centers)
     d = ps.cross_dists(idx, cidx).min(axis=1)
-    order = _exclusion_order(d)
+    # Farthest first; equal distances peel the lower index first.
+    order = np.lexsort((np.arange(d.shape[0]), -d))
     cumw = np.cumsum(w[order])
     pos = int(np.searchsorted(cumw, z, side="right"))
     return float(d[order[pos]])

@@ -19,7 +19,6 @@ import numpy as np
 from .core import (
     CenterSet,
     ClusteringEval,
-    NearestTracker,
     ParamSet,
     PointSet,
     ceil_count,
@@ -28,7 +27,7 @@ from .core import (
     relaxed_exclusions,
     weighted_cost,
 )
-from .greedy import _GreedyRun, greedy_config
+from .greedy import GreedyRun, greedy_config
 
 __all__ = [
     "WeightedCoreset",
@@ -168,19 +167,14 @@ def _identity_coreset(ps: PointSet, builder: str, reason: str) -> WeightedCorese
     )
 
 
-def _weigh_centers(
-    ps: PointSet,
-    tracker: NearestTracker,
-    centers: CenterSet,
-    exclusions: int,
-    meta: dict,
-) -> WeightedCoreset:
+def _weigh_centers(run: GreedyRun, exclusions: int, meta: dict) -> WeightedCoreset:
     """Snap points within the exclusion radius onto their nearest center,
     append the rest with unit weight."""
+    ps, tracker = run.ps, run.tracker
     radius = radius_after_exclusions(tracker.mindist, exclusions)
     inside = tracker.mindist <= radius
     far = np.flatnonzero(~inside)
-    cidx = centers.as_array()
+    cidx = run.centers().as_array()
     pos_of = np.full(ps.n, -1, dtype=np.intp)
     pos_of[cidx] = np.arange(cidx.size)
     owner_pos = pos_of[tracker.owner[inside]]
@@ -236,15 +230,10 @@ def build_coreset(
     if raw_rounds > ps.n:
         return _identity_coreset(ps, "fixed_dim", f"round budget {raw_rounds:.0f} exceeds n={ps.n}")
     cfg = greedy_config(run_params, rounds_override=ceil_count(raw_rounds))
-    run = _GreedyRun(ps, rng)
-    run.seed_round(cfg.init_sample)
-    pool = max(1, relaxed_exclusions(params.z, eps))
-    for j in range(2, cfg.rounds + 1):
-        if run.all_covered():
-            break
-        run.round_no = j
-        run.farthest_round(pool, cfg.per_round_sample)
-    return _weigh_centers(ps, run.tracker, run.result(), relaxed_exclusions(params.z, eps), meta)
+    exclusions = relaxed_exclusions(params.z, eps)
+    run = GreedyRun(ps, rng, cfg.init_sample)
+    run.grow(exclusions, cfg.per_round_sample, cfg.rounds - 1)
+    return _weigh_centers(run, exclusions, meta)
 
 
 def build_coreset_auto(ps: PointSet, params: ParamSet, rng: np.random.Generator) -> WeightedCoreset:
@@ -257,48 +246,31 @@ def build_coreset_auto(ps: PointSet, params: ParamSet, rng: np.random.Generator)
     non-termination (each round must add a new center); hitting it falls
     back to unit weights.
     """
-    run_params = dataclasses.replace(params, eps=1.0)
-    cfg = greedy_config(run_params)
+    exclusions_phase1 = relaxed_exclusions(params.z, 1.0)
+    exclusions_final = relaxed_exclusions(params.z, 5.0)
+    if exclusions_final >= ps.n:
+        raise ValueError("relaxed exclusion budget (6z) swallows the dataset")
+    cfg = greedy_config(dataclasses.replace(params, eps=1.0))
+    run = GreedyRun(ps, rng, cfg.init_sample)
+    run.grow(exclusions_phase1, cfg.per_round_sample, cfg.rounds - 1)
+    r_phase1 = radius_after_exclusions(run.tracker.mindist, exclusions_phase1)
+    target = (params.mu / 2.0) * r_phase1
+    spent = run.grow(
+        exclusions_final, cfg.per_round_sample, ps.n, exclusions=exclusions_final, target=target
+    )
+    if radius_after_exclusions(run.tracker.mindist, exclusions_final) > target:
+        log.warning("adaptive: phase-2 cap hit after %d rounds", spent)
+        return _identity_coreset(ps, "adaptive", "phase-2 round cap hit")
     meta = {
         "builder": "adaptive",
         "fallback": False,
         "k": params.k,
         "z": params.z,
         "mu": float(params.mu),
+        "phase1_radius": float(r_phase1),
+        "phase2_rounds": spent,
     }
-    run = _GreedyRun(ps, rng)
-    run.seed_round(cfg.init_sample)
-    pool_phase1 = max(1, relaxed_exclusions(params.z, 1.0))
-    for j in range(2, cfg.rounds + 1):
-        if run.all_covered():
-            break
-        run.round_no = j
-        run.farthest_round(pool_phase1, cfg.per_round_sample)
-
-    exclusions_phase1 = relaxed_exclusions(params.z, 1.0)
-    if exclusions_phase1 >= ps.n:
-        raise ValueError("relaxed exclusion budget (2z) swallows the dataset")
-    r_phase1 = radius_after_exclusions(run.tracker.mindist, exclusions_phase1)
-    meta["phase1_radius"] = float(r_phase1)
-
-    exclusions_final = relaxed_exclusions(params.z, 5.0)
-    if exclusions_final >= ps.n:
-        raise ValueError("relaxed exclusion budget (6z) swallows the dataset")
-    if r_phase1 > 0.0:
-        target = (params.mu / 2.0) * r_phase1
-        pool_phase2 = max(1, relaxed_exclusions(3 * params.z, 1.0))
-        spent = 0
-        while radius_after_exclusions(run.tracker.mindist, exclusions_final) > target:
-            if spent >= ps.n:
-                log.warning("adaptive: phase-2 cap hit after %d rounds", spent)
-                return _identity_coreset(ps, "adaptive", "phase-2 round cap hit")
-            run.round_no += 1
-            run.farthest_round(pool_phase2, cfg.per_round_sample)
-            spent += 1
-        meta["phase2_rounds"] = spent
-    else:
-        meta["phase2_rounds"] = 0
-    return _weigh_centers(ps, run.tracker, run.result(), exclusions_final, meta)
+    return _weigh_centers(run, exclusions_final, meta)
 
 
 def compose_with_host(cs: WeightedCoreset, ps: PointSet, params: ParamSet, host) -> ClusteringEval:

@@ -33,7 +33,6 @@ __all__ = [
     "ProtocolResult",
     "site_round_one",
     "coordinator_threshold",
-    "site_round_two",
     "assemble",
     "run_protocol",
     "minimax_oracle",
@@ -120,13 +119,17 @@ class ShardedInstance:
 
 @dataclass(frozen=True)
 class SiteProfile:
-    """One site's round-one output: per-budget radii (monotone) and coresets."""
+    """One site's round-one output: per-budget radii (monotone) and coresets.
+
+    ``dist_evals`` counts the distance evaluations made on the shard, whose
+    point set carries its own counter."""
 
     site_id: int
     step: StepFunction
     coresets: dict[int, WeightedCoreset]
     n_points: int
     clamps: dict[int, int] = field(default_factory=dict)
+    dist_evals: int = 0
 
     def h(self, q: int) -> float:
         return self.step.value(q)
@@ -200,6 +203,7 @@ def site_round_one(
     """
     n_i = sub_ps.n
     k = params.k
+    evals_before = sub_ps.stats.evals
     radii: list[float] = []
     coresets: dict[int, WeightedCoreset] = {}
     clamps: dict[int, int] = {}
@@ -229,6 +233,7 @@ def site_round_one(
         coresets=coresets,
         n_points=n_i,
         clamps=clamps,
+        dist_evals=sub_ps.stats.evals - evals_before,
     )
 
 
@@ -259,12 +264,6 @@ def coordinator_threshold(profiles, z: int) -> ThresholdDecision:
             )
         budgets.append(int(chosen))
     return ThresholdDecision(value=float(t_value), site=int(t_site), budgets=tuple(budgets))
-
-
-def site_round_two(profile: SiteProfile, budget: int) -> WeightedCoreset:
-    if budget not in profile.coresets:
-        raise ValueError(f"budget {budget} was never built on site {profile.site_id}")
-    return profile.coresets[budget]
 
 
 def assemble(
@@ -338,7 +337,7 @@ def run_protocol(
     if sum(decision.budgets) > 2 * params.z:
         raise RuntimeError("derived budgets exceed 2z")
     ledger.add("broadcast", 2 * instance.s, note="threshold value and owning site to every site")
-    round_two = [site_round_two(p, b) for p, b in zip(profiles, decision.budgets)]
+    round_two = [p.coresets[b] for p, b in zip(profiles, decision.budgets)]
     per_point = (ps.dim + 1) if ps.dim is not None else 2
     ledger.add(
         "sites_to_coordinator",

@@ -1,10 +1,12 @@
 """Randomized greedy center selection.
 
-Three selection styles share one loop skeleton: seed with a small uniform
-sample, then repeatedly sample from the current farthest set.  The full-data
-variants maintain a NearestTracker over all points; the sublinear variant
-touches only a fresh uniform sample each round, so its per-round distance
-work is independent of n.
+One loop, randomized Gonzalez, backs every full-data algorithm: ``GreedyRun``
+seeds with a small uniform sample, then repeatedly samples from the current
+farthest set until a stop rule holds.  ``bicriteria``, ``two_approx`` and both
+coreset builders (``coreset.build_coreset``, ``coreset.build_coreset_auto``)
+differ only in the pool size, the sample count and the stop rule.  The
+sublinear variant touches only a fresh uniform sample each round, so its
+per-round distance work is independent of n.
 
 All uniform draws are without replacement (capped at the population size) and
 results are deduplicated against the current center set, so a round's growth
@@ -26,6 +28,7 @@ from .core import (
     ceil_count,
     cost_radius,
     farthest_m,
+    radius_after_exclusions,
     relaxed_exclusions,
 )
 
@@ -35,6 +38,7 @@ __all__ = [
     "greedy_config",
     "sublinear_config",
     "boost_repetitions",
+    "GreedyRun",
     "bicriteria",
     "two_approx",
     "two_approx_boosted",
@@ -116,83 +120,74 @@ def boost_repetitions(params: ParamSet) -> int:
     return ceil_count(math.log(10.0) * (1.0 / (1.0 - params.gamma)) * ratio ** (params.k - 1))
 
 
-class _GreedyRun:
-    """Tracker-backed selection state shared by the full-data variants."""
+def _add_new(chosen: dict[int, int], picks: np.ndarray, round_no: int) -> list[int]:
+    """Record the picks not chosen before under round_no and return them in
+    order; ``chosen`` maps every center index to its round, oldest first."""
+    new = [p for p in dict.fromkeys(np.atleast_1d(picks).tolist()) if p not in chosen]
+    chosen.update(dict.fromkeys(new, round_no))
+    return new
 
-    def __init__(self, ps: PointSet, rng: np.random.Generator, stats: dict | None = None):
+
+class GreedyRun:
+    """Randomized Gonzalez selection over all points.
+
+    The constructor draws round 1, a uniform sample of ``init_sample`` points;
+    ``grow`` then samples from the current farthest set round by round.  A
+    NearestTracker holds every point's distance to its nearest pick.
+    """
+
+    def __init__(self, ps: PointSet, rng: np.random.Generator, init_sample: int):
         self.ps = ps
         self.rng = rng
         self.tracker = NearestTracker(ps)
-        self.indices: list[int] = []
-        self.rounds: list[int] = []
-        self.members: set[int] = set()
+        self.chosen: dict[int, int] = {}
         self.round_no = 1
-        self.stats = stats
+        self._add(rng.choice(ps.n, size=min(init_sample, ps.n), replace=False))
 
-    def add_picks(self, picks: np.ndarray) -> int:
-        added = 0
-        for p in picks.tolist():
-            p = int(p)
-            if p in self.members:
-                continue
-            self.members.add(p)
-            self.indices.append(p)
-            self.rounds.append(self.round_no)
-            self.tracker.add_center(p)
-            added += 1
-        if self.stats is not None:
-            self.stats.setdefault("round_added", []).append(added)
-            self.stats.setdefault("round_max_mindist", []).append(float(self.tracker.mindist.max()))
-        return added
+    def _add(self, picks: np.ndarray) -> None:
+        self.tracker.add_centers(_add_new(self.chosen, picks, self.round_no))
 
-    def seed_round(self, count: int) -> None:
-        picks = self.rng.choice(self.ps.n, size=min(count, self.ps.n), replace=False)
-        self.add_picks(np.atleast_1d(picks))
+    def grow(
+        self,
+        pool_size: int,
+        sample_count: int,
+        max_rounds: int,
+        exclusions: int = 0,
+        target: float = 0.0,
+    ) -> int:
+        """Run up to max_rounds rounds, each drawing sample_count points from
+        the pool_size farthest; stop once the radius after dropping the
+        ``exclusions`` farthest points is <= target (by default: once every
+        point is covered).  Returns the number of rounds run."""
+        # z = 0 would empty the pool; clamp so rounds still make progress.
+        pool_size = min(max(1, pool_size), self.ps.n)
+        for spent in range(max_rounds):
+            if radius_after_exclusions(self.tracker.mindist, exclusions) <= target:
+                return spent
+            pool = farthest_m(self.tracker, pool_size)
+            self.round_no += 1
+            self._add(self.rng.choice(pool, size=min(sample_count, pool.size), replace=False))
+        return max_rounds
 
-    def farthest_round(self, pool_size: int, sample_count: int) -> None:
-        pool = farthest_m(self.tracker, min(pool_size, self.ps.n))
-        picks = self.rng.choice(pool, size=min(sample_count, pool.size), replace=False)
-        self.add_picks(np.atleast_1d(picks))
-
-    def all_covered(self) -> bool:
-        return float(self.tracker.mindist.max()) == 0.0
-
-    def result(self) -> CenterSet:
-        return CenterSet(tuple(self.indices), tuple(self.rounds))
+    def centers(self) -> CenterSet:
+        return CenterSet(tuple(self.chosen), tuple(self.chosen.values()))
 
 
-def _farthest_pool_size(params: ParamSet) -> int:
-    # z = 0 would empty the pool; clamp so rounds still make progress.
-    return max(1, relaxed_exclusions(params.z, params.eps))
-
-
-def bicriteria(ps: PointSet, cfg: GreedyConfig, rng: np.random.Generator, stats: dict | None = None) -> CenterSet:
+def bicriteria(ps: PointSet, cfg: GreedyConfig, rng: np.random.Generator) -> CenterSet:
     """Multi-draw greedy: seed, then per round sample per_round_sample
     vertices from the current farthest set.  Output size is at most
     init_sample + (rounds - 1) * per_round_sample."""
-    params = cfg.params
-    run = _GreedyRun(ps, rng, stats)
-    run.seed_round(cfg.init_sample)
-    pool_size = _farthest_pool_size(params)
-    for j in range(2, cfg.rounds + 1):
-        if run.all_covered():
-            break
-        run.round_no = j
-        run.farthest_round(pool_size, cfg.per_round_sample)
-    return run.result()
+    run = GreedyRun(ps, rng, cfg.init_sample)
+    pool_size = relaxed_exclusions(cfg.params.z, cfg.params.eps)
+    run.grow(pool_size, cfg.per_round_sample, cfg.rounds - 1)
+    return run.centers()
 
 
 def two_approx(ps: PointSet, params: ParamSet, rng: np.random.Generator) -> CenterSet:
     """One uniform seed plus k-1 single draws from the farthest set."""
-    run = _GreedyRun(ps, rng)
-    run.seed_round(1)
-    pool_size = _farthest_pool_size(params)
-    for j in range(2, params.k + 1):
-        if run.all_covered():
-            break
-        run.round_no = j
-        run.farthest_round(pool_size, 1)
-    return run.result()
+    run = GreedyRun(ps, rng, 1)
+    run.grow(relaxed_exclusions(params.z, params.eps), 1, params.k - 1)
+    return run.centers()
 
 
 def two_approx_boosted(
@@ -231,37 +226,20 @@ def sublinear_bicriteria(
     |sample| * |centers| distances, independent of n.
     """
     n = ps.n
-    indices: list[int] = []
-    rounds: list[int] = []
-    members: set[int] = set()
-
-    seed_picks = rng.choice(n, size=min(cfg.init_sample, n), replace=False)
-    for p in np.atleast_1d(seed_picks).tolist():
-        p = int(p)
-        if p not in members:
-            members.add(p)
-            indices.append(p)
-            rounds.append(1)
+    chosen: dict[int, int] = {}
+    _add_new(chosen, rng.choice(n, size=min(cfg.init_sample, n), replace=False), 1)
 
     draw = min(sub.sample_size, n)
     for j in range(2, cfg.rounds + 1):
         before = ps.stats.evals
         sample = rng.choice(n, size=draw, replace=False)
-        dists = ps.cross_dists(sample, np.asarray(indices, dtype=np.intp)).min(axis=1)
+        dists = ps.cross_dists(sample, list(chosen)).min(axis=1)
         if stats is not None:
             stats.setdefault("round_dist_evals", []).append(ps.stats.evals - before)
         if float(dists.max()) == 0.0:
             break
         take = min(sub.take_per_round, draw)
-        picked = sample[farthest_m(dists, take)]
-        added = 0
-        for p in picked.tolist():
-            p = int(p)
-            if p not in members:
-                members.add(p)
-                indices.append(p)
-                rounds.append(j)
-                added += 1
+        added = _add_new(chosen, sample[farthest_m(dists, take)], j)
         if stats is not None:
-            stats.setdefault("round_added", []).append(added)
-    return CenterSet(tuple(indices), tuple(rounds))
+            stats.setdefault("round_added", []).append(len(added))
+    return CenterSet(tuple(chosen), tuple(chosen.values()))

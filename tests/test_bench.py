@@ -57,6 +57,8 @@ def test_distributed_record_accounting():
     assert phases[2]["floats"] == rec["points_sent"] * 3
     assert rec["coreset_size"] == rec["points_sent"]
     assert rec["weight_total"] == 120
+    # Site work runs on shard point sets with their own counters.
+    assert rec["dist_evals"] > 0
 
 
 def test_workers_match_serial():

@@ -140,13 +140,6 @@ def test_cost_rejects_total_exclusion():
         clustering_cost(ps, [0], z=1, eps=1.0)
 
 
-def test_assignment_maps_to_nearest():
-    ps = line_ps([0.0, 1.0, 9.0, 10.0])
-    ev = clustering_cost(ps, [0, 3], z=0, eps=0.0)
-    assert ev.assignment[1] == 0 and ev.assignment[2] == 3
-    assert ev.radius == 1.0
-
-
 def test_weighted_cost_straddling_point():
     ps = line_ps([0.0, 5.0, 4.0, 1.0])
     r = weighted_cost(ps, [1, 2, 3], [1, 2, 3], [0], z=2)
@@ -201,6 +194,22 @@ def test_phi_monotone_in_relaxation(coords, data):
     if oracles.exclusion_count(z, hi) >= ps.n:
         return
     assert cost_radius(ps, centers, z, hi) <= cost_radius(ps, centers, z, lo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coords=coords_strategy, data=st.data())
+def test_excluded_set_matches_sort_oracle(coords, data):
+    # Integer coordinates make equal distances, and so ties at the cut, common.
+    ps = PointSet.from_coords(np.asarray(coords, dtype=np.float64))
+    pts = [tuple(row) for row in ps.coords]
+    k = data.draw(st.integers(1, min(3, ps.n - 1)))
+    centers = data.draw(st.lists(st.integers(0, ps.n - 1), min_size=k, max_size=k, unique=True))
+    z = data.draw(st.integers(0, (ps.n - 1) // 2))
+    eps = data.draw(st.sampled_from([0.0, 1.0]))
+    m = oracles.exclusion_count(z, eps)
+    ev = clustering_cost(ps, centers, z, eps)
+    assert ev.excluded == set(oracles.farthest_by_sort(oracles.nearest_dists(pts, centers), m))
+    assert ev.radius == pytest.approx(oracles.cost_excluding(pts, centers, m), rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -131,7 +131,7 @@ def test_compose_maps_local_picks_to_source_indices():
     got = compose_with_host(cs, ps, p, lambda sub, w, k, z: np.array([1, 2]))
     want = clustering_cost(ps, np.array([1, 2]), 0, 0.0)
     assert got.radius == want.radius
-    assert got.assignment == want.assignment
+    assert got.excluded == want.excluded
 
 
 def test_compose_with_weighted_solver(planted_400):

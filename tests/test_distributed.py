@@ -12,7 +12,6 @@ from robustcenter.distributed import (
     outlier_budget_grid,
     run_protocol,
     site_round_one,
-    site_round_two,
 )
 from robustcenter.generate import GeneratorSpec, planted_instance
 
@@ -77,12 +76,6 @@ def test_coordinator_all_zero_radii():
 def test_coordinator_rank_bound():
     with pytest.raises(ValueError):
         coordinator_threshold([profile(0, (0, 1), (2.0, 1.0))], z=1)
-
-
-def test_site_round_two_requires_built_budget():
-    p = profile(0, (0, 1), (5.0, 3.0))
-    with pytest.raises(ValueError):
-        site_round_two(p, 7)
 
 
 def test_sharded_instance_validation():
