@@ -1,9 +1,10 @@
 """Experiment harness: one record per (seed, algorithm) plus aggregates.
 
-Each run owns a fresh point set, RNG, and distance counter, so runs can be
-scheduled concurrently without sharing state; records are sorted before
-writing.  Output is JSON lines (runs then aggregates) and a CSV summary of
-the aggregates.
+Each run owns its point set, RNG, and distance counter, so runs can be
+scheduled concurrently without sharing mutable state (a CSV input is parsed
+once per experiment and its read-only arrays are shared); records are sorted
+before writing.  Output is JSON lines (runs then aggregates) and a CSV
+summary of the aggregates.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .core import (
+    DistanceStats,
     ParamSet,
     PointSet,
     clustering_cost,
@@ -96,16 +98,17 @@ def _charikar_host(sub_ps, weights, k, z):
     return charikar_3approx(sub_ps, weights, k, z)
 
 
-def _fresh_instance(spec: ExperimentSpec, seed: int):
-    """Per-run point set with its own distance counter."""
+def _fresh_instance(spec: ExperimentSpec, seed: int, loaded: PointSet | None):
+    """Per-run point set with its own distance counter; ``loaded`` is the
+    parsed CSV input, or None for a generated source."""
     if isinstance(spec.source, GeneratorSpec):
         inst = planted_instance(spec.source, seed)
         return inst.ps, inst.outlier_indices
-    return load_points_csv(spec.source), None
+    return replace(loaded, stats=DistanceStats()), None
 
 
-def _run_one(spec: ExperimentSpec, algo: str, seed: int) -> dict:
-    ps, injected = _fresh_instance(spec, seed)
+def _run_one(spec: ExperimentSpec, algo: str, seed: int, loaded: PointSet | None) -> dict:
+    ps, injected = _fresh_instance(spec, seed, loaded)
     params = ParamSet(k=spec.k, z=spec.z, n=ps.n, eps=spec.eps, eta=spec.eta, mu=spec.mu, seed=seed)
     rng = np.random.default_rng(seed)
     rec = {
@@ -228,13 +231,14 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1):
     """Run every (algorithm, seed) pair; returns (records, aggregates) and
     writes them when the spec names an output base path."""
     jobs = [(algo, seed) for algo in spec.algos for seed in spec.seeds]
+    loaded = None if isinstance(spec.source, GeneratorSpec) else load_points_csv(spec.source)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda j: _run_one(spec, *j), jobs))
+            records = list(pool.map(lambda j: _run_one(spec, *j, loaded), jobs))
     else:
-        records = [_run_one(spec, algo, seed) for algo, seed in jobs]
+        records = [_run_one(spec, algo, seed, loaded) for algo, seed in jobs]
     order = {algo: i for i, algo in enumerate(spec.algos)}
     records.sort(key=lambda r: (order[r["algo"]], r["seed"]))
     aggregates = _aggregate(spec, records)

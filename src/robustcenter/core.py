@@ -4,6 +4,11 @@ Instances are either Euclidean (an n x D coordinate array) or explicit metric
 (an n x n distance matrix).  All distance evaluations go through the PointSet
 methods so an instrumentation counter sees every one of them, and all
 tie-breaking is by ascending point index so runs are bit-reproducible.
+
+Coordinates are stored coordinate-major (Fortran order), so each axis is one
+contiguous column.  Distances are summed axis by axis over whole columns, in
+the order numpy's pairwise sum uses along one contiguous row, which keeps
+them bit-equal to ``np.sqrt(((x - c)**2).sum(-1))`` on row-major data.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ __all__ = [
     "ceil_count",
     "relaxed_exclusions",
     "farthest_m",
+    "euclidean_dists",
     "clustering_cost",
     "cost_radius",
     "weighted_cost",
@@ -65,13 +71,60 @@ class DistanceStats:
     evals: int = 0
 
 
-def _chunked_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Row-chunked so the (rows x cols x D) temporary stays under ~32 MB.
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-    step = max(1, (1 << 22) // max(1, b.shape[0] * a.shape[1]))
-    for s in range(0, a.shape[0], step):
-        diff = a[s : s + step, None, :] - b[None, :, :]
-        out[s : s + step] = np.sqrt((diff * diff).sum(-1))
+def _sum_axes(sq: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Add the slabs sq[lo+1:hi] into sq[lo] in place and return sq[lo].
+
+    The order is numpy's pairwise sum over one contiguous row: one by one
+    below 8 slabs; up to 128, eight running sums over the full blocks of 8,
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover
+    slabs; above 128, the two halves split at a multiple of 8.
+    """
+    m = hi - lo
+    if m < 8:
+        for j in range(lo + 1, hi):
+            sq[lo] += sq[j]
+    elif m <= 128:
+        full = hi - m % 8
+        for i in range(lo + 8, full, 8):
+            sq[lo : lo + 8] += sq[i : i + 8]
+        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            sq[lo + a] += sq[lo + b]
+        for j in range(full, hi):
+            sq[lo] += sq[j]
+    else:
+        half = m // 2 - (m // 2) % 8
+        _sum_axes(sq, lo, lo + half)
+        sq[lo] += _sum_axes(sq, lo + half, hi)
+    return sq[lo]
+
+
+def _dists_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    # One contiguous slab of squared differences per coordinate axis.
+    sq = np.empty((a.shape[-1],) + out.shape)
+    for j in range(a.shape[-1]):
+        np.subtract(a[..., j], b[..., j], out=sq[j])
+    np.square(sq, out=sq)
+    np.sqrt(_sum_axes(sq, 0, a.shape[-1]), out=out)
+
+
+def euclidean_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between a and b over their last (coordinate) axis.
+
+    The first axis of ``a`` indexes the result's rows and ``b`` has fewer
+    axes than ``a``; the axes in between broadcast.  Squared differences are
+    summed axis by axis in numpy's pairwise order, so the result equals
+    np.sqrt(((a - b)**2).sum(-1)) on row-major operands bit for bit.  Counts
+    nothing.
+    """
+    if b.ndim >= a.ndim:
+        raise ValueError("b must have fewer axes than a, whose first axis indexes the rows")
+    shape = np.broadcast(a, b).shape
+    out = np.empty(shape[:-1])
+    # Row chunks keep each (D x chunk) temporary near 1 MB, small enough to
+    # stay in cache between the passes over it.
+    step = max(1, (1 << 17) // max(1, shape[-1] * math.prod(shape[1:-1])))
+    for s in range(0, shape[0], step):
+        _dists_into(a[s : s + step], b, out[s : s + step])
     return out
 
 
@@ -79,9 +132,10 @@ def _chunked_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class PointSet:
     """Immutable point collection, Euclidean or explicit-metric.
 
-    Arrays are stored read-only.  ``stats`` is an instrumentation counter and
-    not part of the value: sharing a PointSet across readers is safe, the
-    counter is only meaningful for single-threaded measurements.
+    Arrays are stored read-only, coordinates coordinate-major.  ``stats`` is
+    an instrumentation counter and not part of the value: sharing a PointSet
+    across readers is safe, the counter is only meaningful for
+    single-threaded measurements.
     """
 
     mode: str
@@ -91,7 +145,7 @@ class PointSet:
 
     @classmethod
     def from_coords(cls, coords: np.ndarray | Sequence[Sequence[float]]) -> "PointSet":
-        arr = np.array(coords, dtype=np.float64)
+        arr = np.array(coords, dtype=np.float64, order="F")
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -131,16 +185,14 @@ class PointSet:
         self.stats.evals += 1
         if self.mode == "matrix":
             return float(self.dmat[i, j])
-        diff = self.coords[i] - self.coords[j]
-        return float(np.sqrt((diff * diff).sum()))
+        return float(euclidean_dists(self.coords[i : i + 1], self.coords[j])[0])
 
     def dists_from(self, i: int) -> np.ndarray:
         """Distances from point i to every point."""
         self.stats.evals += self.n
         if self.mode == "matrix":
             return self.dmat[i].copy()
-        diff = self.coords - self.coords[i]
-        return np.sqrt((diff * diff).sum(-1))
+        return euclidean_dists(self.coords, self.coords[i])
 
     def cross_dists(self, rows: Iterable[int], cols: Iterable[int]) -> np.ndarray:
         """|rows| x |cols| distance block."""
@@ -149,7 +201,7 @@ class PointSet:
         self.stats.evals += int(r.size) * int(c.size)
         if self.mode == "matrix":
             return self.dmat[np.ix_(r, c)].copy()
-        return _chunked_cross(self.coords[r], self.coords[c])
+        return euclidean_dists(self.coords[r][:, None, :], self.coords[c])
 
     def subset(self, indices: Iterable[int]) -> "PointSet":
         """New PointSet restricted to ``indices`` (fresh counter)."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointSet
+from .core import PointSet, euclidean_dists
 
 __all__ = [
     "GeneratorSpec",
@@ -31,7 +31,9 @@ SEPARATION_FACTOR = 20.0
 
 def meb_approx(ps: PointSet, iterations: int = 100):
     """Approximate minimum enclosing ball by repeated drift toward the
-    farthest point with step 1/(i+1); starts at point 0."""
+    farthest point with step 1/(i+1); starts at point 0.  Distances use the
+    PointSet kernel's summation order but are not counted: generator work is
+    not algorithm work."""
     if ps.mode != "euclidean":
         raise ValueError("minimum enclosing ball needs coordinates")
     if iterations < 1:
@@ -39,9 +41,9 @@ def meb_approx(ps: PointSet, iterations: int = 100):
     pts = ps.coords
     center = pts[0].astype(np.float64).copy()
     for i in range(1, iterations + 1):
-        far = pts[np.argmax(np.linalg.norm(pts - center, axis=1))]
+        far = pts[np.argmax(euclidean_dists(pts, center))]
         center += (far - center) / (i + 1)
-    radius = float(np.linalg.norm(pts - center, axis=1).max())
+    radius = float(euclidean_dists(pts, center).max())
     return center, radius
 
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from robustcenter import bench
 from robustcenter.bench import ExperimentSpec, run_experiment
 from robustcenter.cli import main, parse_generator
 from robustcenter.generate import GeneratorSpec
@@ -67,6 +68,28 @@ def test_workers_match_serial():
     threaded, _ = run_experiment(spec, workers=4)
     strip = lambda recs: [{k: v for k, v in r.items() if k != "wall_time_s"} for r in recs]
     assert strip(serial) == strip(threaded)
+
+
+def test_csv_input_parsed_once_with_a_counter_per_run(tmp_path, monkeypatch):
+    path = tmp_path / "pts.csv"
+    rng = np.random.default_rng(0)
+    path.write_text("\n".join(f"{x:.6f},{y:.6f}" for x, y in rng.normal(size=(40, 2))))
+    spec = ExperimentSpec(algos=("gonzalez", "bicriteria"), k=2, z=2, seeds=(0, 1), source=str(path))
+    # One experiment per (algo, seed) run parses the file afresh.
+    fresh = [
+        run_experiment(ExperimentSpec(algos=(a,), k=2, z=2, seeds=(s,), source=str(path)))[0][0]
+        for a in spec.algos
+        for s in spec.seeds
+    ]
+
+    loads = []
+    real_load = bench.load_points_csv
+    monkeypatch.setattr(bench, "load_points_csv", lambda p: loads.append(p) or real_load(p))
+    records, _ = run_experiment(spec, workers=2)
+    assert loads == [str(path)]
+    assert [(r["dist_evals"], r["instance_hash"]) for r in records] == [
+        (r["dist_evals"], r["instance_hash"]) for r in fresh
+    ]
 
 
 def test_spec_validation(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from robustcenter.core import (
     ceil_count,
     clustering_cost,
     cost_radius,
+    euclidean_dists,
     farthest_m,
     load_distance_matrix_csv,
     load_points_csv,
@@ -69,6 +72,51 @@ def test_distance_counter_is_exact():
     assert ps.stats.evals == 1 + 7 + 6
     sub = ps.subset([0, 1, 2])
     assert sub.stats.evals == 0
+
+
+def row_wise_dists(a, b):
+    return np.sqrt(((a - b) ** 2).sum(-1))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 15, 16, 17, 129, 200])
+def test_coordinate_major_kernel_is_bit_equal_to_row_wise_sum(dim):
+    rng = np.random.default_rng(dim)
+    n = 700
+    ps = PointSet.from_coords(rng.normal(scale=37.5, size=(n, dim)) + rng.random((n, dim)))
+    rows = np.ascontiguousarray(ps.coords)
+    assert ps.coords.flags.f_contiguous and not ps.coords.flags.writeable
+
+    for i in (0, 17, n - 1):
+        before = ps.stats.evals
+        assert np.array_equal(ps.dists_from(i), row_wise_dists(rows, rows[i]))
+        assert ps.stats.evals - before == n
+    for i, j in ((0, 1), (17, 250), (n - 1, 3)):
+        before = ps.stats.evals
+        assert ps.dist(i, j) == ps.dists_from(i)[j] == row_wise_dists(rows[i], rows[j])
+        assert ps.stats.evals - before == 1 + n
+
+    # Kernel chunks hold 2**17 entries: 300 x 500 x dim entries span several,
+    # and so do 700 x 200 in dists_from at dim=200.
+    r = rng.permutation(n)[:300]
+    c = rng.integers(0, n, size=500)
+    before = ps.stats.evals
+    block = ps.cross_dists(r, c)
+    assert ps.stats.evals - before == 300 * 500
+    assert np.array_equal(block, row_wise_dists(rows[r][:, None, :], rows[c][None, :, :]))
+
+    h = hashlib.sha256()
+    h.update(b"euclidean")
+    h.update(str(rows.shape).encode())
+    h.update(rows.tobytes())
+    assert ps.content_hash() == h.hexdigest()
+
+
+def test_euclidean_dists_takes_the_rows_from_a():
+    x = np.arange(12.0).reshape(4, 3)
+    assert np.array_equal(euclidean_dists(x, x[1]), row_wise_dists(x, x[1]))
+    for a, b in ((x[1], x), (x[1:2], x)):
+        with pytest.raises(ValueError):
+            euclidean_dists(a, b)
 
 
 def test_paramset_bounds():

@@ -31,6 +31,25 @@ def test_meb_simplex():
     assert radius == pytest.approx(np.sqrt(0.75), rel=0.05)
 
 
+def test_meb_is_bit_equal_to_row_wise_norms():
+    rng = np.random.default_rng(3)
+    base = rng.normal(scale=12.5, size=(250, 10)) + 0.3
+    # Reversed-coordinate twins lie at near-equal distances, so a last-ulp
+    # change in the norms moves the farthest pick and the radius at some of
+    # these iteration counts.
+    ps = PointSet.from_coords(np.vstack([np.zeros(10), base, base[:, ::-1]]))
+    rows = np.ascontiguousarray(ps.coords)
+    center = rows[0].copy()
+    for iterations in range(1, 31):
+        far = rows[np.argmax(np.linalg.norm(rows - center, axis=1))]
+        center += (far - center) / (iterations + 1)
+        radius = float(np.linalg.norm(rows - center, axis=1).max())
+        got_center, got_radius = meb_approx(ps, iterations)
+        assert np.array_equal(got_center, center)
+        assert got_radius == radius
+    assert ps.stats.evals == 0
+
+
 def test_meb_needs_coordinates():
     dmat = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
     with pytest.raises(ValueError):
