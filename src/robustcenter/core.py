@@ -406,10 +406,10 @@ def weighted_cost(ps: PointSet, point_indices, weights, centers, z: float) -> fl
     w = np.asarray(weights, dtype=np.float64)
     if idx.shape != w.shape:
         raise ValueError("indices and weights must align")
-    if (w <= 0).any():
-        raise ValueError("weights must be positive")
-    if z < 0:
-        raise ValueError("outlier weight budget must be non-negative")
+    if not np.isfinite(w).all() or (w <= 0).any():
+        raise ValueError("weights must be positive and finite")
+    if not 0 <= z < math.inf:
+        raise ValueError("outlier weight budget must be finite and non-negative")
     total = float(w.sum())
     if total <= z:
         raise ValueError("outlier weight budget consumes the whole coreset")

@@ -69,22 +69,35 @@ def gonzalez(
     return CenterSet(tuple(indices), tuple(range(1, len(indices) + 1)))
 
 
+def _check_weights(n: int, weights: np.ndarray, z: float) -> np.ndarray:
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,) or not np.isfinite(w).all() or (w <= 0).any():
+        raise ValueError("weights must be positive, finite and align with the points")
+    if not 0 <= z < math.inf:
+        raise ValueError("outlier weight budget must be finite and non-negative")
+    if float(w.sum()) <= z:
+        raise ValueError("outlier weight budget consumes the whole instance")
+    return w
+
+
 def _coverage_greedy(
-    dmat: np.ndarray, w: np.ndarray, k: int, r: float
+    dmat: np.ndarray, near: np.ndarray, w: np.ndarray, k: int, r: float
 ) -> tuple[list[int], float]:
     # Pick the point covering the most uncovered weight within r, then mark
-    # everything within 3r covered.  Returns picks and leftover weight.
-    cov_near = dmat <= r
-    cov_wide = dmat <= 3.0 * r
-    uncovered = w.astype(np.float64).copy()
+    # everything within 3r covered.  ``near`` is the caller's n x n float64
+    # scratch, refilled here with the 0/1 coverage matrix of radius r, so the
+    # scores are one float matrix-vector product per pick.  Returns picks and
+    # leftover weight.
+    np.less_equal(dmat, r, out=near)
+    uncovered = w.copy()
     picks: list[int] = []
     for _ in range(k):
-        scores = cov_near @ uncovered
+        scores = near @ uncovered
         best = int(np.argmax(scores))
         if scores[best] <= 0.0:
             break
         picks.append(best)
-        uncovered[cov_wide[best]] = 0.0
+        uncovered[dmat[best] <= 3.0 * r] = 0.0
     return picks, float(uncovered.sum())
 
 
@@ -94,32 +107,36 @@ def charikar_3approx(
     """Weighted 3-approximation for k-center with outlier weight budget z.
 
     Binary-searches the sorted pairwise distances for the smallest radius
-    guess whose coverage greedy leaves at most z weight uncovered.  Intended
-    for coreset-scale inputs (full pairwise block is materialized).
+    guess whose coverage greedy leaves at most z weight uncovered, and returns
+    the picks of that guess.  Intended for coreset-scale inputs: besides the
+    float64 pairwise block it holds one float64 n x n coverage matrix, refilled
+    at each guess.  The picks equal those of the pure-Python search in
+    ``tests/oracles.py`` (``charikar_reference``), bit for bit.
     """
     n = ps.n
     if k < 1:
         raise ValueError("k must be >= 1")
     if n > _MATRIX_GUARD:
         raise GuardError(f"instance too large for the radius-guessing solver (n={n})")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,) or (w <= 0).any():
-        raise ValueError("weights must be positive and align with the points")
-    if float(w.sum()) <= z:
-        raise ValueError("outlier weight budget consumes the whole instance")
+    w = _check_weights(n, np.ones(n) if weights is None else weights, z)
     dmat = ps.cross_dists(np.arange(n), np.arange(n))
-    candidates = np.unique(dmat)
+    # The block is exactly symmetric with a zero diagonal, so its strict upper
+    # triangle plus one zero holds every distinct distance.
+    candidates = np.unique(np.append(dmat[~np.tri(n, dtype=bool)], 0.0))
+    near = np.empty_like(dmat)
+    picks: list[int] | None = None
     lo, hi = -1, candidates.size - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        _, leftover = _coverage_greedy(dmat, w, k, float(candidates[mid]))
+        found, leftover = _coverage_greedy(dmat, near, w, k, float(candidates[mid]))
         if leftover <= z:
-            hi = mid
+            hi, picks = mid, found
         else:
             lo = mid
-    picks, leftover = _coverage_greedy(dmat, w, k, float(candidates[hi]))
-    if leftover > z:
-        raise RuntimeError("largest pairwise distance must be feasible")
+    if picks is None:  # no guess below the largest distance was feasible
+        picks, leftover = _coverage_greedy(dmat, near, w, k, float(candidates[hi]))
+        if leftover > z:
+            raise RuntimeError("largest pairwise distance must be feasible")
     return CenterSet(tuple(picks), tuple(range(1, len(picks) + 1)))
 
 
@@ -181,11 +198,7 @@ def brute_force_weighted(
 ) -> tuple[float, CenterSet]:
     """Exhaustive optimum of the weighted cost; oracle for host composition."""
     n = ps.n
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,) or (w <= 0).any():
-        raise ValueError("weights must be positive and align with the points")
-    if float(w.sum()) <= z:
-        raise ValueError("outlier weight budget consumes the whole instance")
+    w = _check_weights(n, weights, z)
     if n > _MATRIX_GUARD or math.comb(n, k) > ENUMERATION_GUARD:
         raise GuardError("enumeration budget exceeded")
     dmat = ps.cross_dists(np.arange(n), np.arange(n))

@@ -57,3 +57,40 @@ def farthest_by_sort(dists, m: int):
     """Indices of the m largest values, low index first on ties, ascending."""
     order = sorted(range(len(dists)), key=lambda i: (-dists[i], i))
     return sorted(order[:m])
+
+
+def _coverage_greedy(dist_rows, weights, k: int, r: float):
+    # Index-order sums; the first maximum (lowest index) wins ties.
+    uncovered = list(weights)
+    picks = []
+    for _ in range(k):
+        scores = [
+            sum(u for d, u in zip(row, uncovered) if d <= r) for row in dist_rows
+        ]
+        best = scores.index(max(scores))
+        if scores[best] <= 0:
+            break
+        picks.append(best)
+        uncovered = [
+            0 if d <= 3.0 * r else u for d, u in zip(dist_rows[best], uncovered)
+        ]
+    return picks, sum(uncovered)
+
+
+def charikar_reference(dist_rows, weights, k: int, z):
+    """Radius-guessing 3-approximation of Charikar et al. on a list of distance
+    rows: binary search over the sorted distinct distances for the smallest
+    guess whose coverage greedy leaves at most z weight, then the greedy's
+    picks at that guess."""
+    candidates = sorted({d for row in dist_rows for d in row})
+    lo, hi = -1, len(candidates) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _coverage_greedy(dist_rows, weights, k, candidates[mid])[1] <= z:
+            hi = mid
+        else:
+            lo = mid
+    picks, leftover = _coverage_greedy(dist_rows, weights, k, candidates[hi])
+    if leftover > z:
+        raise ValueError("largest distance is infeasible")
+    return tuple(picks)

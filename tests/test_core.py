@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -217,6 +218,22 @@ def test_weighted_cost_validates():
         weighted_cost(ps, [1, 2], [1, -1], [0], z=0)
     with pytest.raises(ValueError):
         weighted_cost(ps, [1, 2], [1, 1], [0], z=2)
+
+
+@pytest.mark.parametrize(
+    ("weights", "z"),
+    [
+        ([1.0, math.nan], 0),
+        ([1.0, math.inf], 0),
+        ([1.0, 1.0], -1),
+        ([1.0, 1.0], math.nan),
+        ([1.0, 1.0], math.inf),
+    ],
+)
+def test_weighted_cost_rejects_non_finite_weights_and_bad_budgets(weights, z):
+    ps = line_ps([0.0, 1.0, 2.0, 5.0])
+    with pytest.raises(ValueError, match="finite"):
+        weighted_cost(ps, [1, 3], weights, [0], z=z)
 
 
 coords_strategy = st.lists(

@@ -1,7 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from robustcenter.core import GuardError, PointSet, cost_radius
+from robustcenter.core import GuardError, PointSet, cost_radius, weighted_cost
 from robustcenter.solvers import (
     brute_force_opt,
     brute_force_weighted,
@@ -133,6 +137,84 @@ def test_charikar_validates_weights():
         charikar_3approx(ps, np.array([1.0, 1.0, -1.0]), 1, 0)
 
 
+@pytest.mark.parametrize("solver", [charikar_3approx, brute_force_weighted])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_weighted_solvers_reject_non_finite_weights(solver, bad):
+    ps = line_ps([0.0, 1.0, 2.0, 5.0])
+    with pytest.raises(ValueError, match="finite"):
+        solver(ps, np.array([1.0, bad, 1.0, 1.0]), 1, 1)
+
+
+@pytest.mark.parametrize("solver", [charikar_3approx, brute_force_weighted])
+@pytest.mark.parametrize("z", [-1, math.nan, math.inf])
+def test_weighted_solvers_reject_bad_budgets(solver, z):
+    ps = line_ps([0.0, 1.0, 2.0, 5.0])
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        solver(ps, np.ones(4), 1, z)
+
+
+def _pairwise(ps):
+    return ps.cross_dists(range(ps.n), range(ps.n))
+
+
+def _assert_matches_reference(ps, weights, k, z):
+    # Integer weights keep the reference's Python sums exact.
+    w = None if weights is None else np.asarray(weights)
+    unit = [1] * ps.n if weights is None else weights
+    got = charikar_3approx(ps, w, k, z)
+    assert got.indices == oracles.charikar_reference(_pairwise(ps).tolist(), unit, k, z)
+
+
+# Small integer coordinates repeat points and distances, so score and radius
+# ties are common.
+dup_coords_strategy = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=14
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coords=dup_coords_strategy, data=st.data())
+def test_charikar_matches_reference_search(coords, data):
+    ps = PointSet.from_coords(np.asarray(coords, dtype=np.float64))
+    if data.draw(st.booleans()):
+        ps = PointSet.from_distance_matrix(_pairwise(ps))
+    n = ps.n
+    weights = data.draw(st.none() | st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    total = n if weights is None else sum(weights)
+    k = data.draw(st.integers(1, 4))
+    _assert_matches_reference(ps, weights, k, data.draw(st.integers(0, total - 1)))
+
+
+def test_charikar_matches_reference_search_seeded():
+    rng = np.random.default_rng(29)
+    for trial in range(24):
+        n = int(rng.integers(2, 41))
+        ps = PointSet.from_coords(rng.integers(-6, 7, size=(n, 2)).astype(np.float64))
+        if trial % 2:
+            ps = PointSet.from_distance_matrix(_pairwise(ps))
+        weights = None if trial % 3 == 0 else rng.integers(1, 6, size=n).tolist()
+        total = n if weights is None else sum(weights)
+        z = int(rng.integers(0, total // 3 + 1))
+        _assert_matches_reference(ps, weights, 1 + trial % 4, z)
+
+
+@pytest.mark.parametrize("integer_weights", [True, False])
+def test_weighted_charikar_within_three_of_optimum(integer_weights):
+    rng = np.random.default_rng(37 if integer_weights else 41)
+    for _ in range(20):
+        n = int(rng.integers(4, 11))
+        ps = PointSet.from_coords(rng.normal(scale=10.0, size=(n, 2)))
+        if integer_weights:
+            w = rng.integers(1, 6, size=n).astype(np.float64)
+        else:
+            w = rng.uniform(0.1, 4.0, size=n)
+        k = int(rng.integers(1, 4))
+        z = float(rng.uniform(0.0, 0.4 * w.sum()))
+        r_opt, _ = brute_force_weighted(ps, w, k, z)
+        cs = charikar_3approx(ps, w, k, z)
+        assert weighted_cost(ps, range(n), w, cs, z) <= 3 * r_opt + 1e-9
+
+
 def test_brute_force_weighted_matches_peel_oracle():
     rng = np.random.default_rng(17)
     for _ in range(15):
@@ -144,8 +226,6 @@ def test_brute_force_weighted_matches_peel_oracle():
         if w.sum() <= z or k >= n:
             continue
         got_r, got_c = brute_force_weighted(ps, w, k, z)
-        import itertools
-
         best = min(
             oracles.weighted_peel(oracles.nearest_dists(pts, combo), w.tolist(), z)
             for combo in itertools.combinations(range(n), k)
