@@ -63,7 +63,6 @@ from .greedy import (
 from .solvers import (
     OracleResult,
     brute_force_opt,
-    brute_force_weighted,
     charikar_3approx,
     gonzalez,
 )

@@ -1,7 +1,6 @@
 """Experiment harness: one record per (seed, algorithm) plus aggregates.
 
-Each run owns its point set, RNG, and distance counter, so runs can be
-scheduled concurrently without sharing mutable state (a CSV input is parsed
+Each run owns its point set, RNG, and distance counter (a CSV input is parsed
 once per experiment and its read-only arrays are shared); records are sorted
 before writing.  Output is JSON lines (runs then aggregates) and a CSV
 summary of the aggregates.
@@ -94,10 +93,6 @@ class ExperimentSpec:
             raise ValueError(f"input file not found: {self.source}")
 
 
-def _charikar_host(sub_ps, weights, k, z):
-    return charikar_3approx(sub_ps, weights, k, z)
-
-
 def _fresh_instance(spec: ExperimentSpec, seed: int, loaded: PointSet | None):
     """Per-run point set with its own distance counter; ``loaded`` is the
     parsed CSV input, or None for a generated source."""
@@ -168,7 +163,7 @@ def _run_one(spec: ExperimentSpec, algo: str, seed: int, loaded: PointSet | None
         rec["cost_relaxed"] = cost_radius(ps, centers, params.z, params.eps)
         excluded = strict.excluded
     if coreset is not None:
-        composed = compose_with_host(coreset, ps, params, _charikar_host)
+        composed = compose_with_host(coreset, ps, params, charikar_3approx)
         rec["coreset_size"] = len(coreset)
         rec["weight_total"] = coreset.total_weight()
         rec["fallback"] = bool(coreset.meta.get("fallback", False))
@@ -227,18 +222,12 @@ def _write_outputs(out: str, records: list[dict], aggregates: list[dict]) -> tup
     return jsonl_path, csv_path
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1):
+def run_experiment(spec: ExperimentSpec):
     """Run every (algorithm, seed) pair; returns (records, aggregates) and
     writes them when the spec names an output base path."""
     jobs = [(algo, seed) for algo in spec.algos for seed in spec.seeds]
     loaded = None if isinstance(spec.source, GeneratorSpec) else load_points_csv(spec.source)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda j: _run_one(spec, *j, loaded), jobs))
-    else:
-        records = [_run_one(spec, algo, seed, loaded) for algo, seed in jobs]
+    records = [_run_one(spec, algo, seed, loaded) for algo, seed in jobs]
     order = {algo: i for i, algo in enumerate(spec.algos)}
     records.sort(key=lambda r: (order[r["algo"]], r["seed"]))
     aggregates = _aggregate(spec, records)

@@ -35,6 +35,7 @@ __all__ = [
     "euclidean_dists",
     "clustering_cost",
     "cost_radius",
+    "peel_weight",
     "weighted_cost",
     "load_points_csv",
     "load_distance_matrix_csv",
@@ -266,10 +267,6 @@ class ParamSet:
     def gamma(self) -> float:
         return self.z / self.n
 
-    @classmethod
-    def for_instance(cls, ps: PointSet, k: int, z: int, **kwargs) -> "ParamSet":
-        return cls(k=k, z=z, n=ps.n, **kwargs)
-
 
 @dataclass(frozen=True)
 class CenterSet:
@@ -399,9 +396,24 @@ def radius_after_exclusions(mindist: np.ndarray, m: int) -> float:
     return float(np.partition(mindist, n - 1 - m)[n - 1 - m])
 
 
+def peel_weight(d: np.ndarray, w: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Peel exactly z units of weight off each row of ``d`` (last axis),
+    farthest first and lower index first on ties; the straddling point keeps
+    its remainder.  Returns the straddler's distance and the number of points
+    peeled whole, per row.
+
+    The caller checks 0 <= z < w.sum().  The running sum can round to at most
+    z even so; then the last point in peel order is the straddler.
+    """
+    order = np.argsort(-d, axis=-1, kind="stable")
+    cumw = np.cumsum(w[order], axis=-1)
+    whole = np.minimum((cumw <= z).sum(axis=-1), d.shape[-1] - 1)
+    pos = np.take_along_axis(order, whole[..., None], axis=-1)
+    return np.take_along_axis(d, pos, axis=-1)[..., 0], whole
+
+
 def weighted_cost(ps: PointSet, point_indices, weights, centers, z: float) -> float:
-    """Weighted strict cost: peel exactly z units of weight off the farthest
-    side, largest distances first; a straddling point keeps its remainder."""
+    """Weighted strict cost: the straddler's distance under peel_weight."""
     idx = np.asarray(point_indices, dtype=np.intp)
     w = np.asarray(weights, dtype=np.float64)
     if idx.shape != w.shape:
@@ -410,16 +422,11 @@ def weighted_cost(ps: PointSet, point_indices, weights, centers, z: float) -> fl
         raise ValueError("weights must be positive and finite")
     if not 0 <= z < math.inf:
         raise ValueError("outlier weight budget must be finite and non-negative")
-    total = float(w.sum())
-    if total <= z:
+    if float(w.sum()) <= z:
         raise ValueError("outlier weight budget consumes the whole coreset")
     cidx = _center_indices(centers)
     d = ps.cross_dists(idx, cidx).min(axis=1)
-    # Farthest first; equal distances peel the lower index first.
-    order = np.lexsort((np.arange(d.shape[0]), -d))
-    cumw = np.cumsum(w[order])
-    pos = int(np.searchsorted(cumw, z, side="right"))
-    return float(d[order[pos]])
+    return float(peel_weight(d, w, z)[0])
 
 
 def _read_csv_rows(path) -> list[list[float]]:

@@ -202,9 +202,8 @@ def build_coreset(
     params: ParamSet,
     doubling_dim: float,
     rng: np.random.Generator,
-    eps: float = 1.0,
 ) -> WeightedCoreset:
-    """Coreset for data of known doubling dimension.
+    """Coreset for data of known doubling dimension, at relaxation eps=1.
 
     Expands the greedy target to l = ceil((2/mu)^dim * k) and runs the
     bi-criteria loop for ceil(c l / (1 - eta)) rounds; if that budget exceeds
@@ -212,9 +211,10 @@ def build_coreset(
     """
     if doubling_dim <= 0:
         raise ValueError("doubling dimension must be positive")
-    if relaxed_exclusions(params.z, eps) >= ps.n:
+    exclusions = relaxed_exclusions(params.z, 1.0)
+    if exclusions >= ps.n:
         raise ValueError("relaxed exclusion budget swallows the dataset")
-    run_params = dataclasses.replace(params, eps=eps)
+    run_params = dataclasses.replace(params, eps=1.0)
     target = ceil_count((2.0 / params.mu) ** doubling_dim * params.k)
     base = greedy_config(run_params)
     raw_rounds = base.round_constant * target / (1.0 - params.eta)
@@ -224,13 +224,12 @@ def build_coreset(
         "doubling_dim": float(doubling_dim),
         "k": params.k,
         "z": params.z,
-        "eps": float(eps),
+        "eps": 1.0,
         "mu": float(params.mu),
     }
     if raw_rounds > ps.n:
         return _identity_coreset(ps, "fixed_dim", f"round budget {raw_rounds:.0f} exceeds n={ps.n}")
     cfg = greedy_config(run_params, rounds_override=ceil_count(raw_rounds))
-    exclusions = relaxed_exclusions(params.z, eps)
     run = GreedyRun(ps, rng, cfg.init_sample)
     run.grow(exclusions, cfg.per_round_sample, cfg.rounds - 1)
     return _weigh_centers(run, exclusions, meta)

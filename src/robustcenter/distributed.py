@@ -223,7 +223,7 @@ def site_round_one(
             if doubling_dim is None:
                 cs = build_coreset_auto(sub_ps, site_params, rng)
             else:
-                cs = build_coreset(sub_ps, site_params, doubling_dim, rng, eps=1.0)
+                cs = build_coreset(sub_ps, site_params, doubling_dim, rng)
         coresets[q] = cs
         radii.append(float(cs.meta["map_radius"]))
     radii, coresets = _repair_monotone(grid, radii, coresets)

@@ -190,20 +190,13 @@ def two_approx(ps: PointSet, params: ParamSet, rng: np.random.Generator) -> Cent
     return run.centers()
 
 
-def two_approx_boosted(
-    ps: PointSet,
-    params: ParamSet,
-    rng: np.random.Generator,
-    repetitions: int | None = None,
-) -> CenterSet:
-    """Repeat two_approx and keep the candidate with the smallest relaxed
-    cost; the default repetition count caps the failure probability at 10%."""
-    reps = boost_repetitions(params) if repetitions is None else int(repetitions)
-    if reps < 1:
-        raise ValueError("repetition count must be >= 1")
+def two_approx_boosted(ps: PointSet, params: ParamSet, rng: np.random.Generator) -> CenterSet:
+    """Repeat two_approx boost_repetitions(params) times and keep the
+    candidate with the smallest relaxed cost, which caps the failure
+    probability at 10%."""
     best: CenterSet | None = None
     best_cost = math.inf
-    for _ in range(reps):
+    for _ in range(boost_repetitions(params)):
         candidate = two_approx(ps, params, rng)
         cost = cost_radius(ps, candidate, params.z, params.eps)
         if cost < best_cost:

@@ -3,26 +3,24 @@
 These are deliberately classical algorithms (farthest-first traversal, the
 radius-guessing 3-approximation, exhaustive search) used as composition hosts
 and as ground-truth oracles in tests.  Everything here is deterministic given
-its inputs; the exhaustive search is deterministic regardless of worker count.
+its inputs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CenterSet, GuardError, NearestTracker, PointSet, clustering_cost
+from .core import CenterSet, GuardError, NearestTracker, PointSet, clustering_cost, peel_weight
 
 __all__ = [
     "OracleResult",
     "gonzalez",
     "charikar_3approx",
     "brute_force_opt",
-    "brute_force_weighted",
 ]
 
 ENUMERATION_GUARD = 2_000_000
@@ -32,19 +30,15 @@ _MATRIX_GUARD = 4_000  # full pairwise block above this is not desk-scale
 @dataclass(frozen=True)
 class OracleResult:
     """Exhaustive-search outcome: optimal radius, the lexicographically
-    smallest optimal center set, and the excluded indices at that optimum."""
+    smallest optimal center set, and the points peeled whole at that optimum
+    (all z of them without weights; a straddling point is not excluded)."""
 
     r_opt: float
     opt_centers: CenterSet
     opt_excluded: frozenset[int]
 
 
-def gonzalez(
-    ps: PointSet,
-    k: int,
-    rng: np.random.Generator | None = None,
-    start: int | None = None,
-) -> CenterSet:
+def gonzalez(ps: PointSet, k: int, rng: np.random.Generator | None = None) -> CenterSet:
     """Farthest-first traversal; 2-approximation for the no-outlier problem.
 
     The start point is uniform when an rng is given and index 0 otherwise;
@@ -53,10 +47,7 @@ def gonzalez(
     """
     if not 1 <= k <= ps.n:
         raise ValueError("k must lie in [1, n]")
-    if start is None:
-        start = int(rng.integers(ps.n)) if rng is not None else 0
-    if not 0 <= start < ps.n:
-        raise ValueError("start index out of range")
+    start = int(rng.integers(ps.n)) if rng is not None else 0
     tracker = NearestTracker(ps)
     tracker.add_center(start)
     indices = [start]
@@ -149,19 +140,13 @@ def _combo_batches(n: int, k: int, batch: int):
         yield np.asarray(block, dtype=np.intp)
 
 
-def _batch_best(dmat: np.ndarray, combos: np.ndarray, z: int) -> tuple[float, np.ndarray]:
-    colmin = dmat[combos].min(axis=1)
-    n = colmin.shape[1]
-    if z == 0:
-        radii = colmin.max(axis=1)
-    else:
-        radii = np.partition(colmin, n - 1 - z, axis=1)[:, n - 1 - z]
-    pos = int(np.argmin(radii))
-    return float(radii[pos]), combos[pos]
-
-
-def brute_force_opt(ps: PointSet, k: int, z: int, workers: int = 1) -> OracleResult:
-    """Exhaustive optimum over all k-subsets, dropping the z farthest points.
+def brute_force_opt(
+    ps: PointSet, k: int, z: float, weights: np.ndarray | None = None
+) -> OracleResult:
+    """Exhaustive optimum over all k-subsets of the weighted strict cost:
+    each subset's radius is the straddler's distance when z units of weight
+    are peeled farthest first (``core.peel_weight``).  No weights means unit
+    weights, where an integer z drops exactly the z farthest points.
 
     Ties on the radius resolve to the lexicographically smallest center set
     (enumeration order).  Guarded to C(n, k) <= 2e6 and n <= 4000.
@@ -169,49 +154,18 @@ def brute_force_opt(ps: PointSet, k: int, z: int, workers: int = 1) -> OracleRes
     n = ps.n
     if not 1 <= k <= n:
         raise ValueError("k must lie in [1, n]")
-    if not 0 <= z < n:
-        raise ValueError("z must satisfy 0 <= z < n")
+    w = _check_weights(n, np.ones(n) if weights is None else weights, z)
     if n > _MATRIX_GUARD:
         raise GuardError(f"instance too large for exhaustive search (n={n})")
     if math.comb(n, k) > ENUMERATION_GUARD:
         raise GuardError(f"enumeration budget exceeded: C({n},{k}) > {ENUMERATION_GUARD}")
     dmat = ps.cross_dists(np.arange(n), np.arange(n))
-    batch = max(64, (1 << 22) // max(1, k * n))
-    blocks = list(_combo_batches(n, k, batch))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda b: _batch_best(dmat, b, z), blocks))
-    else:
-        results = [_batch_best(dmat, b, z) for b in blocks]
-    best_r, best_combo = math.inf, None
-    for r, combo in results:  # in-order fold keeps the lexicographic tie rule
-        if r < best_r:
-            best_r, best_combo = r, combo
-    assert best_combo is not None
-    centers = CenterSet(tuple(int(i) for i in best_combo), tuple([1] * k))
-    excluded = clustering_cost(ps, centers, z, 0.0).excluded
-    return OracleResult(r_opt=best_r, opt_centers=centers, opt_excluded=excluded)
-
-
-def brute_force_weighted(
-    ps: PointSet, weights: np.ndarray, k: int, z: float
-) -> tuple[float, CenterSet]:
-    """Exhaustive optimum of the weighted cost; oracle for host composition."""
-    n = ps.n
-    w = _check_weights(n, weights, z)
-    if n > _MATRIX_GUARD or math.comb(n, k) > ENUMERATION_GUARD:
-        raise GuardError("enumeration budget exceeded")
-    dmat = ps.cross_dists(np.arange(n), np.arange(n))
-    best_r, best_combo = math.inf, None
+    best_r, best_combo, best_whole = math.inf, None, 0
     for combos in _combo_batches(n, k, max(64, (1 << 21) // max(1, k * n))):
-        colmin = dmat[combos].min(axis=1)
-        order = np.argsort(-colmin, axis=1, kind="stable")
-        d_sorted = np.take_along_axis(colmin, order, axis=1)
-        cumw = np.cumsum(np.take_along_axis(np.broadcast_to(w, colmin.shape), order, axis=1), axis=1)
-        pos = (cumw > z).argmax(axis=1)
-        radii = np.take_along_axis(d_sorted, pos[:, None], axis=1)[:, 0]
-        p = int(np.argmin(radii))
-        if float(radii[p]) < best_r:
-            best_r, best_combo = float(radii[p]), combos[p]
-    assert best_combo is not None
-    return best_r, CenterSet(tuple(int(i) for i in best_combo), tuple([1] * k))
+        radii, whole = peel_weight(dmat[combos].min(axis=1), w, z)
+        pos = int(np.argmin(radii))
+        if radii[pos] < best_r:  # in-order fold keeps the lexicographic tie rule
+            best_r, best_combo, best_whole = float(radii[pos]), combos[pos], int(whole[pos])
+    centers = CenterSet(tuple(int(i) for i in best_combo), tuple([1] * k))
+    excluded = clustering_cost(ps, centers, best_whole, 0.0).excluded
+    return OracleResult(r_opt=best_r, opt_centers=centers, opt_excluded=excluded)

@@ -43,13 +43,17 @@ def exhaustive_opt(points, k: int, z: int):
     return best_r, best_c
 
 
-def weighted_peel(dists, weights, z) -> float:
-    """Drop exactly z weight units farthest-first; a straddling point stays."""
+def weighted_peel(dists, weights, z):
+    """Drop exactly z weight units farthest-first, lower index first on ties;
+    a straddling point stays.  Returns the straddler's distance and the
+    indices peeled whole, in peel order."""
     shed = 0
-    for d, w in sorted(zip(dists, weights), key=lambda t: -t[0]):
-        shed += w
+    peeled = []
+    for i in sorted(range(len(dists)), key=lambda i: (-dists[i], i)):
+        shed += weights[i]
         if shed > z:
-            return d
+            return dists[i], peeled
+        peeled.append(i)
     raise ValueError("budget swallowed the whole set")
 
 

@@ -62,14 +62,6 @@ def test_distributed_record_accounting():
     assert rec["dist_evals"] > 0
 
 
-def test_workers_match_serial():
-    spec = ExperimentSpec(algos=("gonzalez", "two_approx"), k=2, z=4, seeds=(0, 1), source=SMALL)
-    serial, _ = run_experiment(spec, workers=1)
-    threaded, _ = run_experiment(spec, workers=4)
-    strip = lambda recs: [{k: v for k, v in r.items() if k != "wall_time_s"} for r in recs]
-    assert strip(serial) == strip(threaded)
-
-
 def test_csv_input_parsed_once_with_a_counter_per_run(tmp_path, monkeypatch):
     path = tmp_path / "pts.csv"
     rng = np.random.default_rng(0)
@@ -85,7 +77,7 @@ def test_csv_input_parsed_once_with_a_counter_per_run(tmp_path, monkeypatch):
     loads = []
     real_load = bench.load_points_csv
     monkeypatch.setattr(bench, "load_points_csv", lambda p: loads.append(p) or real_load(p))
-    records, _ = run_experiment(spec, workers=2)
+    records, _ = run_experiment(spec)
     assert loads == [str(path)]
     assert [(r["dist_evals"], r["instance_hash"]) for r in records] == [
         (r["dist_evals"], r["instance_hash"]) for r in fresh

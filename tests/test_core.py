@@ -16,6 +16,7 @@ from robustcenter.core import (
     farthest_m,
     load_distance_matrix_csv,
     load_points_csv,
+    peel_weight,
     relaxed_exclusions,
     weighted_cost,
     NearestTracker,
@@ -205,9 +206,29 @@ def test_weighted_cost_matches_unit_expansion():
         centers = [int(rng.integers(0, n))]
         z = int(rng.integers(0, int(weights.sum())))
         dists = oracles.nearest_dists(pts, centers)
-        expect = oracles.weighted_peel([dists[i] for i in range(1, n)], weights.tolist(), z)
+        expect, _ = oracles.weighted_peel([dists[i] for i in range(1, n)], weights.tolist(), z)
         got = weighted_cost(ps, list(range(1, n)), weights, centers, z)
         assert got == pytest.approx(expect, rel=1e-12)
+
+
+def _rounding_weights():
+    # The seventh draw: its running sum ends one ulp below its pairwise sum.
+    rng = np.random.default_rng(0)
+    for _ in range(7):
+        w = rng.uniform(0.1, 1.0, 9)
+    assert np.cumsum(w)[-1] < w.sum()
+    return w
+
+
+def test_peel_straddler_is_the_last_point_when_the_running_sum_rounds_down():
+    # Equal distances make the peel order the index order.
+    w = _rounding_weights()
+    z = float(np.cumsum(w)[-1])
+    radius, whole = peel_weight(np.full((2, 9), 3.0), w, z)
+    assert radius.tolist() == [3.0, 3.0]
+    assert whole.tolist() == [8, 8]
+    ps = PointSet.from_distance_matrix(np.ones((10, 10)) - np.eye(10))
+    assert weighted_cost(ps, range(1, 10), w, [0], z) == 1.0
 
 
 def test_weighted_cost_validates():

@@ -11,7 +11,7 @@ from robustcenter.coreset import (
     uniform_sample_size,
 )
 from robustcenter.generate import GeneratorSpec, planted_instance
-from robustcenter.solvers import brute_force_opt, brute_force_weighted
+from robustcenter.solvers import brute_force_opt
 
 
 def test_uniform_sample_size_frozen():
@@ -138,7 +138,7 @@ def test_compose_with_weighted_solver(planted_400):
     ps = planted_400
     p = ParamSet(k=3, z=8, n=ps.n, mu=0.5)
     cs = build_coreset_auto(ps, p, np.random.default_rng(2))
-    host = lambda sub, w, k, z: brute_force_weighted(sub, w, k, z)[1]
+    host = lambda sub, w, k, z: brute_force_opt(sub, k, z, w).opt_centers
     small = ps.subset(np.arange(30))
     small_p = ParamSet(k=2, z=2, n=30)
     small_cs = build_coreset_auto(small, small_p, np.random.default_rng(2))

@@ -165,12 +165,6 @@ def test_sublinear_deterministic():
     assert a.indices == b.indices
 
 
-def test_boosted_rejects_bad_repetitions(small_instance):
-    ps, _ = small_instance
-    with pytest.raises(ValueError):
-        two_approx_boosted(ps, params_for(2, 2, ps.n), np.random.default_rng(0), repetitions=0)
-
-
 def test_config_math_is_self_consistent():
     p = params_for(5, 2, 100, eta=0.1)
     cfg = greedy_config(p)

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robustcenter.core import GuardError, PointSet, cost_radius, weighted_cost
-from robustcenter.solvers import (
-    brute_force_opt,
-    brute_force_weighted,
-    charikar_3approx,
-    gonzalez,
-)
+from robustcenter.solvers import brute_force_opt, charikar_3approx, gonzalez
 
 import oracles
 
@@ -60,13 +55,18 @@ def test_brute_force_lex_smallest_tie():
     assert res.opt_centers.indices == (0, 2)
 
 
-def test_brute_force_workers_agree():
-    rng = np.random.default_rng(3)
-    ps, k, z = random_instance(rng)
-    solo = brute_force_opt(ps, k, z, workers=1)
-    pooled = brute_force_opt(ps, k, z, workers=4)
-    assert solo.r_opt == pooled.r_opt
-    assert solo.opt_centers.indices == pooled.opt_centers.indices
+@pytest.mark.parametrize("weights", [None, np.ones(5)])
+@pytest.mark.parametrize("k", [0, 6])
+def test_brute_force_rejects_k_outside_one_to_n(weights, k):
+    with pytest.raises(ValueError, match="k must lie"):
+        brute_force_opt(line_ps([0.0, 1.0, 2.0, 5.0, 9.0]), k, 1, weights)
+
+
+def test_brute_force_unit_weights_take_a_fractional_budget():
+    ps = line_ps([0.0, 1.0, 5.0, 6.0, 100.0, 104.0])
+    whole, frac = brute_force_opt(ps, 2, 1), brute_force_opt(ps, 2, 1.5)
+    assert frac.r_opt == whole.r_opt
+    assert frac.opt_centers == whole.opt_centers
 
 
 def test_brute_force_guards():
@@ -137,7 +137,14 @@ def test_charikar_validates_weights():
         charikar_3approx(ps, np.array([1.0, 1.0, -1.0]), 1, 0)
 
 
-@pytest.mark.parametrize("solver", [charikar_3approx, brute_force_weighted])
+# The weighted solvers, called as solver(ps, weights, k, z).
+WEIGHTED_SOLVERS = [
+    pytest.param(charikar_3approx, id="charikar_3approx"),
+    pytest.param(lambda ps, w, k, z: brute_force_opt(ps, k, z, w), id="brute_force_weighted"),
+]
+
+
+@pytest.mark.parametrize("solver", WEIGHTED_SOLVERS)
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_weighted_solvers_reject_non_finite_weights(solver, bad):
     ps = line_ps([0.0, 1.0, 2.0, 5.0])
@@ -145,7 +152,7 @@ def test_weighted_solvers_reject_non_finite_weights(solver, bad):
         solver(ps, np.array([1.0, bad, 1.0, 1.0]), 1, 1)
 
 
-@pytest.mark.parametrize("solver", [charikar_3approx, brute_force_weighted])
+@pytest.mark.parametrize("solver", WEIGHTED_SOLVERS)
 @pytest.mark.parametrize("z", [-1, math.nan, math.inf])
 def test_weighted_solvers_reject_bad_budgets(solver, z):
     ps = line_ps([0.0, 1.0, 2.0, 5.0])
@@ -210,7 +217,7 @@ def test_weighted_charikar_within_three_of_optimum(integer_weights):
             w = rng.uniform(0.1, 4.0, size=n)
         k = int(rng.integers(1, 4))
         z = float(rng.uniform(0.0, 0.4 * w.sum()))
-        r_opt, _ = brute_force_weighted(ps, w, k, z)
+        r_opt = brute_force_opt(ps, k, z, w).r_opt
         cs = charikar_3approx(ps, w, k, z)
         assert weighted_cost(ps, range(n), w, cs, z) <= 3 * r_opt + 1e-9
 
@@ -225,10 +232,63 @@ def test_brute_force_weighted_matches_peel_oracle():
         k, z = 2, int(rng.integers(0, 3))
         if w.sum() <= z or k >= n:
             continue
-        got_r, got_c = brute_force_weighted(ps, w, k, z)
+        got = brute_force_opt(ps, k, z, w)
         best = min(
-            oracles.weighted_peel(oracles.nearest_dists(pts, combo), w.tolist(), z)
+            oracles.weighted_peel(oracles.nearest_dists(pts, combo), w.tolist(), z)[0]
             for combo in itertools.combinations(range(n), k)
         )
-        assert got_r == pytest.approx(best, rel=1e-12)
-        assert len(got_c) == k
+        assert got.r_opt == pytest.approx(best, rel=1e-12)
+        assert len(got.opt_centers) == k
+
+
+def _tie_heavy_instance(rng, matrix):
+    n = int(rng.integers(3, 10))
+    ps = PointSet.from_coords(rng.integers(-3, 4, size=(n, 2)).astype(np.float64))
+    if matrix:
+        ps = PointSet.from_distance_matrix(_pairwise(ps))
+    return ps, int(rng.integers(1, min(3, n - 1) + 1))
+
+
+@pytest.mark.parametrize("matrix", [False, True])
+def test_brute_force_unit_weights_equal_no_weights(matrix):
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        ps, k = _tie_heavy_instance(rng, matrix)
+        z = int(rng.integers(0, ps.n - k))
+        plain = brute_force_opt(ps, k, z)
+        unit = brute_force_opt(ps, k, z, np.ones(ps.n))
+        assert unit.r_opt.hex() == plain.r_opt.hex()
+        assert unit.opt_centers == plain.opt_centers
+        assert unit.opt_excluded == plain.opt_excluded
+
+
+def test_brute_force_weights_equal_expansion():
+    # giving a point weight w is the same as placing w copies of it
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        ps, k = _tie_heavy_instance(rng, False)
+        w = rng.integers(1, 4, size=ps.n)
+        expanded = PointSet.from_coords(np.repeat(ps.coords, w, axis=0))
+        z = int(rng.integers(0, w.sum() - k))
+        assert brute_force_opt(ps, k, z, w).r_opt == brute_force_opt(expanded, k, z).r_opt
+
+
+def test_brute_force_weighted_excludes_the_points_peeled_whole():
+    # Integer points on a line keep every distance and weight sum exact, so
+    # the radii tie as often as they do in the oracle.
+    rng = np.random.default_rng(53)
+    for _ in range(30):
+        n = int(rng.integers(3, 9))
+        pts = [(float(x),) for x in rng.integers(0, 12, size=n)]
+        w = rng.integers(1, 4, size=n).tolist()
+        k = int(rng.integers(1, 3))
+        z = int(rng.integers(0, sum(w)))
+        want_r, want_c, want_peeled = math.inf, None, None
+        for combo in itertools.combinations(range(n), k):
+            r, peeled = oracles.weighted_peel(oracles.nearest_dists(pts, combo), w, z)
+            if r < want_r:
+                want_r, want_c, want_peeled = r, combo, peeled
+        got = brute_force_opt(PointSet.from_coords(np.asarray(pts)), k, z, np.asarray(w))
+        assert got.r_opt == want_r
+        assert got.opt_centers.indices == want_c
+        assert got.opt_excluded == frozenset(want_peeled)
