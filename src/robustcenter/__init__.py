@@ -13,9 +13,11 @@ from .core import (
     ceil_count,
     clustering_cost,
     cost_radius,
+    euclidean_dists,
     farthest_m,
     load_distance_matrix_csv,
     load_points_csv,
+    peel_weight,
     radius_after_exclusions,
     relaxed_exclusions,
     weighted_cost,
@@ -36,8 +38,8 @@ from .distributed import (
     SiteProfile,
     StepFunction,
     ThresholdDecision,
+    assemble,
     coordinator_threshold,
-    minimax_oracle,
     outlier_budget_grid,
     run_protocol,
     site_round_one,
@@ -45,12 +47,12 @@ from .distributed import (
 from .generate import (
     GeneratorSpec,
     PlantedInstance,
-    inject_outliers,
     meb_approx,
     planted_instance,
 )
 from .greedy import (
     GreedyConfig,
+    GreedyRun,
     SublinearConfig,
     bicriteria,
     boost_repetitions,

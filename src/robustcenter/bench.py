@@ -21,7 +21,6 @@ from .core import (
     ParamSet,
     PointSet,
     clustering_cost,
-    cost_radius,
     load_points_csv,
 )
 from .coreset import build_coreset, build_coreset_auto, compose_with_host
@@ -157,11 +156,11 @@ def _run_one(spec: ExperimentSpec, algo: str, seed: int, loaded: PointSet | None
 
     excluded = None
     if centers is not None:
-        strict = clustering_cost(ps, centers, params.z, 0.0)
+        cost = clustering_cost(ps, centers, params.z, params.eps)
         rec["centers_count"] = len(centers)
-        rec["cost_strict"] = strict.radius
-        rec["cost_relaxed"] = cost_radius(ps, centers, params.z, params.eps)
-        excluded = strict.excluded
+        rec["cost_strict"] = cost.radius
+        rec["cost_relaxed"] = cost.relaxed
+        excluded = cost.excluded
     if coreset is not None:
         composed = compose_with_host(coreset, ps, params, charikar_3approx)
         rec["coreset_size"] = len(coreset)

@@ -35,6 +35,7 @@ __all__ = [
     "euclidean_dists",
     "clustering_cost",
     "cost_radius",
+    "radius_after_exclusions",
     "peel_weight",
     "weighted_cost",
     "load_points_csv",
@@ -213,15 +214,6 @@ class PointSet:
             return PointSet.from_distance_matrix(self.dmat[np.ix_(idx, idx)])
         return PointSet.from_coords(self.coords[idx])
 
-    def validate_triangle(self, atol: float = 1e-9) -> None:
-        """O(n^3) triangle-inequality check for matrix mode (opt-in)."""
-        if self.mode != "matrix":
-            return
-        d = self.dmat
-        for mid in range(self.n):
-            if (d > d[:, mid, None] + d[None, mid, :] + atol).any():
-                raise ValueError(f"triangle inequality violated through point {mid}")
-
     def content_hash(self) -> str:
         base = self.coords if self.mode == "euclidean" else self.dmat
         h = hashlib.sha256()
@@ -292,13 +284,6 @@ class CenterSet:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=np.intp)
 
-    def to_json(self) -> dict:
-        return {"indices": list(self.indices), "round_of": list(self.round_of)}
-
-    @classmethod
-    def from_json(cls, blob: dict) -> "CenterSet":
-        return cls(tuple(blob["indices"]), tuple(blob["round_of"]))
-
 
 class NearestTracker:
     """Per-point distance to the nearest selected center, updated on insert.
@@ -347,43 +332,45 @@ def farthest_m(source, m: int) -> np.ndarray:
     return np.sort(np.concatenate([above, at_cut])).astype(np.intp)
 
 
-def _center_indices(centers) -> np.ndarray:
-    if isinstance(centers, CenterSet):
-        return centers.as_array()
-    idx = np.asarray(list(centers) if not isinstance(centers, np.ndarray) else centers, dtype=np.intp)
+def _center_indices(ps: PointSet, centers) -> np.ndarray:
+    idx = np.asarray(centers if isinstance(centers, np.ndarray) else list(centers), dtype=np.intp)
     if idx.size < 1:
         raise ValueError("need at least one center")
+    if idx.min() < 0 or idx.max() >= ps.n:
+        raise ValueError(f"center indices must lie in [0, {ps.n})")
     return idx
 
 
 @dataclass(frozen=True)
 class ClusteringEval:
-    """Outcome of evaluating a center set: the radius after exclusions and
-    the excluded indices (the farthest points, lower index first on ties)."""
+    """Costs of one center set: the strict radius with z points dropped, the
+    relaxed radius with ceil((1+eps)*z) dropped, and the z excluded indices
+    (the farthest points, lower index first on ties)."""
 
     radius: float
+    relaxed: float
     excluded: frozenset[int]
 
 
 def clustering_cost(ps: PointSet, centers, z: int, eps: float = 0.0) -> ClusteringEval:
-    """Radius after dropping the ceil((1+eps)*z) farthest points.
-
-    eps=0 is the strict cost (exactly z exclusions); eps>0 relaxes the
-    exclusion budget.  Excluded points are exactly the farthest ones under
-    the deterministic tie order.
-    """
-    idx = _center_indices(centers)
-    m = relaxed_exclusions(z, eps)
+    """Strict and relaxed cost of ``centers``, both read from one
+    nearest-center tracker (one distance pass per center).  With eps=0 the
+    two radii are equal."""
+    idx = _center_indices(ps, centers)
+    strict, m = relaxed_exclusions(z, 0.0), relaxed_exclusions(z, eps)
     if m >= ps.n:
         raise ValueError("exclusion budget swallows the dataset")
-    tracker = NearestTracker.over(ps, idx)
-    excluded = frozenset(farthest_m(tracker, m).tolist()) if m else frozenset()
-    return ClusteringEval(radius_after_exclusions(tracker.mindist, m), excluded)
+    mindist = NearestTracker.over(ps, idx).mindist
+    return ClusteringEval(
+        radius_after_exclusions(mindist, strict),
+        radius_after_exclusions(mindist, m),
+        frozenset(farthest_m(mindist, strict).tolist()) if strict else frozenset(),
+    )
 
 
 def cost_radius(ps: PointSet, centers, z: int, eps: float = 0.0) -> float:
-    """The radius of clustering_cost alone."""
-    return clustering_cost(ps, centers, z, eps).radius
+    """The relaxed radius of clustering_cost; perfbench calls it by name."""
+    return clustering_cost(ps, centers, z, eps).relaxed
 
 
 def radius_after_exclusions(mindist: np.ndarray, m: int) -> float:
@@ -424,7 +411,7 @@ def weighted_cost(ps: PointSet, point_indices, weights, centers, z: float) -> fl
         raise ValueError("outlier weight budget must be finite and non-negative")
     if float(w.sum()) <= z:
         raise ValueError("outlier weight budget consumes the whole coreset")
-    cidx = _center_indices(centers)
+    cidx = _center_indices(ps, centers)
     d = ps.cross_dists(idx, cidx).min(axis=1)
     return float(peel_weight(d, w, z)[0])
 

@@ -77,25 +77,6 @@ class WeightedCoreset:
     def cost(self, ps: PointSet, centers, z: float) -> float:
         return weighted_cost(ps, self.indices, self.weights, centers, z)
 
-    def to_json(self) -> dict:
-        return {
-            "entries": [
-                {"index": int(i), "weight": int(w)}
-                for i, w in zip(self.indices.tolist(), self.weights.tolist())
-            ],
-            "source_n": self.source_n,
-            "meta": dict(self.meta),
-        }
-
-    @classmethod
-    def from_json(cls, blob: dict) -> "WeightedCoreset":
-        entries = blob["entries"]
-        return cls(
-            indices=np.asarray([e["index"] for e in entries], dtype=np.intp),
-            weights=np.asarray([e["weight"] for e in entries], dtype=np.int64),
-            source_n=int(blob["source_n"]),
-            meta=dict(blob.get("meta", {})),
-        )
 
 
 @dataclass(frozen=True)

@@ -13,17 +13,15 @@ weight), or 2 in matrix mode (index plus weight).
 from __future__ import annotations
 
 import bisect
-import itertools
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GuardError, ParamSet, PointSet
+from .core import ParamSet, PointSet
 from .coreset import WeightedCoreset, _identity_coreset, build_coreset, build_coreset_auto
 
 __all__ = [
-    "ALLOCATION_GUARD",
     "outlier_budget_grid",
     "StepFunction",
     "ShardedInstance",
@@ -35,12 +33,9 @@ __all__ = [
     "coordinator_threshold",
     "assemble",
     "run_protocol",
-    "minimax_oracle",
 ]
 
 log = logging.getLogger(__name__)
-
-ALLOCATION_GUARD = 2_000_000
 
 
 def outlier_budget_grid(z: int) -> list[int]:
@@ -111,10 +106,15 @@ class ShardedInstance:
 
     @classmethod
     def from_json(cls, ps: PointSet, blob: dict) -> "ShardedInstance":
-        return cls(ps=ps, shards=tuple(np.asarray(s, dtype=np.intp) for s in blob["shards"]))
-
-    def to_json(self) -> dict:
-        return {"shards": [s.tolist() for s in self.shards]}
+        """Shards from ``{"shards": [[index, ...], ...]}``; every index must
+        be a JSON integer (no float, string or boolean)."""
+        shards = blob.get("shards") if isinstance(blob, dict) else None
+        if not isinstance(shards, list):
+            raise ValueError('shards must be given as {"shards": [[index, ...], ...]}')
+        for i, shard in enumerate(shards):
+            if not isinstance(shard, list) or any(type(v) is not int for v in shard):
+                raise ValueError(f"shard {i} must be a list of integer indices")
+        return cls(ps=ps, shards=tuple(np.asarray(s, dtype=np.intp) for s in shards))
 
 
 @dataclass(frozen=True)
@@ -353,21 +353,3 @@ def run_protocol(
         grid=tuple(grid),
         instance=instance,
     )
-
-
-def minimax_oracle(profiles, z: int) -> float:
-    """Exhaustive min over budget allocations summing to at most 2z of the
-    worst reported site radius."""
-    s = len(profiles)
-    if (z + 1) ** s > ALLOCATION_GUARD:
-        raise GuardError(f"{(z + 1) ** s} allocations exceed the enumeration guard")
-    best = None
-    for alloc in itertools.product(range(z + 1), repeat=s):
-        if sum(alloc) > 2 * z:
-            continue
-        worst = max(p.h(q) for p, q in zip(profiles, alloc))
-        if best is None or worst < best:
-            best = worst
-    if best is None:
-        raise ValueError("no feasible allocation")
-    return float(best)

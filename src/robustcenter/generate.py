@@ -1,4 +1,4 @@
-"""Synthetic instances and outlier injection.
+"""Synthetic planted instances.
 
 Planted instances place well separated lattice clusters in the first
 ``grid_dim`` axes of a ``dim``-dimensional ambient space, so intrinsic
@@ -11,7 +11,6 @@ hash identically across runs.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "GeneratorSpec",
     "PlantedInstance",
     "meb_approx",
-    "inject_outliers",
     "planted_instance",
 ]
 
@@ -62,29 +60,6 @@ def _uniform_ball(rng: np.random.Generator, count: int, center: np.ndarray, radi
     return center + dirs / norms[:, None] * radii[:, None]
 
 
-def inject_outliers(
-    ps: PointSet,
-    rng: np.random.Generator,
-    fraction: float = 0.01,
-    scale: float = 1.1,
-):
-    """Append ceil(fraction * n) points uniform in the ball scale * r_meb
-    around the enclosing-ball center; returns the grown set and the indices
-    of the injected points."""
-    if ps.mode != "euclidean":
-        raise ValueError("outlier injection needs coordinates")
-    if not 0 < fraction < 1:
-        raise ValueError("fraction must lie in (0, 1)")
-    if scale < 0:
-        raise ValueError("scale must be >= 0")
-    center, radius = meb_approx(ps)
-    count = math.ceil(fraction * ps.n)
-    extra = _uniform_ball(rng, count, center, scale * radius)
-    grown = PointSet.from_coords(np.vstack([ps.coords, extra]))
-    injected = np.arange(ps.n, ps.n + count, dtype=np.intp)
-    return grown, injected
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Recipe for a planted instance."""
@@ -118,9 +93,6 @@ class PlantedInstance:
     center_indices: np.ndarray
     outlier_indices: np.ndarray
     analytic_radius: float
-
-    def content_hash(self) -> str:
-        return self.ps.content_hash()
 
 
 def _lattice_offsets(count: int, grid_dim: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from .core import (
     ParamSet,
     PointSet,
     ceil_count,
-    cost_radius,
+    clustering_cost,
     farthest_m,
     radius_after_exclusions,
     relaxed_exclusions,
@@ -198,7 +198,7 @@ def two_approx_boosted(ps: PointSet, params: ParamSet, rng: np.random.Generator)
     best_cost = math.inf
     for _ in range(boost_repetitions(params)):
         candidate = two_approx(ps, params, rng)
-        cost = cost_radius(ps, candidate, params.z, params.eps)
+        cost = clustering_cost(ps, candidate, params.z, params.eps).relaxed
         if cost < best_cost:
             best, best_cost = candidate, cost
     assert best is not None

@@ -9,6 +9,10 @@ import itertools
 import math
 from fractions import Fraction
 
+from robustcenter.core import GuardError
+
+ALLOCATION_GUARD = 2_000_000
+
 
 def exclusion_count(z: int, eps) -> int:
     """ceil((1 + eps) * z) computed exactly through Fraction."""
@@ -98,3 +102,21 @@ def charikar_reference(dist_rows, weights, k: int, z):
     if leftover > z:
         raise ValueError("largest distance is infeasible")
     return tuple(picks)
+
+
+def minimax_oracle(profiles, z: int) -> float:
+    """Exhaustive min over budget allocations summing to at most 2z of the
+    worst reported site radius."""
+    s = len(profiles)
+    if (z + 1) ** s > ALLOCATION_GUARD:
+        raise GuardError(f"{(z + 1) ** s} allocations exceed the enumeration guard")
+    best = None
+    for alloc in itertools.product(range(z + 1), repeat=s):
+        if sum(alloc) > 2 * z:
+            continue
+        worst = max(p.h(q) for p, q in zip(profiles, alloc))
+        if best is None or worst < best:
+            best = worst
+    if best is None:
+        raise ValueError("no feasible allocation")
+    return float(best)

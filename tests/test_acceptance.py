@@ -22,7 +22,7 @@ from robustcenter.coreset import (
     compose_with_host,
     uniform_sample,
 )
-from robustcenter.distributed import minimax_oracle, run_protocol
+from robustcenter.distributed import run_protocol
 from robustcenter.generate import GeneratorSpec, planted_instance
 from robustcenter.greedy import (
     bicriteria,
@@ -305,7 +305,7 @@ def test_09_protocol_budget_threshold_and_accuracy():
         res = run_protocol(ps, p, s=sites, doubling_dim=1.0)
         budget_ok = budget_ok and sum(res.decision.budgets) <= 2 * z
         reported = max(pr.h(b) for pr, b in zip(res.profiles, res.decision.budgets))
-        minimax_ok = minimax_ok and reported == minimax_oracle(res.profiles, z)
+        minimax_ok = minimax_ok and reported == oracles.minimax_oracle(res.profiles, z)
         cs = res.coreset
         machinery = len(cs) - cs.meta["far_count"]
         transfer_ok = transfer_ok and len(cs) <= 4 * z + machinery

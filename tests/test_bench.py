@@ -151,6 +151,23 @@ def test_cli_rejects_bad_specs(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_cli_rejects_non_integer_shard_entries(tmp_path, capsys):
+    shards = tmp_path / "shards.json"
+    shards.write_text(json.dumps({"shards": [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9.0]]}))
+    code = main(
+        [
+            "--algo", "distributed",
+            "--k", "2",
+            "--z", "1",
+            "--generate", "n=10,clusters=2,dim=1,grid=1,radius=1.0",
+            "--shards", str(shards),
+            "--out", str(tmp_path / "r"),
+        ]
+    )
+    assert code == 2
+    assert "shard 1" in capsys.readouterr().err
+
+
 def test_cli_guard_exit_code(tmp_path, capsys):
     code = main(
         [

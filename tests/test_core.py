@@ -55,14 +55,6 @@ def test_distance_matrix_validation():
         PointSet.from_distance_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
 
-def test_triangle_validation():
-    ok = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-    PointSet.from_distance_matrix(ok).validate_triangle()
-    bad = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
-    with pytest.raises(ValueError):
-        PointSet.from_distance_matrix(bad).validate_triangle()
-
-
 def test_distance_counter_is_exact():
     ps = random_ps(np.random.default_rng(0), 7)
     assert ps.stats.evals == 0
@@ -143,8 +135,6 @@ def test_centerset_validation():
         CenterSet((1, 1), (1, 2))
     with pytest.raises(ValueError):
         CenterSet((1, 2), (2, 1))
-    round_trip = CenterSet.from_json(cs.to_json())
-    assert round_trip.indices == cs.indices and round_trip.round_of == cs.round_of
 
 
 def test_relaxed_exclusion_counts():
@@ -188,6 +178,23 @@ def test_cost_rejects_total_exclusion():
     ps = line_ps([0.0, 1.0])
     with pytest.raises(ValueError):
         clustering_cost(ps, [0], z=1, eps=1.0)
+
+
+def test_costs_reject_empty_and_out_of_range_centers():
+    ps = line_ps([0.0, 1.0, 5.0])
+    for centers in (CenterSet((), ()), [], [-1], [0, 3]):
+        with pytest.raises(ValueError, match="center"):
+            clustering_cost(ps, centers, 1)
+        with pytest.raises(ValueError, match="center"):
+            weighted_cost(ps, [0, 1, 2], [1, 1, 1], centers, 1)
+
+
+def test_one_cost_call_makes_one_pass_per_center():
+    ps = random_ps(np.random.default_rng(3), 40)
+    before = ps.stats.evals
+    ev = clustering_cost(ps, CenterSet((5, 17, 30), (1, 1, 2)), 4, 1.0)
+    assert ps.stats.evals - before == 40 * 3
+    assert ev.relaxed <= ev.radius
 
 
 def test_weighted_cost_straddling_point():
@@ -294,8 +301,9 @@ def test_excluded_set_matches_sort_oracle(coords, data):
     eps = data.draw(st.sampled_from([0.0, 1.0]))
     m = oracles.exclusion_count(z, eps)
     ev = clustering_cost(ps, centers, z, eps)
-    assert ev.excluded == set(oracles.farthest_by_sort(oracles.nearest_dists(pts, centers), m))
-    assert ev.radius == pytest.approx(oracles.cost_excluding(pts, centers, m), rel=1e-12)
+    assert ev.excluded == set(oracles.farthest_by_sort(oracles.nearest_dists(pts, centers), z))
+    assert ev.radius == pytest.approx(oracles.cost_excluding(pts, centers, z), rel=1e-12)
+    assert ev.relaxed == pytest.approx(oracles.cost_excluding(pts, centers, m), rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

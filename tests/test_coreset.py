@@ -103,16 +103,6 @@ def test_build_rejects_budget_swallowing_dataset():
         build_coreset(ps, p, 1.0, np.random.default_rng(0))
 
 
-def test_json_round_trip(planted_400):
-    p = ParamSet(k=3, z=8, n=planted_400.n, mu=0.5)
-    cs = build_coreset_auto(planted_400, p, np.random.default_rng(1))
-    back = WeightedCoreset.from_json(cs.to_json())
-    assert np.array_equal(back.indices, cs.indices)
-    assert np.array_equal(back.weights, cs.weights)
-    assert back.meta == cs.meta
-    assert back.assignment is None
-
-
 def test_coreset_validation():
     with pytest.raises(ValueError):
         WeightedCoreset(indices=np.array([0, 0]), weights=np.array([1, 1]), source_n=2)

@@ -8,12 +8,13 @@ from robustcenter.distributed import (
     StepFunction,
     _repair_monotone,
     coordinator_threshold,
-    minimax_oracle,
     outlier_budget_grid,
     run_protocol,
     site_round_one,
 )
 from robustcenter.generate import GeneratorSpec, planted_instance
+
+import oracles
 
 
 def test_budget_grid_frozen():
@@ -61,7 +62,7 @@ def test_coordinator_worked_example():
     assert d.value == 3.0
     assert d.site == 0
     assert d.budgets == (1, 1)
-    assert minimax_oracle(profiles, 1) == 3.0
+    assert oracles.minimax_oracle(profiles, 1) == 3.0
     assert max(p.h(b) for p, b in zip(profiles, d.budgets)) == 3.0
 
 
@@ -80,10 +81,14 @@ def test_coordinator_rank_bound():
 
 def test_sharded_instance_validation():
     ps = PointSet.from_coords(np.arange(6.0).reshape(-1, 1))
-    good = ShardedInstance(ps=ps, shards=(np.array([0, 1, 2]), np.array([3, 4, 5])))
+    good = ShardedInstance.from_json(ps, {"shards": [[2, 0, 1], [3, 4, 5]]})
     assert good.s == 2
-    back = ShardedInstance.from_json(ps, good.to_json())
-    assert all(np.array_equal(a, b) for a, b in zip(back.shards, good.shards))
+    assert [s.tolist() for s in good.shards] == [[0, 1, 2], [3, 4, 5]]
+    with pytest.raises(ValueError, match="shard 0"):
+        ShardedInstance.from_json(ps, {"shards": [0, [1, 2, 3, 4, 5]]})
+    for blob in ({"shards": 5}, [[0, 1, 2], [3, 4, 5]], {}):
+        with pytest.raises(ValueError, match="shards must be given as"):
+            ShardedInstance.from_json(ps, blob)
     with pytest.raises(ValueError):
         ShardedInstance(ps=ps, shards=(np.array([0, 1, 2]), np.array([2, 3, 4, 5])))
     with pytest.raises(ValueError):
@@ -92,6 +97,15 @@ def test_sharded_instance_validation():
         ShardedInstance(ps=ps, shards=(np.array([0, 1, 2]), np.array([3, 4, 9])))
     with pytest.raises(ValueError):
         ShardedInstance(ps=ps, shards=(np.arange(6), np.array([], dtype=np.intp)))
+
+
+@pytest.mark.parametrize("entry", [1.9, 1.0, "1", True])
+def test_sharded_instance_rejects_non_integer_entries(entry):
+    # Each entry would pass as index 1 once cast, completing a partition.
+    ps = PointSet.from_coords(np.arange(6.0).reshape(-1, 1))
+    blob = {"shards": [[3, 4, 5], [0, entry, 2]]}
+    with pytest.raises(ValueError, match="shard 1"):
+        ShardedInstance.from_json(ps, blob)
 
 
 def test_site_budget_clamp_on_small_shard():
@@ -129,7 +143,7 @@ def check_protocol(ps, result, params):
     per_point = (ps.dim + 1) if ps.dim is not None else 2
     assert result.ledger.phases[2]["floats"] == len(cs) * per_point
     got = max(p.h(b) for p, b in zip(result.profiles, d.budgets))
-    assert got == minimax_oracle(result.profiles, params.z)
+    assert got == oracles.minimax_oracle(result.profiles, params.z)
 
 
 def test_protocol_adaptive_sites(planted_120):
@@ -187,4 +201,4 @@ def test_protocol_random_runs_meet_guarantees(planted_120):
         result = run_protocol(ps, params, s=4)
         assert sum(result.decision.budgets) <= 2 * params.z
         got = max(p.h(b) for p, b in zip(result.profiles, result.decision.budgets))
-        assert got == minimax_oracle(result.profiles, params.z)
+        assert got == oracles.minimax_oracle(result.profiles, params.z)

@@ -4,7 +4,6 @@ import pytest
 from robustcenter.core import PointSet
 from robustcenter.generate import (
     GeneratorSpec,
-    inject_outliers,
     meb_approx,
     planted_instance,
 )
@@ -56,55 +55,32 @@ def test_meb_needs_coordinates():
         meb_approx(PointSet.from_distance_matrix(dmat))
 
 
-def test_inject_outliers_containment():
-    rng = np.random.default_rng(0)
-    base = PointSet.from_coords(rng.normal(size=(1000, 3)))
-    grown, injected = inject_outliers(base, np.random.default_rng(1))
-    assert grown.n == 1010
-    assert injected.tolist() == list(range(1000, 1010))
-    center, radius = meb_approx(base)
-    gaps = np.linalg.norm(grown.coords[injected] - center, axis=1)
-    assert gaps.max() <= 1.1 * radius + 1e-9
-
-
-def test_inject_outliers_zero_scale_collapses_to_center():
-    base = PointSet.from_coords(np.array([[0.0], [2.0]]))
-    grown, injected = inject_outliers(base, np.random.default_rng(0), fraction=0.5, scale=0.0)
-    center, _ = meb_approx(base)
-    assert np.allclose(grown.coords[injected], center)
-
-
-def test_inject_outliers_validation():
-    base = PointSet.from_coords(np.array([[0.0], [2.0]]))
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        inject_outliers(base, rng, fraction=0.0)
-    with pytest.raises(ValueError):
-        inject_outliers(base, rng, fraction=1.0)
-    with pytest.raises(ValueError):
-        inject_outliers(base, rng, scale=-0.1)
-
-
-def test_inject_outliers_rounds_up():
-    base = PointSet.from_coords(np.array([[0.0]]))
-    grown, injected = inject_outliers(base, np.random.default_rng(0), fraction=0.5)
-    assert grown.n == 2 and injected.tolist() == [1]
-
-
 def test_planted_radius_is_exact():
-    spec = GeneratorSpec(
-        n_inliers=50, clusters=3, dim=4, grid_dim=2, cluster_radius=2.5, outliers=5
-    )
-    inst = planted_instance(spec, 0)
-    assert inst.analytic_radius == pytest.approx(2.5, rel=1e-12)
-    assert inst.ps.n == 55
-    assert inst.outlier_indices.tolist() == list(range(50, 55))
-    inliers = inst.ps.coords[:50]
-    centers = inst.ps.coords[inst.center_indices]
-    nearest = np.min(
-        np.linalg.norm(inliers[:, None, :] - centers[None, :, :], axis=2), axis=1
-    )
-    assert nearest.max() <= inst.analytic_radius + 1e-9
+    for scale in (3.0, 0.0):
+        spec = GeneratorSpec(
+            n_inliers=50,
+            clusters=3,
+            dim=4,
+            grid_dim=2,
+            cluster_radius=2.5,
+            outliers=5,
+            outlier_scale=scale,
+        )
+        inst = planted_instance(spec, 0)
+        assert inst.analytic_radius == pytest.approx(2.5, rel=1e-12)
+        assert inst.ps.n == 55
+        assert inst.outlier_indices.tolist() == list(range(50, 55))
+        inliers = inst.ps.coords[:50]
+        centers = inst.ps.coords[inst.center_indices]
+        nearest = np.min(
+            np.linalg.norm(inliers[:, None, :] - centers[None, :, :], axis=2), axis=1
+        )
+        assert nearest.max() <= inst.analytic_radius + 1e-9
+        # Outliers fall in the inliers' enclosing ball scaled by outlier_scale;
+        # at scale 0 they sit on its center.
+        center, radius = meb_approx(PointSet.from_coords(inliers))
+        gaps = np.linalg.norm(inst.ps.coords[inst.outlier_indices] - center, axis=1)
+        assert gaps.max() <= scale * radius + 1e-9
 
 
 def test_planted_singleton_clusters():
@@ -116,13 +92,16 @@ def test_planted_singleton_clusters():
 
 
 def test_planted_hash_depends_only_on_outlier_draws():
+    def digest(spec, seed):
+        return planted_instance(spec, seed).ps.content_hash()
+
     spec = GeneratorSpec(
         n_inliers=30, clusters=2, dim=2, grid_dim=2, cluster_radius=1.0, outliers=3
     )
-    assert planted_instance(spec, 0).content_hash() == planted_instance(spec, 0).content_hash()
-    assert planted_instance(spec, 0).content_hash() != planted_instance(spec, 1).content_hash()
+    assert digest(spec, 0) == digest(spec, 0)
+    assert digest(spec, 0) != digest(spec, 1)
     clean = GeneratorSpec(n_inliers=30, clusters=2, dim=2, grid_dim=2, cluster_radius=1.0)
-    assert planted_instance(clean, 0).content_hash() == planted_instance(clean, 7).content_hash()
+    assert digest(clean, 0) == digest(clean, 7)
 
 
 def test_spec_validation():
