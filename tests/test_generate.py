@@ -55,32 +55,44 @@ def test_meb_needs_coordinates():
         meb_approx(PointSet.from_distance_matrix(dmat))
 
 
+def test_inject_outliers_containment():
+    # Planted outliers fall in the inliers' enclosing ball scaled by outlier_scale.
+    spec = GeneratorSpec(
+        n_inliers=1000, clusters=4, dim=3, grid_dim=2, cluster_radius=1.5, outliers=10,
+        outlier_scale=1.1,
+    )
+    inst = planted_instance(spec, 1)
+    assert inst.ps.n == 1010
+    assert inst.outlier_indices.tolist() == list(range(1000, 1010))
+    center, radius = meb_approx(PointSet.from_coords(inst.ps.coords[:1000]))
+    gaps = np.linalg.norm(inst.ps.coords[inst.outlier_indices] - center, axis=1)
+    assert gaps.max() <= 1.1 * radius + 1e-9
+
+
+def test_inject_outliers_zero_scale_collapses_to_center():
+    spec = GeneratorSpec(
+        n_inliers=2, clusters=2, dim=1, grid_dim=1, cluster_radius=1.0, outliers=1,
+        outlier_scale=0.0,
+    )
+    inst = planted_instance(spec, 0)
+    center, _ = meb_approx(PointSet.from_coords(inst.ps.coords[:2]))
+    assert np.allclose(inst.ps.coords[inst.outlier_indices], center)
+
+
 def test_planted_radius_is_exact():
-    for scale in (3.0, 0.0):
-        spec = GeneratorSpec(
-            n_inliers=50,
-            clusters=3,
-            dim=4,
-            grid_dim=2,
-            cluster_radius=2.5,
-            outliers=5,
-            outlier_scale=scale,
-        )
-        inst = planted_instance(spec, 0)
-        assert inst.analytic_radius == pytest.approx(2.5, rel=1e-12)
-        assert inst.ps.n == 55
-        assert inst.outlier_indices.tolist() == list(range(50, 55))
-        inliers = inst.ps.coords[:50]
-        centers = inst.ps.coords[inst.center_indices]
-        nearest = np.min(
-            np.linalg.norm(inliers[:, None, :] - centers[None, :, :], axis=2), axis=1
-        )
-        assert nearest.max() <= inst.analytic_radius + 1e-9
-        # Outliers fall in the inliers' enclosing ball scaled by outlier_scale;
-        # at scale 0 they sit on its center.
-        center, radius = meb_approx(PointSet.from_coords(inliers))
-        gaps = np.linalg.norm(inst.ps.coords[inst.outlier_indices] - center, axis=1)
-        assert gaps.max() <= scale * radius + 1e-9
+    spec = GeneratorSpec(
+        n_inliers=50, clusters=3, dim=4, grid_dim=2, cluster_radius=2.5, outliers=5
+    )
+    inst = planted_instance(spec, 0)
+    assert inst.analytic_radius == pytest.approx(2.5, rel=1e-12)
+    assert inst.ps.n == 55
+    assert inst.outlier_indices.tolist() == list(range(50, 55))
+    inliers = inst.ps.coords[:50]
+    centers = inst.ps.coords[inst.center_indices]
+    nearest = np.min(
+        np.linalg.norm(inliers[:, None, :] - centers[None, :, :], axis=2), axis=1
+    )
+    assert nearest.max() <= inst.analytic_radius + 1e-9
 
 
 def test_planted_singleton_clusters():
