@@ -36,7 +36,6 @@ from .distributed import (
     ProtocolResult,
     ShardedInstance,
     SiteProfile,
-    StepFunction,
     ThresholdDecision,
     assemble,
     coordinator_threshold,

@@ -332,13 +332,16 @@ def farthest_m(source, m: int) -> np.ndarray:
     return np.sort(np.concatenate([above, at_cut])).astype(np.intp)
 
 
-def _center_indices(ps: PointSet, centers) -> np.ndarray:
-    idx = np.asarray(centers if isinstance(centers, np.ndarray) else list(centers), dtype=np.intp)
+def _point_indices(ps: PointSet, indices) -> np.ndarray:
+    """Centers or weighted points as non-empty, in-range intp indices."""
+    idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices))
     if idx.size < 1:
-        raise ValueError("need at least one center")
+        raise ValueError("need at least one center or point")
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"center and point indices must be integers, got dtype {idx.dtype}")
     if idx.min() < 0 or idx.max() >= ps.n:
-        raise ValueError(f"center indices must lie in [0, {ps.n})")
-    return idx
+        raise ValueError(f"center and point indices must lie in [0, {ps.n})")
+    return idx.astype(np.intp, copy=False)
 
 
 @dataclass(frozen=True)
@@ -356,7 +359,7 @@ def clustering_cost(ps: PointSet, centers, z: int, eps: float = 0.0) -> Clusteri
     """Strict and relaxed cost of ``centers``, both read from one
     nearest-center tracker (one distance pass per center).  With eps=0 the
     two radii are equal."""
-    idx = _center_indices(ps, centers)
+    idx = _point_indices(ps, centers)
     strict, m = relaxed_exclusions(z, 0.0), relaxed_exclusions(z, eps)
     if m >= ps.n:
         raise ValueError("exclusion budget swallows the dataset")
@@ -401,7 +404,7 @@ def peel_weight(d: np.ndarray, w: np.ndarray, z: float) -> tuple[np.ndarray, np.
 
 def weighted_cost(ps: PointSet, point_indices, weights, centers, z: float) -> float:
     """Weighted strict cost: the straddler's distance under peel_weight."""
-    idx = np.asarray(point_indices, dtype=np.intp)
+    idx = _point_indices(ps, point_indices)
     w = np.asarray(weights, dtype=np.float64)
     if idx.shape != w.shape:
         raise ValueError("indices and weights must align")
@@ -411,7 +414,7 @@ def weighted_cost(ps: PointSet, point_indices, weights, centers, z: float) -> fl
         raise ValueError("outlier weight budget must be finite and non-negative")
     if float(w.sum()) <= z:
         raise ValueError("outlier weight budget consumes the whole coreset")
-    cidx = _center_indices(ps, centers)
+    cidx = _point_indices(ps, centers)
     d = ps.cross_dists(idx, cidx).min(axis=1)
     return float(peel_weight(d, w, z)[0])
 

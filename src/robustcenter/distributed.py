@@ -1,13 +1,13 @@
 """Two-round distributed coreset protocol.
 
 Sites hold disjoint shards of one point set.  Round one: every site builds a
-coreset per budget on a shared geometric grid and uploads the (budget, radius)
-pairs.  The coordinator ranks all s*(z+1) step-function values, broadcasts the
-(2z+1)-th largest as the threshold, and each site derives its own outlier
-budget from it; the budgets always sum to at most 2z.  Round two: each site
-uploads the coreset built at its derived budget.  A ledger records float
-traffic per phase; point transfers cost dim+1 floats each (coordinates plus
-weight), or 2 in matrix mode (index plus weight).
+coreset per budget on a shared geometric grid and uploads its radius table.
+The coordinator ranks the tables' runs over budgets 0..z, broadcasts the
+(2z+1)-th largest radius as the threshold, and each site derives its own
+outlier budget from it; the budgets always sum to at most 2z.  Round two:
+each site uploads the coreset built at its derived budget.  A ledger records
+float traffic per phase; point transfers cost dim+1 floats each (coordinates
+plus weight), or 2 in matrix mode (index plus weight).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .coreset import WeightedCoreset, _identity_coreset, build_coreset, build_co
 
 __all__ = [
     "outlier_budget_grid",
-    "StepFunction",
     "ShardedInstance",
     "SiteProfile",
     "CommLedger",
@@ -48,26 +47,6 @@ def outlier_budget_grid(z: int) -> list[int]:
         labels.add(p)
         p *= 2
     return sorted(labels)
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Right-continuous step lookup: value(q) reads the largest breakpoint <= q."""
-
-    breakpoints: tuple[int, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.breakpoints) != len(self.values) or not self.breakpoints:
-            raise ValueError("breakpoints and values must be aligned and non-empty")
-        if any(b >= a for a, b in zip(self.breakpoints[1:], self.breakpoints)):
-            raise ValueError("breakpoints must be strictly increasing")
-
-    def value(self, q: int) -> float:
-        pos = bisect.bisect_right(self.breakpoints, q) - 1
-        if pos < 0:
-            raise ValueError(f"query {q} precedes the first breakpoint")
-        return self.values[pos]
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,20 +98,33 @@ class ShardedInstance:
 
 @dataclass(frozen=True)
 class SiteProfile:
-    """One site's round-one output: per-budget radii (monotone) and coresets.
+    """One site's round-one output: its radius table (grid strictly increasing
+    from 0, radii never increasing) and the coreset built at each grid budget.
 
     ``dist_evals`` counts the distance evaluations made on the shard, whose
     point set carries its own counter."""
 
     site_id: int
-    step: StepFunction
+    grid: tuple[int, ...]
+    radii: tuple[float, ...]
     coresets: dict[int, WeightedCoreset]
     n_points: int
     clamps: dict[int, int] = field(default_factory=dict)
     dist_evals: int = 0
 
+    def __post_init__(self) -> None:
+        if not self.grid or len(self.grid) != len(self.radii):
+            raise ValueError("grid and radii must be aligned and non-empty")
+        if self.grid[0] != 0 or any(b <= a for a, b in zip(self.grid, self.grid[1:])):
+            raise ValueError("grid must start at 0 and strictly increase")
+        if any(b > a for a, b in zip(self.radii, self.radii[1:])):
+            raise ValueError("radii must not increase with the budget")
+
     def h(self, q: int) -> float:
-        return self.step.value(q)
+        """Radius at budget q: the entry of the largest grid budget <= q."""
+        if q < 0:
+            raise ValueError(f"budget {q} is negative")
+        return self.radii[bisect.bisect_right(self.grid, q) - 1]
 
 
 @dataclass
@@ -174,18 +166,6 @@ class ProtocolResult:
     instance: ShardedInstance
 
 
-def _repair_monotone(grid, radii, coresets):
-    """Radii must not increase with budget; a violating entry is replaced by
-    the previous budget's coreset, whose radius it inherits."""
-    fixed_r = list(radii)
-    fixed_c = dict(coresets)
-    for j in range(1, len(grid)):
-        if fixed_r[j] > fixed_r[j - 1]:
-            fixed_r[j] = fixed_r[j - 1]
-            fixed_c[grid[j]] = fixed_c[grid[j - 1]]
-    return fixed_r, fixed_c
-
-
 def site_round_one(
     sub_ps: PointSet,
     params: ParamSet,
@@ -199,7 +179,8 @@ def site_round_one(
     Budgets are clamped so the shard can absorb them (the relaxed exclusion
     set must leave at least one point, and k + z < n must hold); a clamped
     build still reports under its original grid label, which only raises the
-    reported radius and stays safe for the coordinator's rank argument.
+    reported radius and stays safe for the coordinator's rank argument.  A
+    budget whose radius would rise reuses the previous coreset and radius.
     """
     n_i = sub_ps.n
     k = params.k
@@ -207,7 +188,7 @@ def site_round_one(
     radii: list[float] = []
     coresets: dict[int, WeightedCoreset] = {}
     clamps: dict[int, int] = {}
-    for q in grid:
+    for j, q in enumerate(grid):
         if n_i <= k:
             cs = _identity_coreset(sub_ps, "site", f"shard of {n_i} points holds at most k centers")
         else:
@@ -224,12 +205,15 @@ def site_round_one(
                 cs = build_coreset_auto(sub_ps, site_params, rng)
             else:
                 cs = build_coreset(sub_ps, site_params, doubling_dim, rng)
+        r = float(cs.meta["map_radius"])
+        if j and r > radii[-1]:
+            cs, r = coresets[grid[j - 1]], radii[-1]
         coresets[q] = cs
-        radii.append(float(cs.meta["map_radius"]))
-    radii, coresets = _repair_monotone(grid, radii, coresets)
+        radii.append(r)
     return SiteProfile(
         site_id=site_id,
-        step=StepFunction(breakpoints=tuple(grid), values=tuple(radii)),
+        grid=tuple(grid),
+        radii=tuple(radii),
         coresets=coresets,
         n_points=n_i,
         clamps=clamps,
@@ -238,32 +222,40 @@ def site_round_one(
 
 
 def coordinator_threshold(profiles, z: int) -> ThresholdDecision:
-    """Rank all (radius, site) pairs over budgets 0..z and pick the (2z+1)-th.
+    """Pick the (2z+1)-th largest (h(q), site id) pair over budgets q = 0..z.
 
-    Pairs sort descending by (value, site id); each non-selected site takes
-    the first grid budget whose pair falls strictly below the threshold pair
-    (else z), and the selected site takes its smallest grid budget achieving
-    the threshold value.
+    Each grid budget q <= z is one run of h(q) up to the next grid budget (or
+    z+1); runs sort descending and their lengths add up to rank 2z+1, in
+    O(s*|grid|).  Each site takes its first grid budget whose pair is at or
+    below the threshold pair, else its last grid budget.
     """
     s = len(profiles)
     if s < 1:
         raise ValueError("need at least one site")
+    if z < 0:
+        raise ValueError("outlier budget must be >= 0")
+    if len({p.site_id for p in profiles}) != s:
+        raise ValueError("site ids must be distinct")
     if 2 * z + 1 > s * (z + 1):
         raise ValueError("rank 2z+1 exceeds the s(z+1) available pairs")
-    pairs = [(p.h(q), p.site_id) for p in profiles for q in range(z + 1)]
-    pairs.sort(reverse=True)
-    t_value, t_site = pairs[2 * z]
-    budgets = []
-    for p in profiles:
-        grid = p.step.breakpoints
-        if p.site_id == t_site:
-            chosen = next(q for q, r in zip(grid, p.step.values) if r == t_value)
-        else:
-            chosen = next(
-                (q for q in grid if (p.h(q), p.site_id) < (t_value, t_site)), grid[-1]
-            )
-        budgets.append(int(chosen))
-    return ThresholdDecision(value=float(t_value), site=int(t_site), budgets=tuple(budgets))
+    runs = [
+        (r, p.site_id, min(nxt, z + 1) - q)
+        for p in profiles
+        for q, r, nxt in zip(p.grid, p.radii, (*p.grid[1:], z + 1))
+        if q <= z
+    ]
+    runs.sort(reverse=True)
+    seen = 0
+    for t_value, t_site, length in runs:
+        seen += length
+        if seen > 2 * z:
+            break
+    threshold = (t_value, t_site)
+    budgets = tuple(
+        int(next((q for q, r in zip(p.grid, p.radii) if (r, p.site_id) <= threshold), p.grid[-1]))
+        for p in profiles
+    )
+    return ThresholdDecision(value=float(t_value), site=int(t_site), budgets=budgets)
 
 
 def assemble(

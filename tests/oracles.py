@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 
 from robustcenter.core import GuardError
+from robustcenter.distributed import ThresholdDecision
 
 ALLOCATION_GUARD = 2_000_000
 
@@ -120,3 +121,33 @@ def minimax_oracle(profiles, z: int) -> float:
     if best is None:
         raise ValueError("no feasible allocation")
     return float(best)
+
+
+def coordinator_reference(profiles, z: int):
+    """Rank all s*(z+1) (radius, site) pairs over budgets 0..z and pick the
+    (2z+1)-th.
+
+    Pairs sort descending by (value, site id); each non-selected site takes
+    the first grid budget whose pair falls strictly below the threshold pair
+    (else its last grid budget), and the selected site takes its smallest
+    grid budget achieving the threshold value.
+    """
+    s = len(profiles)
+    if s < 1:
+        raise ValueError("need at least one site")
+    if 2 * z + 1 > s * (z + 1):
+        raise ValueError("rank 2z+1 exceeds the s(z+1) available pairs")
+    pairs = [(p.h(q), p.site_id) for p in profiles for q in range(z + 1)]
+    pairs.sort(reverse=True)
+    t_value, t_site = pairs[2 * z]
+    budgets = []
+    for p in profiles:
+        grid = p.grid
+        if p.site_id == t_site:
+            chosen = next(q for q, r in zip(grid, p.radii) if r == t_value)
+        else:
+            chosen = next(
+                (q for q in grid if (p.h(q), p.site_id) < (t_value, t_site)), grid[-1]
+            )
+        budgets.append(int(chosen))
+    return ThresholdDecision(value=float(t_value), site=int(t_site), budgets=tuple(budgets))

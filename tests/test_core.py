@@ -189,6 +189,23 @@ def test_costs_reject_empty_and_out_of_range_centers():
             weighted_cost(ps, [0, 1, 2], [1, 1, 1], centers, 1)
 
 
+@pytest.mark.parametrize("centers", [[1.7], np.array([1.0]), [True], np.array([False, True])])
+def test_costs_reject_non_integer_centers(centers):
+    # Each would be cast to a valid index and evaluated silently.
+    ps = line_ps([0.0, 1.0, 5.0])
+    with pytest.raises(ValueError, match="integers"):
+        clustering_cost(ps, centers, 1)
+    with pytest.raises(ValueError, match="integers"):
+        weighted_cost(ps, [0, 1, 2], [1, 1, 1], centers, 1)
+
+
+@pytest.mark.parametrize("points", [[-1, 0], [0, 3], [0.0, 1.0]])
+def test_weighted_cost_checks_point_indices(points):
+    ps = line_ps([0.0, 1.0, 5.0])
+    with pytest.raises(ValueError, match="point indices"):
+        weighted_cost(ps, points, [1, 1], [0], 0)
+
+
 def test_one_cost_call_makes_one_pass_per_center():
     ps = random_ps(np.random.default_rng(3), 40)
     before = ps.stats.evals

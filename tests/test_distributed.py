@@ -1,12 +1,15 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import robustcenter.distributed as distributed
 from robustcenter.core import ParamSet, PointSet
 from robustcenter.distributed import (
     ShardedInstance,
     SiteProfile,
-    StepFunction,
-    _repair_monotone,
     coordinator_threshold,
     outlier_budget_grid,
     run_protocol,
@@ -26,34 +29,38 @@ def test_budget_grid_frozen():
         outlier_budget_grid(-1)
 
 
-def test_step_function_lookup():
-    f = StepFunction(breakpoints=(0, 2, 4), values=(5.0, 3.0, 1.0))
-    assert f.value(0) == 5.0
-    assert f.value(1) == 5.0
-    assert f.value(3) == 3.0
-    assert f.value(99) == 1.0
-    with pytest.raises(ValueError):
-        f.value(-1)
-    with pytest.raises(ValueError):
-        StepFunction(breakpoints=(0, 0), values=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        StepFunction(breakpoints=(0,), values=(1.0, 2.0))
-
-
-def test_monotone_repair_reuses_previous_coreset():
-    radii, coresets = _repair_monotone((0, 1, 2), [5.0, 6.0, 3.0], {0: "A", 1: "B", 2: "C"})
-    assert radii == [5.0, 5.0, 3.0]
-    assert coresets[1] is coresets[0]
-    assert coresets[2] == "C"
-
-
 def profile(site_id, grid, values):
     return SiteProfile(
-        site_id=site_id,
-        step=StepFunction(breakpoints=tuple(grid), values=tuple(values)),
-        coresets={},
-        n_points=100,
+        site_id=site_id, grid=tuple(grid), radii=tuple(values), coresets={}, n_points=100
     )
+
+
+def test_site_profile_lookup():
+    f = profile(0, (0, 2, 4), (5.0, 3.0, 1.0))
+    assert f.h(0) == 5.0
+    assert f.h(1) == 5.0
+    assert f.h(3) == 3.0
+    assert f.h(99) == 1.0
+    with pytest.raises(ValueError):
+        f.h(-1)
+    with pytest.raises(ValueError, match="strictly increase"):
+        profile(0, (0, 0), (2.0, 1.0))
+    with pytest.raises(ValueError, match="aligned"):
+        profile(0, (0,), (2.0, 1.0))
+
+
+def test_monotone_repair_reuses_previous_coreset(monkeypatch):
+    canned = iter([5.0, 6.0, 3.0])
+
+    def fake_build(sub_ps, params, rng):
+        return SimpleNamespace(budget=params.z, meta={"map_radius": next(canned)})
+
+    monkeypatch.setattr(distributed, "build_coreset_auto", fake_build)
+    ps = PointSet.from_coords(np.arange(20.0).reshape(-1, 1))
+    prof = site_round_one(ps, ParamSet(k=1, z=2, n=20), [0, 1, 2], np.random.default_rng(0))
+    assert prof.radii == (5.0, 5.0, 3.0)
+    assert prof.coresets[1] is prof.coresets[0]
+    assert prof.coresets[2].budget == 2
 
 
 def test_coordinator_worked_example():
@@ -77,6 +84,80 @@ def test_coordinator_all_zero_radii():
 def test_coordinator_rank_bound():
     with pytest.raises(ValueError):
         coordinator_threshold([profile(0, (0, 1), (2.0, 1.0))], z=1)
+
+
+def test_coordinator_and_profile_reject_malformed_input():
+    twins = [profile(0, (0, 1), (5.0, 3.0)), profile(0, (0, 1), (4.0, 2.0))]
+    with pytest.raises(ValueError, match="distinct"):
+        coordinator_threshold(twins, z=1)
+    with pytest.raises(ValueError, match=">= 0"):
+        coordinator_threshold([profile(0, (0, 1), (5.0, 3.0))], z=-1)
+    malformed = [
+        ((), ()),
+        ((0, 1), (1.0,)),
+        ((0, 2, 1), (3.0, 2.0, 1.0)),
+        ((1, 2), (2.0, 1.0)),
+        ((0, 1), (1.0, 2.0)),
+    ]
+    for grid, radii in malformed:
+        with pytest.raises(ValueError):
+            profile(0, grid, radii)
+
+
+# Exhaustive minimax checks run only where the allocation count stays small.
+MINIMAX_ALLOCATIONS = 5_000
+
+
+@st.composite
+def site_tables(draw):
+    s = draw(st.integers(1, 5))
+    z = draw(st.integers(0, 40))
+    radius = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.floats(0.0, 1.0))
+    site_ids = draw(st.lists(st.integers(0, 9), min_size=s, max_size=s, unique=True))
+    top = draw(st.sampled_from([z, 2 * z + 3]))
+    profiles = []
+    for site_id in site_ids:
+        extra = draw(st.sets(st.integers(0, top), max_size=6))
+        grid = sorted({0, z} | extra)
+        radii = sorted(draw(st.lists(radius, min_size=len(grid), max_size=len(grid))), reverse=True)
+        profiles.append(profile(site_id, grid, radii))
+    return profiles, z
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=site_tables())
+def test_coordinator_matches_pair_ranking_reference(case):
+    profiles, z = case
+    if 2 * z + 1 > len(profiles) * (z + 1):
+        with pytest.raises(ValueError):
+            coordinator_threshold(profiles, z)
+        return
+    d = coordinator_threshold(profiles, z)
+    assert d == oracles.coordinator_reference(profiles, z)
+    # A grid past z lets a site take a budget above z, outside the minimax's
+    # allocations; the protocol's grids end at z.
+    if all(p.grid[-1] == z for p in profiles) and (z + 1) ** len(profiles) <= MINIMAX_ALLOCATIONS:
+        assert sum(d.budgets) <= 2 * z
+        got = max(p.h(b) for p, b in zip(profiles, d.budgets))
+        assert got == oracles.minimax_oracle(profiles, z)
+
+
+def test_coordinator_memory_is_bounded_by_the_grid():
+    # s*(z+1) = 160,008 ranked pairs would take megabytes; the runs stay tiny.
+    z = 20_000
+    grid = outlier_budget_grid(z)
+    profiles = [
+        profile(i, grid, [float(len(grid) - j) + 0.1 * (i % 3) for j in range(len(grid))])
+        for i in range(8)
+    ]
+    tracemalloc.start()
+    try:
+        d = coordinator_threshold(profiles, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert sum(d.budgets) <= 2 * z
 
 
 def test_sharded_instance_validation():
@@ -134,7 +215,7 @@ def check_protocol(ps, result, params):
     assert cs.total_weight() == ps.n
     assert np.unique(cs.indices).size == cs.indices.size
     for p in result.profiles:
-        assert all(b >= a for a, b in zip(p.step.values[1:], p.step.values))
+        assert all(b >= a for a, b in zip(p.radii[1:], p.radii))
     directions = [ph["direction"] for ph in result.ledger.phases]
     assert directions == ["sites_to_coordinator", "broadcast", "sites_to_coordinator"]
     s = result.instance.s
