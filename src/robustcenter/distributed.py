@@ -226,8 +226,9 @@ def coordinator_threshold(profiles, z: int) -> ThresholdDecision:
 
     Each grid budget q <= z is one run of h(q) up to the next grid budget (or
     z+1); runs sort descending and their lengths add up to rank 2z+1, in
-    O(s*|grid|).  Each site takes its first grid budget whose pair is at or
-    below the threshold pair, else its last grid budget.
+    O(s*|grid|).  Each site takes its first grid budget q <= z whose pair is
+    at or below the threshold pair, else its last grid budget q <= z; so no
+    site exceeds z and the budgets add up to at most 2z.
     """
     s = len(profiles)
     if s < 1:
@@ -251,11 +252,12 @@ def coordinator_threshold(profiles, z: int) -> ThresholdDecision:
         if seen > 2 * z:
             break
     threshold = (t_value, t_site)
-    budgets = tuple(
-        int(next((q for q, r in zip(p.grid, p.radii) if (r, p.site_id) <= threshold), p.grid[-1]))
-        for p in profiles
-    )
-    return ThresholdDecision(value=float(t_value), site=int(t_site), budgets=budgets)
+    budgets = []
+    for p in profiles:
+        within = [(q, r) for q, r in zip(p.grid, p.radii) if q <= z]
+        below = (q for q, r in within if (r, p.site_id) <= threshold)
+        budgets.append(int(next(below, within[-1][0])))
+    return ThresholdDecision(value=float(t_value), site=int(t_site), budgets=tuple(budgets))
 
 
 def assemble(

@@ -10,7 +10,6 @@ hash identically across runs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,16 +96,34 @@ class PlantedInstance:
 
 def _lattice_offsets(count: int, grid_dim: int) -> np.ndarray:
     """First ``count`` points of the centered odd-side integer lattice,
-    ordered by (norm, lexicographic); the origin always comes first."""
+    ordered by (norm, lexicographic); the origin always comes first.
+
+    Work is bounded by the lattice points within the count-th smallest norm,
+    not by the side**grid_dim cube: the smallest ``count`` partial sums of
+    squares, kept axis by axis, give that norm T; then only the points with
+    squared norm <= T are grown, prefix by prefix in ascending coordinates so
+    they stay lexicographic, and a stable sort by norm orders the ties.
+    """
     side = 1
     while side**grid_dim < count:
         side += 2
     half = (side - 1) // 2
-    offsets = sorted(
-        itertools.product(range(-half, half + 1), repeat=grid_dim),
-        key=lambda v: (sum(c * c for c in v), v),
-    )
-    return np.asarray(offsets[:count], dtype=np.float64)
+    axis = np.arange(-half, half + 1, dtype=np.int64)
+    sq = axis * axis
+    sums = np.zeros(1, dtype=np.int64)
+    for _ in range(grid_dim):
+        sums = (sums[:, None] + sq).ravel()
+        if sums.size > count:
+            sums = np.partition(sums, count - 1)[:count]
+    limit = int(sums.max())
+    points = np.zeros((1, 0), dtype=np.int64)
+    norms = np.zeros(1, dtype=np.int64)
+    for _ in range(grid_dim):
+        rows, cols = np.nonzero(sq <= (limit - norms)[:, None])
+        points = np.column_stack([points[rows], axis[cols]])
+        norms = norms[rows] + sq[cols]
+    order = np.argsort(norms, kind="stable")[:count]
+    return points[order].astype(np.float64)
 
 
 def planted_instance(spec: GeneratorSpec, seed: int) -> PlantedInstance:
@@ -122,28 +139,25 @@ def planted_instance(spec: GeneratorSpec, seed: int) -> PlantedInstance:
     rng = np.random.default_rng(seed)
     base = spec.n_inliers // spec.clusters
     counts = [base + (1 if j < spec.n_inliers % spec.clusters else 0) for j in range(spec.clusters)]
+    lattices = {count: _lattice_offsets(count, spec.grid_dim) for count in set(counts)}
     separation = SEPARATION_FACTOR * spec.cluster_radius
-    blocks = []
+    coords = np.zeros((spec.n_inliers + spec.outliers, spec.dim), order="F")
     center_indices = []
     analytic = 0.0
     offset = 0
     for j, count in enumerate(counts):
-        lattice = _lattice_offsets(count, spec.grid_dim)
+        lattice = lattices[count]
         reach = float(np.linalg.norm(lattice, axis=1).max())
         scale = spec.cluster_radius / reach if reach > 0 else 0.0
-        block = np.zeros((count, spec.dim))
+        block = coords[offset : offset + count]
         block[:, : spec.grid_dim] = lattice * scale
         block[:, 0] += j * separation
-        blocks.append(block)
         center_indices.append(offset)
         analytic = max(analytic, scale * reach)
         offset += count
-    coords = np.vstack(blocks)
     if spec.outliers > 0:
-        inliers = PointSet.from_coords(coords)
-        center, radius = meb_approx(inliers)
-        extra = _uniform_ball(rng, spec.outliers, center, spec.outlier_scale * radius)
-        coords = np.vstack([coords, extra])
+        center, radius = meb_approx(PointSet.from_coords(coords[: spec.n_inliers]))
+        coords[spec.n_inliers :] = _uniform_ball(rng, spec.outliers, center, spec.outlier_scale * radius)
     ps = PointSet.from_coords(coords)
     return PlantedInstance(
         ps=ps,

@@ -92,6 +92,12 @@ def _coverage_greedy(
     return picks, float(uncovered.sum())
 
 
+def _candidate_radii(dmat: np.ndarray) -> np.ndarray:
+    # The block is exactly symmetric with a zero diagonal, so its upper
+    # triangle, diagonal included, holds zero and every distinct distance.
+    return np.unique(dmat[~np.tri(dmat.shape[0], k=-1, dtype=bool)])
+
+
 def charikar_3approx(
     ps: PointSet, weights: np.ndarray | None, k: int, z: float
 ) -> CenterSet:
@@ -111,9 +117,7 @@ def charikar_3approx(
         raise GuardError(f"instance too large for the radius-guessing solver (n={n})")
     w = _check_weights(n, np.ones(n) if weights is None else weights, z)
     dmat = ps.cross_dists(np.arange(n), np.arange(n))
-    # The block is exactly symmetric with a zero diagonal, so its strict upper
-    # triangle plus one zero holds every distinct distance.
-    candidates = np.unique(np.append(dmat[~np.tri(n, dtype=bool)], 0.0))
+    candidates = _candidate_radii(dmat)
     near = np.empty_like(dmat)
     picks: list[int] | None = None
     lo, hi = -1, candidates.size - 1

@@ -105,6 +105,21 @@ def charikar_reference(dist_rows, weights, k: int, z):
     return tuple(picks)
 
 
+def lattice_reference(count: int, grid_dim: int):
+    """First ``count`` tuples of the smallest centered odd-side integer cube
+    holding ``count`` points, sorted by (squared norm, tuple): the whole cube
+    is enumerated and sorted."""
+    side = 1
+    while side**grid_dim < count:
+        side += 2
+    half = (side - 1) // 2
+    offsets = sorted(
+        itertools.product(range(-half, half + 1), repeat=grid_dim),
+        key=lambda v: (sum(c * c for c in v), v),
+    )
+    return offsets[:count]
+
+
 def minimax_oracle(profiles, z: int) -> float:
     """Exhaustive min over budget allocations summing to at most 2z of the
     worst reported site radius."""
@@ -128,9 +143,9 @@ def coordinator_reference(profiles, z: int):
     (2z+1)-th.
 
     Pairs sort descending by (value, site id); each non-selected site takes
-    the first grid budget whose pair falls strictly below the threshold pair
-    (else its last grid budget), and the selected site takes its smallest
-    grid budget achieving the threshold value.
+    the first grid budget q <= z whose pair falls strictly below the threshold
+    pair (else its last grid budget q <= z), and the selected site takes its
+    smallest grid budget achieving the threshold value.
     """
     s = len(profiles)
     if s < 1:
@@ -142,7 +157,7 @@ def coordinator_reference(profiles, z: int):
     t_value, t_site = pairs[2 * z]
     budgets = []
     for p in profiles:
-        grid = p.grid
+        grid = [q for q in p.grid if q <= z]
         if p.site_id == t_site:
             chosen = next(q for q, r in zip(grid, p.radii) if r == t_value)
         else:

@@ -81,6 +81,16 @@ def test_coordinator_all_zero_radii():
     assert d.budgets == (0, 0, 0)
 
 
+def test_coordinator_ignores_grid_budgets_above_z():
+    # Site 0 reaches the threshold only at grid budget 3 > z; it must stop at
+    # its last budget within z, not take 3 and break sum(budgets) <= 2z.
+    profiles = [profile(0, (0, 1, 3), (1.0, 1.0, 0.0)), profile(1, (0, 1), (0.0, 0.0))]
+    d = coordinator_threshold(profiles, z=1)
+    assert d.budgets == (1, 0)
+    assert d == oracles.coordinator_reference(profiles, 1)
+    assert max(p.h(b) for p, b in zip(profiles, d.budgets)) == oracles.minimax_oracle(profiles, 1)
+
+
 def test_coordinator_rank_bound():
     with pytest.raises(ValueError):
         coordinator_threshold([profile(0, (0, 1), (2.0, 1.0))], z=1)
@@ -134,10 +144,11 @@ def test_coordinator_matches_pair_ranking_reference(case):
         return
     d = coordinator_threshold(profiles, z)
     assert d == oracles.coordinator_reference(profiles, z)
-    # A grid past z lets a site take a budget above z, outside the minimax's
-    # allocations; the protocol's grids end at z.
-    if all(p.grid[-1] == z for p in profiles) and (z + 1) ** len(profiles) <= MINIMAX_ALLOCATIONS:
-        assert sum(d.budgets) <= 2 * z
+    # Grid budgets past z are never taken, so the budgets stay a minimax
+    # allocation even where a grid runs beyond z.
+    assert sum(d.budgets) <= 2 * z
+    assert max(d.budgets) <= z
+    if (z + 1) ** len(profiles) <= MINIMAX_ALLOCATIONS:
         got = max(p.h(b) for p, b in zip(profiles, d.budgets))
         assert got == oracles.minimax_oracle(profiles, z)
 

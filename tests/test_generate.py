@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles
 from robustcenter.core import PointSet
 from robustcenter.generate import (
     GeneratorSpec,
+    _lattice_offsets,
     meb_approx,
     planted_instance,
 )
@@ -129,3 +133,98 @@ def test_spec_validation():
         GeneratorSpec(
             n_inliers=5, clusters=1, dim=2, grid_dim=1, cluster_radius=1.0, outlier_scale=-1.0
         )
+
+
+@pytest.mark.parametrize("grid_dim", [1, 2, 3, 4, 5])
+def test_lattice_matches_full_cube_enumeration(grid_dim):
+    # Every count up to 5**grid_dim (capped at 3,125), plus the counts just
+    # past each odd cube, where the side grows and the cube's corners join.
+    # All counts that share a side share one sorted cube, so each reference
+    # is a prefix of the one for the largest count at that side.
+    counts = set(range(1, min(5**grid_dim, 3125) + 1))
+    counts |= {side**grid_dim + extra for side in (1, 3, 5, 7) for extra in (1, 2)}
+    cubes = {}
+    for count in sorted(counts):
+        side = 1
+        while side**grid_dim < count:
+            side += 2
+        if side not in cubes:
+            cubes[side] = np.asarray(oracles.lattice_reference(side**grid_dim, grid_dim), dtype=np.float64)
+        got = _lattice_offsets(count, grid_dim)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got, cubes[side][:count]), (count, grid_dim)
+
+
+# content_hash values of planted instances, recorded with the full-cube
+# enumeration: the perfbench workloads (5 clusters on a 2-D lattice, radius
+# 1.0) at seeds 0 and 1, then small specs at seed 0.
+WORKLOAD_GOLDENS = [
+    (95_000, 5_000, 8, 0, "3f37dfe9b87e447e99354285dcd1db156a1310aabae539f288fa077abac437d6"),
+    (95_000, 5_000, 8, 1, "211f26664b3c0aa9889182fe6193e28509e9844265ba64fbd98f7e605ae7b109"),
+    (19_700, 300, 2, 0, "9ab62b39bcc16dacc7a0e76e7efc8dfd1a5e8b402830492c26bd11b266e7bd34"),
+    (19_700, 300, 2, 1, "6b5af9de0d124fdbfeb1e26443427e59ce949e561f808aa171d4471a6923d990"),
+    (39_900, 100, 2, 0, "109e5cb1f64485705bb3ffff4a65ec3d93ed342e1bc96de131e728712df44d12"),
+    (39_900, 100, 2, 1, "88f04ab529faf8c47185eb0057ab5f3f78faa59314bd05cc514407e46649f9ca"),
+]
+
+SMALL_GOLDENS = [
+    (
+        GeneratorSpec(n_inliers=7, clusters=1, dim=1, grid_dim=1, cluster_radius=2.0, outliers=2),
+        "9b55ad2632853500660e69392e9dd98e7cf8b672bff0aa3f1a2489de8cddbb0d",
+    ),
+    (  # cluster sizes 8, 8, 7
+        GeneratorSpec(n_inliers=23, clusters=3, dim=3, grid_dim=2, cluster_radius=1.5, outliers=4),
+        "62b70d974676872022888635aca7d7aabaf1d6ba98af15aed7f84adc93453dd4",
+    ),
+    (  # 10 points per cluster: one past the 3 x 3 square
+        GeneratorSpec(n_inliers=50, clusters=5, dim=2, grid_dim=2, cluster_radius=1.0, outliers=5),
+        "0020df492fc70f6cf8a6a61bec0138256048e6727dd7dde968e5c60bfe4c2a5e",
+    ),
+    (  # cluster sizes 14, 13, 13 and no outliers
+        GeneratorSpec(n_inliers=40, clusters=3, dim=4, grid_dim=3, cluster_radius=0.75),
+        "1fcb334b61e48bb425f0b11428ccfaa9bd0c4a814bd396269da0293a20fd559f",
+    ),
+    (
+        GeneratorSpec(
+            n_inliers=11, clusters=2, dim=5, grid_dim=3, cluster_radius=1.0, outliers=3,
+            outlier_scale=0.0,
+        ),
+        "04654b29c6de018c0a45eff7b94516358c33a47b632d7838ddc4ffcaa4076844",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "n_inliers, outliers, dim, seed, golden",
+    WORKLOAD_GOLDENS,
+    ids=[f"{name}-seed{seed}" for name in ("greedy-100k", "coreset-host-20k", "protocol-40k") for seed in (0, 1)],
+)
+def test_workload_instances_keep_their_hashes(n_inliers, outliers, dim, seed, golden):
+    spec = GeneratorSpec(
+        n_inliers=n_inliers, clusters=5, dim=dim, grid_dim=2, cluster_radius=1.0, outliers=outliers
+    )
+    assert planted_instance(spec, seed).ps.content_hash() == golden
+
+
+@pytest.mark.parametrize(
+    "spec, golden",
+    SMALL_GOLDENS,
+    ids=["grid1", "grid2-unequal", "grid2-past-square", "grid3-no-outliers", "grid3-zero-scale"],
+)
+def test_small_instances_keep_their_hashes(spec, golden):
+    assert planted_instance(spec, 0).ps.content_hash() == golden
+
+
+def test_planting_work_is_bounded_by_the_points():
+    # Two points per cluster on a 12-axis lattice: enumerating the 3**12
+    # cube took seconds and over 100 MiB; the points within the second
+    # smallest norm are a handful.
+    spec = GeneratorSpec(n_inliers=4, clusters=2, dim=12, grid_dim=12, cluster_radius=1.0, outliers=1)
+    tracemalloc.start()
+    try:
+        inst = planted_instance(spec, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert inst.ps.content_hash() == "caffc3c2b90f6793946c4a6023682d3812545a8a915aa0772e6c24097c6901d7"

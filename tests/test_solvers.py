@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robustcenter.core import GuardError, PointSet, cost_radius, weighted_cost
-from robustcenter.solvers import brute_force_opt, charikar_3approx, gonzalez
+from robustcenter.solvers import _candidate_radii, brute_force_opt, charikar_3approx, gonzalez
 
 import oracles
 
@@ -203,6 +203,21 @@ def test_charikar_matches_reference_search_seeded():
         total = n if weights is None else sum(weights)
         z = int(rng.integers(0, total // 3 + 1))
         _assert_matches_reference(ps, weights, 1 + trial % 4, z)
+
+
+@pytest.mark.parametrize("matrix", [False, True])
+def test_candidate_radii_equal_unique_of_triangle_and_zero(matrix):
+    # Small integer coordinates repeat points and distances; n = 1 has an
+    # empty strict triangle.
+    rng = np.random.default_rng(53 if matrix else 59)
+    for n in [1, 1, 2, 2, 3, *rng.integers(4, 60, size=25).tolist()]:
+        coords = rng.integers(-3, 4, size=(n, 2)).astype(np.float64)
+        ps = PointSet.from_coords(np.vstack([coords, coords[: n // 3]]))
+        if matrix:
+            ps = PointSet.from_distance_matrix(_pairwise(ps))
+        dmat = _pairwise(ps)
+        expected = np.unique(np.append(dmat[~np.tri(ps.n, dtype=bool)], 0.0))
+        assert np.array_equal(_candidate_radii(dmat), expected)
 
 
 @pytest.mark.parametrize("integer_weights", [True, False])
