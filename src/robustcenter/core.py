@@ -303,24 +303,13 @@ class NearestTracker:
         self.owner[better] = c
         np.minimum(self.mindist, d, out=self.mindist)
 
-    def add_centers(self, centers: Iterable[int]) -> None:
-        for c in centers:
-            self.add_center(int(c))
 
-    @classmethod
-    def over(cls, ps: PointSet, centers: Iterable[int]) -> "NearestTracker":
-        t = cls(ps)
-        t.add_centers(centers)
-        return t
-
-
-def farthest_m(source, m: int) -> np.ndarray:
-    """Indices of the m points with largest tracked distance, ascending.
+def farthest_m(mindist: np.ndarray, m: int) -> np.ndarray:
+    """Indices of the m points with largest distance in ``mindist``, ascending.
 
     Ties at the cut boundary go to the lower index.  Expected O(n) via
     partition selection.
     """
-    mindist = source.mindist if isinstance(source, NearestTracker) else np.asarray(source, dtype=np.float64)
     n = mindist.shape[0]
     if not 0 < m <= n:
         raise ValueError(f"m must lie in [1, {n}], got {m}")
@@ -363,11 +352,13 @@ def clustering_cost(ps: PointSet, centers, z: int, eps: float = 0.0) -> Clusteri
     strict, m = relaxed_exclusions(z, 0.0), relaxed_exclusions(z, eps)
     if m >= ps.n:
         raise ValueError("exclusion budget swallows the dataset")
-    mindist = NearestTracker.over(ps, idx).mindist
+    tracker = NearestTracker(ps)
+    for c in idx.tolist():
+        tracker.add_center(c)
     return ClusteringEval(
-        radius_after_exclusions(mindist, strict),
-        radius_after_exclusions(mindist, m),
-        frozenset(farthest_m(mindist, strict).tolist()) if strict else frozenset(),
+        radius_after_exclusions(tracker.mindist, strict),
+        radius_after_exclusions(tracker.mindist, m),
+        frozenset(farthest_m(tracker.mindist, strict).tolist()) if strict else frozenset(),
     )
 
 
@@ -402,18 +393,23 @@ def peel_weight(d: np.ndarray, w: np.ndarray, z: float) -> tuple[np.ndarray, np.
     return np.take_along_axis(d, pos, axis=-1)[..., 0], whole
 
 
-def weighted_cost(ps: PointSet, point_indices, weights, centers, z: float) -> float:
-    """Weighted strict cost: the straddler's distance under peel_weight."""
-    idx = _point_indices(ps, point_indices)
+def _checked_weights(n: int, weights, z: float) -> np.ndarray:
+    """n positive finite float64 weights whose total exceeds the finite,
+    non-negative outlier weight budget z."""
     w = np.asarray(weights, dtype=np.float64)
-    if idx.shape != w.shape:
-        raise ValueError("indices and weights must align")
-    if not np.isfinite(w).all() or (w <= 0).any():
-        raise ValueError("weights must be positive and finite")
+    if w.shape != (n,) or not np.isfinite(w).all() or (w <= 0).any():
+        raise ValueError("weights must be positive, finite and align with the points")
     if not 0 <= z < math.inf:
         raise ValueError("outlier weight budget must be finite and non-negative")
     if float(w.sum()) <= z:
-        raise ValueError("outlier weight budget consumes the whole coreset")
+        raise ValueError("outlier weight budget consumes the whole instance")
+    return w
+
+
+def weighted_cost(ps: PointSet, point_indices, weights, centers, z: float) -> float:
+    """Weighted strict cost: the straddler's distance under peel_weight."""
+    idx = _point_indices(ps, point_indices)
+    w = _checked_weights(idx.size, weights, z)
     cidx = _point_indices(ps, centers)
     d = ps.cross_dists(idx, cidx).min(axis=1)
     return float(peel_weight(d, w, z)[0])

@@ -27,7 +27,7 @@ from .core import (
     relaxed_exclusions,
     weighted_cost,
 )
-from .greedy import GreedyRun, greedy_config
+from .greedy import GreedyConfig, GreedyRun, greedy_config
 
 __all__ = [
     "WeightedCoreset",
@@ -50,7 +50,6 @@ class WeightedCoreset:
     weights: np.ndarray
     source_n: int
     meta: dict = field(default_factory=dict)
-    assignment: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         idx = np.asarray(self.indices, dtype=np.intp)
@@ -144,7 +143,6 @@ def _identity_coreset(ps: PointSet, builder: str, reason: str) -> WeightedCorese
             "far_count": 0,
             "selected": n,
         },
-        assignment=np.arange(n, dtype=np.intp),
     )
 
 
@@ -158,24 +156,25 @@ def _weigh_centers(run: GreedyRun, exclusions: int, meta: dict) -> WeightedCores
     cidx = run.centers().as_array()
     pos_of = np.full(ps.n, -1, dtype=np.intp)
     pos_of[cidx] = np.arange(cidx.size)
-    owner_pos = pos_of[tracker.owner[inside]]
-    counts = np.bincount(owner_pos, minlength=cidx.size)
+    counts = np.bincount(pos_of[tracker.owner[inside]], minlength=cidx.size)
     keep = counts > 0
-    remap = np.full(cidx.size, -1, dtype=np.intp)
-    remap[keep] = np.arange(int(keep.sum()))
-    assignment = np.full(ps.n, -1, dtype=np.intp)
-    assignment[inside] = remap[owner_pos]
-    assignment[far] = int(keep.sum()) + np.arange(far.size)
-    indices = np.concatenate([cidx[keep], far])
-    weights = np.concatenate([counts[keep], np.ones(far.size, dtype=np.int64)])
-    meta = dict(meta, map_radius=float(radius), far_count=int(far.size), selected=int(cidx.size))
     return WeightedCoreset(
-        indices=indices,
-        weights=weights,
+        indices=np.concatenate([cidx[keep], far]),
+        weights=np.concatenate([counts[keep], np.ones(far.size, dtype=np.int64)]),
         source_n=ps.n,
-        meta=meta,
-        assignment=assignment,
+        meta=dict(meta, map_radius=float(radius), far_count=int(far.size), selected=int(cidx.size)),
     )
+
+
+def _phase_one(
+    ps: PointSet, params: ParamSet, rng: np.random.Generator, rounds: int | None = None
+) -> tuple[GreedyRun, GreedyConfig]:
+    """The greedy loop at relaxation 1, sampling from the 2z farthest points
+    each round; ``rounds`` overrides the default round budget."""
+    cfg = greedy_config(dataclasses.replace(params, eps=1.0), rounds_override=rounds)
+    run = GreedyRun(ps, rng, cfg.init_sample)
+    run.grow(relaxed_exclusions(params.z, 1.0), cfg.per_round_sample, cfg.rounds - 1)
+    return run, cfg
 
 
 def build_coreset(
@@ -190,30 +189,20 @@ def build_coreset(
     bi-criteria loop for ceil(c l / (1 - eta)) rounds; if that budget exceeds
     n the unit-weight fallback is returned instead.
     """
-    if doubling_dim <= 0:
-        raise ValueError("doubling dimension must be positive")
+    if not 0 < doubling_dim < math.inf:
+        raise ValueError("doubling dimension must be positive and finite")
     exclusions = relaxed_exclusions(params.z, 1.0)
     if exclusions >= ps.n:
         raise ValueError("relaxed exclusion budget swallows the dataset")
-    run_params = dataclasses.replace(params, eps=1.0)
-    target = ceil_count((2.0 / params.mu) ** doubling_dim * params.k)
-    base = greedy_config(run_params)
-    raw_rounds = base.round_constant * target / (1.0 - params.eta)
-    meta = {
-        "builder": "fixed_dim",
-        "fallback": False,
-        "doubling_dim": float(doubling_dim),
-        "k": params.k,
-        "z": params.z,
-        "eps": 1.0,
-        "mu": float(params.mu),
-    }
+    raw_rounds = math.inf  # (2/mu)^dim > n already puts the budget above n
+    if doubling_dim * math.log(2.0 / params.mu) <= math.log(ps.n):
+        target = ceil_count((2.0 / params.mu) ** doubling_dim * params.k)
+        c = greedy_config(dataclasses.replace(params, eps=1.0)).round_constant
+        raw_rounds = c * target / (1.0 - params.eta)
     if raw_rounds > ps.n:
         return _identity_coreset(ps, "fixed_dim", f"round budget {raw_rounds:.0f} exceeds n={ps.n}")
-    cfg = greedy_config(run_params, rounds_override=ceil_count(raw_rounds))
-    run = GreedyRun(ps, rng, cfg.init_sample)
-    run.grow(exclusions, cfg.per_round_sample, cfg.rounds - 1)
-    return _weigh_centers(run, exclusions, meta)
+    run, _ = _phase_one(ps, params, rng, ceil_count(raw_rounds))
+    return _weigh_centers(run, exclusions, {"builder": "fixed_dim", "fallback": False})
 
 
 def build_coreset_auto(ps: PointSet, params: ParamSet, rng: np.random.Generator) -> WeightedCoreset:
@@ -221,36 +210,21 @@ def build_coreset_auto(ps: PointSet, params: ParamSet, rng: np.random.Generator)
 
     Phase 1 runs the standard round budget at relaxation 1 and records its
     radius; phase 2 keeps sampling from the farthest set with the outlier
-    budget tripled until the cost excluding 6z points drops below (mu/2)
-    times the phase-1 radius.  A cap of n phase-2 rounds guards
-    non-termination (each round must add a new center); hitting it falls
-    back to unit weights.
+    budget tripled until the cost excluding 6z points drops to (mu/2) times
+    the phase-1 radius.
     """
-    exclusions_phase1 = relaxed_exclusions(params.z, 1.0)
-    exclusions_final = relaxed_exclusions(params.z, 5.0)
-    if exclusions_final >= ps.n:
+    exclusions = relaxed_exclusions(params.z, 5.0)
+    if exclusions >= ps.n:
         raise ValueError("relaxed exclusion budget (6z) swallows the dataset")
-    cfg = greedy_config(dataclasses.replace(params, eps=1.0))
-    run = GreedyRun(ps, rng, cfg.init_sample)
-    run.grow(exclusions_phase1, cfg.per_round_sample, cfg.rounds - 1)
-    r_phase1 = radius_after_exclusions(run.tracker.mindist, exclusions_phase1)
+    run, cfg = _phase_one(ps, params, rng)
+    r_phase1 = radius_after_exclusions(run.tracker.mindist, relaxed_exclusions(params.z, 1.0))
+    # While the radius after 6z exclusions is above the target, every pool
+    # point is at positive distance, so each round adds a center: n rounds
+    # always reach the target.
     target = (params.mu / 2.0) * r_phase1
-    spent = run.grow(
-        exclusions_final, cfg.per_round_sample, ps.n, exclusions=exclusions_final, target=target
-    )
-    if radius_after_exclusions(run.tracker.mindist, exclusions_final) > target:
-        log.warning("adaptive: phase-2 cap hit after %d rounds", spent)
-        return _identity_coreset(ps, "adaptive", "phase-2 round cap hit")
-    meta = {
-        "builder": "adaptive",
-        "fallback": False,
-        "k": params.k,
-        "z": params.z,
-        "mu": float(params.mu),
-        "phase1_radius": float(r_phase1),
-        "phase2_rounds": spent,
-    }
-    return _weigh_centers(run, exclusions_final, meta)
+    spent = run.grow(exclusions, cfg.per_round_sample, ps.n, exclusions=exclusions, target=target)
+    meta = {"builder": "adaptive", "fallback": False, "phase1_radius": float(r_phase1), "phase2_rounds": spent}
+    return _weigh_centers(run, exclusions, meta)
 
 
 def compose_with_host(cs: WeightedCoreset, ps: PointSet, params: ParamSet, host) -> ClusteringEval:

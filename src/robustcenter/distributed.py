@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -192,15 +192,11 @@ def site_round_one(
         if n_i <= k:
             cs = _identity_coreset(sub_ps, "site", f"shard of {n_i} points holds at most k centers")
         else:
-            cap = n_i - k - 1
-            cap = min(cap, (n_i - 1) // 2 if doubling_dim is not None else (n_i - 1) // 6)
-            q_eff = min(q, cap)
+            q_eff = min(q, n_i - k - 1, (n_i - 1) // (6 if doubling_dim is None else 2))
             if q_eff != q:
                 clamps[q] = q_eff
                 log.info("site %d: budget %d clamped to %d (shard size %d)", site_id, q, q_eff, n_i)
-            site_params = ParamSet(
-                k=k, z=q_eff, n=n_i, eps=1.0, eta=params.eta, mu=params.mu, seed=params.seed
-            )
+            site_params = replace(params, z=q_eff, n=n_i)
             if doubling_dim is None:
                 cs = build_coreset_auto(sub_ps, site_params, rng)
             else:
@@ -301,14 +297,14 @@ def run_protocol(
     """
     if (s is None) == (instance is None):
         raise ValueError("pass exactly one of s or instance")
-    ss = np.random.SeedSequence(params.seed)
+    if instance is not None and instance.ps is not ps:
+        raise ValueError("instance must shard the same point set")
+    sites = s if instance is None else instance.s
+    if isinstance(sites, bool) or not isinstance(sites, (int, np.integer)) or not 1 <= sites <= ps.n:
+        raise ValueError(f"site count must be an integer in [1, {ps.n}], got {sites!r}")
+    children = np.random.SeedSequence(params.seed).spawn(sites + 1)
     if instance is None:
-        children = ss.spawn(s + 1)
-        instance = ShardedInstance.balanced(ps, s, np.random.default_rng(children[-1]))
-    else:
-        if instance.ps is not ps:
-            raise ValueError("instance must shard the same point set")
-        children = ss.spawn(instance.s + 1)
+        instance = ShardedInstance.balanced(ps, sites, np.random.default_rng(children[-1]))
     grid = outlier_budget_grid(params.z)
     ledger = CommLedger()
     profiles = tuple(

@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (
     CenterSet,
+    GuardError,
     NearestTracker,
     ParamSet,
     PointSet,
@@ -31,6 +32,7 @@ from .core import (
     radius_after_exclusions,
     relaxed_exclusions,
 )
+from .solvers import ENUMERATION_GUARD
 
 __all__ = [
     "GreedyConfig",
@@ -145,7 +147,8 @@ class GreedyRun:
         self._add(rng.choice(ps.n, size=min(init_sample, ps.n), replace=False))
 
     def _add(self, picks: np.ndarray) -> None:
-        self.tracker.add_centers(_add_new(self.chosen, picks, self.round_no))
+        for c in _add_new(self.chosen, picks, self.round_no):
+            self.tracker.add_center(c)
 
     def grow(
         self,
@@ -164,7 +167,7 @@ class GreedyRun:
         for spent in range(max_rounds):
             if radius_after_exclusions(self.tracker.mindist, exclusions) <= target:
                 return spent
-            pool = farthest_m(self.tracker, pool_size)
+            pool = farthest_m(self.tracker.mindist, pool_size)
             self.round_no += 1
             self._add(self.rng.choice(pool, size=min(sample_count, pool.size), replace=False))
         return max_rounds
@@ -193,10 +196,17 @@ def two_approx(ps: PointSet, params: ParamSet, rng: np.random.Generator) -> Cent
 def two_approx_boosted(ps: PointSet, params: ParamSet, rng: np.random.Generator) -> CenterSet:
     """Repeat two_approx boost_repetitions(params) times and keep the
     candidate with the smallest relaxed cost, which caps the failure
-    probability at 10%."""
+    probability at 10%.  Raises GuardError up front when repetitions x k
+    exceeds ENUMERATION_GUARD tracker passes."""
+    # ratio ** (k - 1) alone is a lower bound on the repetitions; comparing
+    # it in logs first keeps boost_repetitions from overflowing a float.
+    log_floor = (params.k - 1) * math.log((1.0 + params.eps) / params.eps)
+    reps = math.inf if log_floor > math.log(ENUMERATION_GUARD) else boost_repetitions(params)
+    if reps * params.k > ENUMERATION_GUARD:
+        raise GuardError(f"boosting needs more than {ENUMERATION_GUARD} tracker passes (k={params.k})")
     best: CenterSet | None = None
     best_cost = math.inf
-    for _ in range(boost_repetitions(params)):
+    for _ in range(reps):
         candidate = two_approx(ps, params, rng)
         cost = clustering_cost(ps, candidate, params.z, params.eps).relaxed
         if cost < best_cost:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CenterSet, GuardError, NearestTracker, PointSet, clustering_cost, peel_weight
+from .core import CenterSet, GuardError, NearestTracker, PointSet, _checked_weights, clustering_cost, peel_weight
 
 __all__ = [
     "OracleResult",
@@ -58,17 +58,6 @@ def gonzalez(ps: PointSet, k: int, rng: np.random.Generator | None = None) -> Ce
         tracker.add_center(nxt)
         indices.append(nxt)
     return CenterSet(tuple(indices), tuple(range(1, len(indices) + 1)))
-
-
-def _check_weights(n: int, weights: np.ndarray, z: float) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,) or not np.isfinite(w).all() or (w <= 0).any():
-        raise ValueError("weights must be positive, finite and align with the points")
-    if not 0 <= z < math.inf:
-        raise ValueError("outlier weight budget must be finite and non-negative")
-    if float(w.sum()) <= z:
-        raise ValueError("outlier weight budget consumes the whole instance")
-    return w
 
 
 def _coverage_greedy(
@@ -115,7 +104,7 @@ def charikar_3approx(
         raise ValueError("k must be >= 1")
     if n > _MATRIX_GUARD:
         raise GuardError(f"instance too large for the radius-guessing solver (n={n})")
-    w = _check_weights(n, np.ones(n) if weights is None else weights, z)
+    w = _checked_weights(n, np.ones(n) if weights is None else weights, z)
     dmat = ps.cross_dists(np.arange(n), np.arange(n))
     candidates = _candidate_radii(dmat)
     near = np.empty_like(dmat)
@@ -158,7 +147,7 @@ def brute_force_opt(
     n = ps.n
     if not 1 <= k <= n:
         raise ValueError("k must lie in [1, n]")
-    w = _check_weights(n, np.ones(n) if weights is None else weights, z)
+    w = _checked_weights(n, np.ones(n) if weights is None else weights, z)
     if n > _MATRIX_GUARD:
         raise GuardError(f"instance too large for exhaustive search (n={n})")
     if math.comb(n, k) > ENUMERATION_GUARD:

@@ -182,6 +182,27 @@ def test_cli_guard_exit_code(tmp_path, capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_cli_rho_overflow_falls_back_and_non_finite_rho_exits_2(tmp_path, capsys):
+    base = [
+        "--k", "2",
+        "--z", "2",
+        "--generate", "n=40,clusters=2,dim=2,grid=2,radius=1.0,outliers=2",
+        "--out", str(tmp_path / "r"),
+    ]
+    assert main(["--algo", "coreset", "--rho", "600", *base]) == 0
+    assert main(["--algo", "distributed", "--sites", "2", "--rho", "600", *base]) == 0
+    assert main(["--algo", "coreset", "--rho", "inf", *base]) == 2
+    assert "doubling dimension" in capsys.readouterr().err
+
+
+def test_cli_boosted_two_approx_guard_exit_code(tmp_path, capsys):
+    gen = "n=400,clusters=2,dim=2,grid=2,radius=1.0,outliers=2"
+    for k, eps in (("10", "0.1"), ("200", "0.001")):
+        args = ["--algo", "two_approx", "--k", k, "--z", "2", "--eps", eps, "--generate", gen]
+        assert main([*args, "--out", str(tmp_path / "r")]) == 3
+    assert "guard" in capsys.readouterr().err
+
+
 def test_cli_deterministic_outputs(tmp_path, capsys):
     args = [
         "--algo", "bicriteria,distributed",

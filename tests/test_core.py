@@ -351,7 +351,9 @@ def test_tracker_matches_naive_min(coords, data):
     ps = PointSet.from_coords(np.asarray(coords, dtype=np.float64))
     k = data.draw(st.integers(1, min(3, ps.n)))
     centers = data.draw(st.lists(st.integers(0, ps.n - 1), min_size=k, max_size=k, unique=True))
-    tracker = NearestTracker.over(ps, np.asarray(centers))
+    tracker = NearestTracker(ps)
+    for c in centers:
+        tracker.add_center(c)
     naive = oracles.nearest_dists([tuple(r) for r in ps.coords], centers)
     assert np.allclose(tracker.mindist, naive, rtol=1e-12, atol=0)
     for i, owner in enumerate(tracker.owner.tolist()):

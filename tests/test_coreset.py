@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from robustcenter.core import ParamSet, PointSet, clustering_cost
+from robustcenter.core import NearestTracker, ParamSet, PointSet, clustering_cost
 from robustcenter.coreset import (
     WeightedCoreset,
     build_coreset,
@@ -51,11 +53,20 @@ def planted_400():
 
 
 def check_mapping(ps, cs):
+    """Rebuild the weights from the kept centers, taken in coreset order: a
+    point within map_radius counts for the first kept center at its minimum
+    distance, and every point beyond it is a far entry, in index order."""
     assert cs.total_weight() == ps.n
-    assert cs.assignment is not None
-    targets = ps.coords[cs.indices[cs.assignment]]
-    gaps = np.linalg.norm(ps.coords - targets, axis=1)
-    assert gaps.max() <= cs.meta["map_radius"] + 1e-9
+    kept = cs.indices[: len(cs) - cs.meta["far_count"]].tolist()
+    tracker = NearestTracker(ps)
+    for c in kept:
+        tracker.add_center(c)
+    inside = tracker.mindist <= cs.meta["map_radius"]
+    pos = {c: i for i, c in enumerate(kept)}
+    counts = np.bincount([pos[o] for o in tracker.owner[inside].tolist()], minlength=len(kept))
+    assert counts.tolist() == cs.weights[: len(kept)].tolist()
+    assert cs.indices[len(kept) :].tolist() == np.flatnonzero(~inside).tolist()
+    assert (cs.weights[len(kept) :] == 1).all()
 
 
 def test_fixed_dim_build(planted_400):
@@ -85,6 +96,40 @@ def test_fixed_dim_falls_back_when_budget_exceeds_n():
     assert cs.meta["fallback"]
     assert np.array_equal(cs.indices, np.arange(20))
     assert np.array_equal(cs.weights, np.ones(20, dtype=np.int64))
+
+
+def test_fixed_dim_falls_back_when_budget_overflows():
+    # (2/0.5)^600 overflows a float; the budget is far above n all the same.
+    ps = PointSet.from_coords(np.arange(40.0).reshape(-1, 1))
+    cs = build_coreset(ps, ParamSet(k=2, z=2, n=40), 600.0, np.random.default_rng(0))
+    assert cs.meta["fallback"]
+    assert cs.meta["reason"] == "round budget inf exceeds n=40"
+    assert np.array_equal(cs.weights, np.ones(40, dtype=np.int64))
+
+
+def test_fixed_dim_rejects_non_finite_or_non_positive_dimension():
+    ps = PointSet.from_coords(np.arange(40.0).reshape(-1, 1))
+    for dim in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="doubling dimension"):
+            build_coreset(ps, ParamSet(k=2, z=2, n=40), dim, np.random.default_rng(0))
+
+
+def test_adaptive_reaches_its_target_on_tie_heavy_instances():
+    # Integer coordinates in {0, 1, 2} on 1-3 axes: at most 27 distinct
+    # points, so most instances repeat points and tie on distances.
+    rng = np.random.default_rng(2024)
+    for seed in range(500):
+        n = int(rng.integers(7, 41))
+        coords = rng.integers(0, 3, size=(n, int(rng.integers(1, 4)))).astype(np.float64)
+        ps = PointSet.from_coords(coords)
+        z = int(rng.integers(0, (n - 1) // 6 + 1))
+        mu = float(rng.choice([0.05, 0.25, 0.5, 0.9]))
+        p = ParamSet(k=int(rng.integers(1, n - z)), z=z, n=n, mu=mu)
+        cs = build_coreset_auto(ps, p, np.random.default_rng(seed))
+        assert not cs.meta["fallback"]
+        assert cs.meta["phase2_rounds"] < n
+        assert cs.meta["map_radius"] <= (mu / 2) * cs.meta["phase1_radius"]
+        check_mapping(ps, cs)
 
 
 def test_duplicate_centers_are_dropped():

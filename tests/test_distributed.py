@@ -276,6 +276,13 @@ def test_protocol_argument_validation(planted_120):
         run_protocol(other, ParamSet(k=2, z=4, n=10), instance=inst)
 
 
+@pytest.mark.parametrize("s", [-1, 2.0])
+def test_protocol_rejects_bad_site_count(planted_120, s):
+    ps = planted_120
+    with pytest.raises(ValueError, match="site count"):
+        run_protocol(ps, ParamSet(k=2, z=4, n=ps.n), s=s)
+
+
 def test_protocol_deterministic_for_seed(planted_120):
     ps = planted_120
     params = ParamSet(k=2, z=4, n=ps.n, seed=21)

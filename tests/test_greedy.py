@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from robustcenter.core import ParamSet, PointSet, cost_radius
+from robustcenter.core import GuardError, ParamSet, PointSet, cost_radius
 from robustcenter.generate import GeneratorSpec, planted_instance
 from robustcenter.greedy import (
     bicriteria,
@@ -49,6 +49,16 @@ def test_rounds_override():
 def test_boost_repetitions_frozen():
     # k=3, eps=1, gamma=0.05: ceil(ln 10 * (1/0.95) * 2^2) = 10
     assert boost_repetitions(params_for(3, 1, 20, eps=1.0)) == 10
+
+
+@pytest.mark.parametrize(("k", "eps"), [(10, 0.1), (200, 0.001)])
+def test_boosted_two_approx_guard_trips_before_any_repetition(k, eps):
+    # k=10, eps=0.1 asks for 5,456,658,496 repetitions; at k=200, eps=0.001
+    # the count itself overflows a float.
+    ps = PointSet.from_coords(np.arange(400.0).reshape(-1, 1))
+    with pytest.raises(GuardError, match="tracker passes"):
+        two_approx_boosted(ps, params_for(k, 2, ps.n, eps=eps), np.random.default_rng(0))
+    assert ps.stats.evals == 0
 
 
 def test_sublinear_config_frozen():

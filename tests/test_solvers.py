@@ -160,6 +160,22 @@ def test_weighted_solvers_reject_bad_budgets(solver, z):
         solver(ps, np.ones(4), 1, z)
 
 
+@pytest.mark.parametrize(
+    ("weights", "z", "message"),
+    [
+        pytest.param([1.0, math.nan, 1.0, 1.0], 1, "finite", id="nan-weight"),
+        pytest.param([1.0] * 4, -1, "finite and non-negative", id="negative-budget"),
+    ],
+)
+def test_weighted_cost_raises_the_solvers_weight_messages(weights, z, message):
+    ps = line_ps([0.0, 1.0, 2.0, 5.0])
+    with pytest.raises(ValueError, match=message) as got:
+        weighted_cost(ps, range(4), weights, [0], z)
+    with pytest.raises(ValueError) as want:
+        charikar_3approx(ps, np.asarray(weights), 1, z)
+    assert str(got.value) == str(want.value)
+
+
 def _pairwise(ps):
     return ps.cross_dists(range(ps.n), range(ps.n))
 
