@@ -184,6 +184,8 @@ class PointSet:
         return self.coords.shape[1] if self.mode == "euclidean" else None
 
     def dist(self, i: int, j: int) -> float:
+        _point_index(i, self.n)
+        _point_index(j, self.n)
         self.stats.evals += 1
         if self.mode == "matrix":
             return float(self.dmat[i, j])
@@ -191,6 +193,7 @@ class PointSet:
 
     def dists_from(self, i: int) -> np.ndarray:
         """Distances from point i to every point."""
+        _point_index(i, self.n)
         self.stats.evals += self.n
         if self.mode == "matrix":
             return self.dmat[i].copy()
@@ -198,18 +201,15 @@ class PointSet:
 
     def cross_dists(self, rows: Iterable[int], cols: Iterable[int]) -> np.ndarray:
         """|rows| x |cols| distance block."""
-        r = np.asarray(rows, dtype=np.intp)
-        c = np.asarray(cols, dtype=np.intp)
-        self.stats.evals += int(r.size) * int(c.size)
+        r, c = _point_indices(rows, self.n), _point_indices(cols, self.n)
+        self.stats.evals += r.size * c.size
         if self.mode == "matrix":
             return self.dmat[np.ix_(r, c)].copy()
         return euclidean_dists(self.coords[r][:, None, :], self.coords[c])
 
     def subset(self, indices: Iterable[int]) -> "PointSet":
         """New PointSet restricted to ``indices`` (fresh counter)."""
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.size < 1:
-            raise ValueError("subset must be non-empty")
+        idx = _point_indices(indices, self.n)
         if self.mode == "matrix":
             return PointSet.from_distance_matrix(self.dmat[np.ix_(idx, idx)])
         return PointSet.from_coords(self.coords[idx])
@@ -240,14 +240,17 @@ class ParamSet:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("k", "z", "n", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not 0 <= self.z < self.n:
             raise ValueError("z must satisfy 0 <= z < n")
         if self.k + self.z >= self.n:
             raise ValueError("degenerate instance: k + z must be < n")
-        if self.eps <= 0:
-            raise ValueError("eps must be > 0")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         if not 0 < self.eta < 0.5:
             raise ValueError("eta must lie in (0, 1/2)")
         if not 0 < self.mu < 1:
@@ -321,16 +324,30 @@ def farthest_m(mindist: np.ndarray, m: int) -> np.ndarray:
     return np.sort(np.concatenate([above, at_cut])).astype(np.intp)
 
 
-def _point_indices(ps: PointSet, indices) -> np.ndarray:
-    """Centers or weighted points as non-empty, in-range intp indices."""
+def _is_integer(v) -> bool:
+    """A Python or numpy integer scalar, not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _point_indices(indices, n: int, distinct: bool = False) -> np.ndarray:
+    """The one index rule: a non-empty 1-D integer vector (not bool, not
+    float), every value in [0, n), no repeats when ``distinct``; as intp."""
     idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices))
     if idx.size < 1:
         raise ValueError("need at least one center or point")
-    if idx.dtype.kind not in "iu":
-        raise ValueError(f"center and point indices must be integers, got dtype {idx.dtype}")
-    if idx.min() < 0 or idx.max() >= ps.n:
-        raise ValueError(f"center and point indices must lie in [0, {ps.n})")
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ValueError(f"center and point indices must be a vector of integers, got {idx.ndim}-D {idx.dtype}")
+    if idx.min() < 0 or idx.max() >= n:
+        raise ValueError(f"center and point indices must lie in [0, {n})")
+    if distinct and np.unique(idx).size != idx.size:
+        raise ValueError("center and point indices must be distinct")
     return idx.astype(np.intp, copy=False)
+
+
+def _point_index(i, n: int) -> None:
+    """The same rule for one scalar index, without building an array."""
+    if not (_is_integer(i) and 0 <= i < n):
+        raise ValueError(f"point index must be an integer that lies in [0, {n}), got {i!r}")
 
 
 @dataclass(frozen=True)
@@ -348,7 +365,7 @@ def clustering_cost(ps: PointSet, centers, z: int, eps: float = 0.0) -> Clusteri
     """Strict and relaxed cost of ``centers``, both read from one
     nearest-center tracker (one distance pass per center).  With eps=0 the
     two radii are equal."""
-    idx = _point_indices(ps, centers)
+    idx = _point_indices(centers, ps.n)
     strict, m = relaxed_exclusions(z, 0.0), relaxed_exclusions(z, eps)
     if m >= ps.n:
         raise ValueError("exclusion budget swallows the dataset")
@@ -408,10 +425,9 @@ def _checked_weights(n: int, weights, z: float) -> np.ndarray:
 
 def weighted_cost(ps: PointSet, point_indices, weights, centers, z: float) -> float:
     """Weighted strict cost: the straddler's distance under peel_weight."""
-    idx = _point_indices(ps, point_indices)
+    idx = _point_indices(point_indices, ps.n)
     w = _checked_weights(idx.size, weights, z)
-    cidx = _point_indices(ps, centers)
-    d = ps.cross_dists(idx, cidx).min(axis=1)
+    d = ps.cross_dists(idx, centers).min(axis=1)
     return float(peel_weight(d, w, z)[0])
 
 

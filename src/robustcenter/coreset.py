@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    CenterSet,
     ClusteringEval,
     ParamSet,
     PointSet,
+    _point_indices,
     ceil_count,
     clustering_cost,
     radius_after_exclusions,
@@ -52,14 +52,11 @@ class WeightedCoreset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.intp)
-        w = np.asarray(self.weights, dtype=np.int64)
-        if idx.ndim != 1 or idx.shape != w.shape or idx.size < 1:
-            raise ValueError("indices and weights must be aligned non-empty vectors")
-        if np.unique(idx).size != idx.size:
-            raise ValueError("coreset indices must be distinct")
-        if (w < 1).any():
-            raise ValueError("weights must be positive integers")
+        idx = _point_indices(self.indices, self.source_n, distinct=True)
+        w = np.asarray(self.weights)
+        if w.shape != idx.shape or w.dtype.kind not in "iu" or (w < 1).any():
+            raise ValueError("weights must be positive integers aligned with the indices")
+        w = w.astype(np.int64, copy=False)
         if int(w.sum()) != self.source_n:
             raise ValueError("total weight must equal the source size")
         idx.flags.writeable = False
@@ -75,7 +72,6 @@ class WeightedCoreset:
 
     def cost(self, ps: PointSet, centers, z: float) -> float:
         return weighted_cost(ps, self.indices, self.weights, centers, z)
-
 
 
 @dataclass(frozen=True)
@@ -236,8 +232,4 @@ def compose_with_host(cs: WeightedCoreset, ps: PointSet, params: ParamSet, host)
     """
     sub = ps.subset(cs.indices)
     picks = host(sub, cs.weights, params.k, params.z)
-    local = picks.as_array() if isinstance(picks, CenterSet) else np.asarray(picks, dtype=np.intp)
-    if local.size < 1:
-        raise ValueError("host returned no centers")
-    centers = cs.indices[local]
-    return clustering_cost(ps, centers, params.z, 0.0)
+    return clustering_cost(ps, cs.indices[_point_indices(picks, len(cs))], params.z, 0.0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ParamSet, PointSet
+from .core import ParamSet, PointSet, _is_integer, _point_indices
 from .coreset import WeightedCoreset, _identity_coreset, build_coreset, build_coreset_auto
 
 __all__ = [
@@ -57,18 +57,10 @@ class ShardedInstance:
     shards: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        cleaned = []
-        total = 0
-        for shard in self.shards:
-            idx = np.sort(np.asarray(shard, dtype=np.intp))
-            if idx.size < 1:
-                raise ValueError("shards must be non-empty")
-            if idx[0] < 0 or idx[-1] >= self.ps.n:
-                raise ValueError("shard index out of range")
+        cleaned = [np.sort(_point_indices(shard, self.ps.n)) for shard in self.shards]
+        for idx in cleaned:
             idx.flags.writeable = False
-            cleaned.append(idx)
-            total += idx.size
-        if total != self.ps.n or np.unique(np.concatenate(cleaned)).size != self.ps.n:
+        if sum(idx.size for idx in cleaned) != self.ps.n or np.unique(np.concatenate(cleaned)).size != self.ps.n:
             raise ValueError("shards must partition the point set")
         object.__setattr__(self, "shards", tuple(cleaned))
 
@@ -93,7 +85,7 @@ class ShardedInstance:
         for i, shard in enumerate(shards):
             if not isinstance(shard, list) or any(type(v) is not int for v in shard):
                 raise ValueError(f"shard {i} must be a list of integer indices")
-        return cls(ps=ps, shards=tuple(np.asarray(s, dtype=np.intp) for s in shards))
+        return cls(ps=ps, shards=tuple(shards))
 
 
 @dataclass(frozen=True)
@@ -300,7 +292,7 @@ def run_protocol(
     if instance is not None and instance.ps is not ps:
         raise ValueError("instance must shard the same point set")
     sites = s if instance is None else instance.s
-    if isinstance(sites, bool) or not isinstance(sites, (int, np.integer)) or not 1 <= sites <= ps.n:
+    if not _is_integer(sites) or not 1 <= sites <= ps.n:
         raise ValueError(f"site count must be an integer in [1, {ps.n}], got {sites!r}")
     children = np.random.SeedSequence(params.seed).spawn(sites + 1)
     if instance is None:

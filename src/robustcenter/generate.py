@@ -26,16 +26,13 @@ __all__ = [
 SEPARATION_FACTOR = 20.0
 
 
-def meb_approx(ps: PointSet, iterations: int = 100):
-    """Approximate minimum enclosing ball by repeated drift toward the
-    farthest point with step 1/(i+1); starts at point 0.  Distances use the
-    PointSet kernel's summation order but are not counted: generator work is
-    not algorithm work."""
-    if ps.mode != "euclidean":
-        raise ValueError("minimum enclosing ball needs coordinates")
+def meb_approx(pts: np.ndarray, iterations: int = 100):
+    """Approximate minimum enclosing ball of the rows of ``pts`` by repeated
+    drift toward the farthest point with step 1/(i+1); starts at point 0.
+    Distances use the PointSet kernel's summation order but are not counted:
+    generator work is not algorithm work."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    pts = ps.coords
     center = pts[0].astype(np.float64).copy()
     for i in range(1, iterations + 1):
         far = pts[np.argmax(euclidean_dists(pts, center))]
@@ -156,7 +153,7 @@ def planted_instance(spec: GeneratorSpec, seed: int) -> PlantedInstance:
         analytic = max(analytic, scale * reach)
         offset += count
     if spec.outliers > 0:
-        center, radius = meb_approx(PointSet.from_coords(coords[: spec.n_inliers]))
+        center, radius = meb_approx(coords[: spec.n_inliers])
         coords[spec.n_inliers :] = _uniform_ball(rng, spec.outliers, center, spec.outlier_scale * radius)
     ps = PointSet.from_coords(coords)
     return PlantedInstance(

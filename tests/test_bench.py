@@ -147,6 +147,10 @@ def test_cli_rejects_bad_specs(tmp_path, capsys):
     assert main(["--algo", "gonzalez", "--input", str(tmp_path / "missing.csv"), *base]) == 2
     assert main(["--algo", "nope", "--generate", "n=10,clusters=1,dim=1,grid=1,radius=1.0", *base]) == 2
     assert main(["--algo", "gonzalez", "--generate", "n=10,what=1", *base]) == 2
+    gen = "n=40,clusters=2,dim=2,grid=2,radius=1.0,outliers=2"
+    for eps in ("nan", "inf"):
+        assert main(["--algo", "coreset_auto", "--eps", eps, "--generate", gen, *base]) == 2
+    assert not (tmp_path / "r.jsonl").exists()
     err = capsys.readouterr().err
     assert "error:" in err
 

@@ -21,6 +21,8 @@ from robustcenter.core import (
     weighted_cost,
     NearestTracker,
 )
+from robustcenter.coreset import WeightedCoreset, compose_with_host
+from robustcenter.distributed import ShardedInstance
 
 import oracles
 
@@ -122,10 +124,18 @@ def test_paramset_bounds():
         dict(k=1, z=1, n=5, eps=0.0),
         dict(k=1, z=1, n=5, eta=0.5),
         dict(k=1, z=1, n=5, mu=1.0),
+        dict(k=2.5, z=1, n=10),
+        dict(k=True, z=1, n=10),
+        dict(k=2, z=1.5, n=10),
+        dict(k=2, z=1, n=10.0),
+        dict(k=2, z=1, n=10, seed=1.5),
+        dict(k=2, z=1, n=10, eps=float("nan")),
+        dict(k=2, z=1, n=10, eps=float("inf")),
     ):
         with pytest.raises(ValueError):
             ParamSet(**kwargs)
     assert ParamSet(k=2, z=3, n=30).gamma == pytest.approx(0.1)
+    assert ParamSet(k=np.int64(2), z=np.int32(1), n=np.uint16(10), seed=np.int64(3)).n == 10
 
 
 def test_centerset_validation():
@@ -204,6 +214,64 @@ def test_weighted_cost_checks_point_indices(points):
     ps = line_ps([0.0, 1.0, 5.0])
     with pytest.raises(ValueError, match="point indices"):
         weighted_cost(ps, points, [1, 1], [0], 0)
+
+
+def _coreset_over(ps, idx):
+    # Weights align with idx and add up to n, so only the index rule objects.
+    w = np.ones(np.shape(idx), dtype=np.int64)
+    w.flat[:1] += ps.n - w.sum()
+    return WeightedCoreset(indices=idx, weights=w, source_n=ps.n)
+
+
+def _shards_around(ps, idx):
+    # The other shard holds every point that idx, cast to intp, would miss,
+    # so only the index rule objects.
+    rest = np.setdiff1d(np.arange(ps.n), np.asarray(idx).astype(np.intp).ravel() % ps.n)
+    return ShardedInstance(ps, (idx, rest) if rest.size else (idx,))
+
+
+def _host_returns(ps, idx):
+    return compose_with_host(_coreset_over(ps, np.arange(ps.n)), ps, ParamSet(k=1, z=0, n=ps.n), lambda *_: idx)
+
+
+GATED = {
+    "subset": lambda ps, idx: ps.subset(idx),
+    "cross_dists_rows": lambda ps, idx: ps.cross_dists(idx, [0]),
+    "cross_dists_cols": lambda ps, idx: ps.cross_dists([0], idx),
+    "dist_first": lambda ps, i: ps.dist(i, 0),
+    "dist_second": lambda ps, i: ps.dist(0, i),
+    "dists_from": lambda ps, i: ps.dists_from(i),
+    "coreset_indices": _coreset_over,
+    "shard": _shards_around,
+    "host_picks": _host_returns,
+    "clustering_cost": lambda ps, idx: clustering_cost(ps, idx, 0),
+    "weighted_cost_points": lambda ps, idx: weighted_cost(ps, idx, np.ones(np.shape(idx)), [0], 0),
+    "weighted_cost_centers": lambda ps, idx: weighted_cost(ps, [0, 1, 2], [1, 1, 1], idx, 0),
+}
+SCALAR_ENTRIES = {"dist_first", "dist_second", "dists_from"}
+BAD_INDICES = {
+    "negative": -1,
+    "n": 3,
+    "fraction": 1.5,
+    "bool_array": np.array([False, True]),
+    "empty": [],
+    "two_dim": [[0, 1]],
+}
+
+
+@pytest.mark.parametrize("mode", ["euclidean", "matrix"])
+@pytest.mark.parametrize("bad", BAD_INDICES)
+@pytest.mark.parametrize("entry", GATED)
+def test_every_index_entry_point_rejects_bad_indices(entry, bad, mode):
+    # Each was cast, wrapped or truncated to a valid-looking index somewhere.
+    ps = line_ps([0.0, 1.0, 5.0])
+    if mode == "matrix":
+        ps = PointSet.from_distance_matrix(np.abs(np.subtract.outer(ps.coords[:, 0], ps.coords[:, 0])))
+    idx = BAD_INDICES[bad]
+    if entry not in SCALAR_ENTRIES and np.isscalar(idx):
+        idx = [idx]
+    with pytest.raises(ValueError):
+        GATED[entry](ps, idx)
 
 
 def test_one_cost_call_makes_one_pass_per_center():

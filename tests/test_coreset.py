@@ -155,6 +155,8 @@ def test_coreset_validation():
         WeightedCoreset(indices=np.array([0, 1]), weights=np.array([1, 0]), source_n=1)
     with pytest.raises(ValueError):
         WeightedCoreset(indices=np.array([0, 1]), weights=np.array([2, 2]), source_n=3)
+    with pytest.raises(ValueError, match="integers"):
+        WeightedCoreset(indices=np.array([0, 1]), weights=np.array([1.0, 2.0]), source_n=3)
 
 
 def test_compose_maps_local_picks_to_source_indices():

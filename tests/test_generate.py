@@ -15,14 +15,14 @@ from robustcenter.generate import (
 
 def test_meb_two_points():
     ps = PointSet.from_coords(np.array([[0.0], [2.0]]))
-    center, radius = meb_approx(ps)
+    center, radius = meb_approx(ps.coords)
     assert radius == pytest.approx(1.0, rel=0.05)
     assert center[0] == pytest.approx(1.0, abs=0.05)
 
 
 def test_meb_single_point():
     ps = PointSet.from_coords(np.array([[3.0, 4.0]]))
-    center, radius = meb_approx(ps)
+    center, radius = meb_approx(ps.coords)
     assert radius == 0.0
     assert np.array_equal(center, [3.0, 4.0])
 
@@ -30,7 +30,7 @@ def test_meb_single_point():
 def test_meb_simplex():
     # circumradius of the standard basis simplex is sqrt(1 - 1/d)
     ps = PointSet.from_coords(np.eye(4))
-    _, radius = meb_approx(ps)
+    _, radius = meb_approx(ps.coords)
     assert radius == pytest.approx(np.sqrt(0.75), rel=0.05)
 
 
@@ -47,16 +47,9 @@ def test_meb_is_bit_equal_to_row_wise_norms():
         far = rows[np.argmax(np.linalg.norm(rows - center, axis=1))]
         center += (far - center) / (iterations + 1)
         radius = float(np.linalg.norm(rows - center, axis=1).max())
-        got_center, got_radius = meb_approx(ps, iterations)
+        got_center, got_radius = meb_approx(ps.coords, iterations)
         assert np.array_equal(got_center, center)
         assert got_radius == radius
-    assert ps.stats.evals == 0
-
-
-def test_meb_needs_coordinates():
-    dmat = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
-    with pytest.raises(ValueError):
-        meb_approx(PointSet.from_distance_matrix(dmat))
 
 
 def test_inject_outliers_containment():
@@ -68,7 +61,7 @@ def test_inject_outliers_containment():
     inst = planted_instance(spec, 1)
     assert inst.ps.n == 1010
     assert inst.outlier_indices.tolist() == list(range(1000, 1010))
-    center, radius = meb_approx(PointSet.from_coords(inst.ps.coords[:1000]))
+    center, radius = meb_approx(inst.ps.coords[:1000])
     gaps = np.linalg.norm(inst.ps.coords[inst.outlier_indices] - center, axis=1)
     assert gaps.max() <= 1.1 * radius + 1e-9
 
@@ -79,7 +72,7 @@ def test_inject_outliers_zero_scale_collapses_to_center():
         outlier_scale=0.0,
     )
     inst = planted_instance(spec, 0)
-    center, _ = meb_approx(PointSet.from_coords(inst.ps.coords[:2]))
+    center, _ = meb_approx(inst.ps.coords[:2])
     assert np.allclose(inst.ps.coords[inst.outlier_indices], center)
 
 
