@@ -166,7 +166,7 @@ def _run_one(spec: ExperimentSpec, algo: str, seed: int, loaded: PointSet | None
         rec["coreset_size"] = len(coreset)
         rec["weight_total"] = coreset.total_weight()
         rec["fallback"] = bool(coreset.meta.get("fallback", False))
-        rec["map_radius"] = float(coreset.meta.get("map_radius", 0.0))
+        rec["map_radius"] = float(coreset.meta["map_radius"])
         rec["composed_radius"] = composed.radius
         excluded = composed.excluded
     if protocol is not None:

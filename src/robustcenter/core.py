@@ -39,7 +39,6 @@ __all__ = [
     "peel_weight",
     "weighted_cost",
     "load_points_csv",
-    "load_distance_matrix_csv",
 ]
 
 # Absorbs binary-float fuzz in count formulas: (1 + 0.1) * 10 is
@@ -271,6 +270,8 @@ class CenterSet:
     round_of: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not all(map(_is_integer, (*self.indices, *self.round_of))) or any(i < 0 for i in self.indices):
+            raise ValueError("center indices must be non-negative integers and rounds integers")
         if len(self.indices) != len(self.round_of):
             raise ValueError("indices and round_of must have equal length")
         if len(set(self.indices)) != len(self.indices):
@@ -431,7 +432,8 @@ def weighted_cost(ps: PointSet, point_indices, weights, centers, z: float) -> fl
     return float(peel_weight(d, w, z)[0])
 
 
-def _read_csv_rows(path) -> list[list[float]]:
+def load_points_csv(path) -> PointSet:
+    """One point per line, comma-separated floats, no header."""
     rows: list[list[float]] = []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -445,14 +447,4 @@ def _read_csv_rows(path) -> list[list[float]]:
                 raise ValueError(f"{path}: line {lineno}: ragged row (expected {len(rows[0])} columns)")
     if not rows:
         raise ValueError(f"{path}: no points found")
-    return rows
-
-
-def load_points_csv(path) -> PointSet:
-    """One point per line, comma-separated floats, no header."""
-    return PointSet.from_coords(np.array(_read_csv_rows(path), dtype=np.float64))
-
-
-def load_distance_matrix_csv(path) -> PointSet:
-    """Square symmetric zero-diagonal matrix, one row per line."""
-    return PointSet.from_distance_matrix(np.array(_read_csv_rows(path), dtype=np.float64))
+    return PointSet.from_coords(np.array(rows, dtype=np.float64))

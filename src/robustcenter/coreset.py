@@ -25,7 +25,6 @@ from .core import (
     clustering_cost,
     radius_after_exclusions,
     relaxed_exclusions,
-    weighted_cost,
 )
 from .greedy import GreedyConfig, GreedyRun, greedy_config
 
@@ -70,9 +69,6 @@ class WeightedCoreset:
     def total_weight(self) -> int:
         return int(self.weights.sum())
 
-    def cost(self, ps: PointSet, centers, z: float) -> float:
-        return weighted_cost(ps, self.indices, self.weights, centers, z)
-
 
 @dataclass(frozen=True)
 class UniformSample:
@@ -80,11 +76,10 @@ class UniformSample:
 
     indices: np.ndarray
     z_prime: int
+    source_n: int
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.intp)
-        if np.unique(idx).size != idx.size:
-            raise ValueError("sample indices must be distinct")
+        idx = _point_indices(self.indices, self.source_n, distinct=True)
         if not 0 <= self.z_prime < idx.size:
             raise ValueError("inflated outlier budget must stay below the sample size")
         idx.flags.writeable = False
@@ -121,7 +116,7 @@ def uniform_sample(
             raise ValueError("sample size must lie in [1, n]")
     indices = np.sort(rng.choice(ps.n, size=size, replace=False))
     z_prime = ceil_count((1.0 + params.eps) * params.gamma * size)
-    return UniformSample(indices=indices, z_prime=z_prime)
+    return UniformSample(indices=indices, z_prime=z_prime, source_n=ps.n)
 
 
 def _identity_coreset(ps: PointSet, builder: str, reason: str) -> WeightedCoreset:

@@ -12,7 +12,6 @@ plus weight), or 2 in matrix mode (index plus weight).
 
 from __future__ import annotations
 
-import bisect
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -112,12 +111,6 @@ class SiteProfile:
         if any(b > a for a, b in zip(self.radii, self.radii[1:])):
             raise ValueError("radii must not increase with the budget")
 
-    def h(self, q: int) -> float:
-        """Radius at budget q: the entry of the largest grid budget <= q."""
-        if q < 0:
-            raise ValueError(f"budget {q} is negative")
-        return self.radii[bisect.bisect_right(self.grid, q) - 1]
-
 
 @dataclass
 class CommLedger:
@@ -154,8 +147,6 @@ class ProtocolResult:
     decision: ThresholdDecision
     profiles: tuple[SiteProfile, ...]
     ledger: CommLedger
-    grid: tuple[int, ...]
-    instance: ShardedInstance
 
 
 def site_round_one(
@@ -258,7 +249,7 @@ def assemble(
         [shard[cs.indices] for shard, cs in zip(instance.shards, site_coresets)]
     )
     weights = np.concatenate([cs.weights for cs in site_coresets])
-    far_total = sum(int(cs.meta.get("far_count", 0)) for cs in site_coresets)
+    far_total = sum(int(cs.meta["far_count"]) for cs in site_coresets)
     return WeightedCoreset(
         indices=indices,
         weights=weights,
@@ -269,7 +260,7 @@ def assemble(
             "threshold_value": decision.value,
             "threshold_site": decision.site,
             "far_count": far_total,
-            "map_radius": max(float(cs.meta.get("map_radius", 0.0)) for cs in site_coresets),
+            "map_radius": max(float(cs.meta["map_radius"]) for cs in site_coresets),
         },
     )
 
@@ -332,6 +323,4 @@ def run_protocol(
         decision=decision,
         profiles=profiles,
         ledger=ledger,
-        grid=tuple(grid),
-        instance=instance,
     )

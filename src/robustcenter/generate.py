@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointSet, euclidean_dists
+from .core import PointSet, _is_integer, euclidean_dists
 
 __all__ = [
     "GeneratorSpec",
@@ -69,6 +69,9 @@ class GeneratorSpec:
     outlier_scale: float = 3.0
 
     def __post_init__(self) -> None:
+        for name in ("n_inliers", "clusters", "dim", "grid_dim", "outliers"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_inliers < 1 or not 1 <= self.clusters <= self.n_inliers:
             raise ValueError("need 1 <= clusters <= n_inliers")
         if not 1 <= self.grid_dim <= self.dim:
@@ -84,8 +87,6 @@ class GeneratorSpec:
 @dataclass(frozen=True)
 class PlantedInstance:
     ps: PointSet
-    spec: GeneratorSpec
-    seed: int
     center_indices: np.ndarray
     outlier_indices: np.ndarray
     analytic_radius: float
@@ -158,8 +159,6 @@ def planted_instance(spec: GeneratorSpec, seed: int) -> PlantedInstance:
     ps = PointSet.from_coords(coords)
     return PlantedInstance(
         ps=ps,
-        spec=spec,
-        seed=seed,
         center_indices=np.asarray(center_indices, dtype=np.intp),
         outlier_indices=np.arange(spec.n_inliers, ps.n, dtype=np.intp),
         analytic_radius=float(analytic),

@@ -120,6 +120,14 @@ def lattice_reference(count: int, grid_dim: int):
     return offsets[:count]
 
 
+def radius_at(profile, q: int) -> float:
+    """A site's reported radius at budget q: the entry of its largest grid
+    budget <= q."""
+    if q < 0:
+        raise ValueError(f"budget {q} is negative")
+    return [r for g, r in zip(profile.grid, profile.radii) if g <= q][-1]
+
+
 def minimax_oracle(profiles, z: int) -> float:
     """Exhaustive min over budget allocations summing to at most 2z of the
     worst reported site radius."""
@@ -130,7 +138,7 @@ def minimax_oracle(profiles, z: int) -> float:
     for alloc in itertools.product(range(z + 1), repeat=s):
         if sum(alloc) > 2 * z:
             continue
-        worst = max(p.h(q) for p, q in zip(profiles, alloc))
+        worst = max(radius_at(p, q) for p, q in zip(profiles, alloc))
         if best is None or worst < best:
             best = worst
     if best is None:
@@ -152,7 +160,7 @@ def coordinator_reference(profiles, z: int):
         raise ValueError("need at least one site")
     if 2 * z + 1 > s * (z + 1):
         raise ValueError("rank 2z+1 exceeds the s(z+1) available pairs")
-    pairs = [(p.h(q), p.site_id) for p in profiles for q in range(z + 1)]
+    pairs = [(radius_at(p, q), p.site_id) for p in profiles for q in range(z + 1)]
     pairs.sort(reverse=True)
     t_value, t_site = pairs[2 * z]
     budgets = []
@@ -162,7 +170,7 @@ def coordinator_reference(profiles, z: int):
             chosen = next(q for q, r in zip(grid, p.radii) if r == t_value)
         else:
             chosen = next(
-                (q for q in grid if (p.h(q), p.site_id) < (t_value, t_site)), grid[-1]
+                (q for q in grid if (radius_at(p, q), p.site_id) < (t_value, t_site)), grid[-1]
             )
         budgets.append(int(chosen))
     return ThresholdDecision(value=float(t_value), site=int(t_site), budgets=tuple(budgets))

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from robustcenter.core import ParamSet, PointSet, ceil_count, clustering_cost, cost_radius
+from robustcenter.core import ParamSet, PointSet, ceil_count, clustering_cost, cost_radius, weighted_cost
 from robustcenter.coreset import (
     build_coreset,
     build_coreset_auto,
@@ -199,7 +199,7 @@ def _sandwich_hits(ps, p, far_cap, build, mu_slack=1.0):
         for _ in range(100):
             H = h_rng.choice(ps.n, size=p.k, replace=False)
             base = clustering_cost(ps, H, p.z, 0.0).radius
-            if abs(cs.cost(ps, H, p.z) - base) > mu_slack * p.mu * base + 1e-9:
+            if abs(weighted_cost(ps, cs.indices, cs.weights, H, p.z) - base) > mu_slack * p.mu * base + 1e-9:
                 good = False
                 break
         hits += good
@@ -248,7 +248,7 @@ def test_07_composed_solver_stays_within_bound(exact20):
         for _ in range(100):
             H = h_rng.choice(ps.n, size=p.k, replace=False)
             base = clustering_cost(ps, H, p.z, 0.0).radius
-            if abs(cs.cost(ps, H, p.z) - base) > p.mu * base + 1e-9:
+            if abs(weighted_cost(ps, cs.indices, cs.weights, H, p.z) - base) > p.mu * base + 1e-9:
                 good = False
                 break
         if good:
@@ -304,7 +304,7 @@ def test_09_protocol_budget_threshold_and_accuracy():
         p = ParamSet(k=k, z=z, n=ps.n, eta=eta, mu=mu, seed=seed)
         res = run_protocol(ps, p, s=sites, doubling_dim=1.0)
         budget_ok = budget_ok and sum(res.decision.budgets) <= 2 * z
-        reported = max(pr.h(b) for pr, b in zip(res.profiles, res.decision.budgets))
+        reported = max(oracles.radius_at(pr, b) for pr, b in zip(res.profiles, res.decision.budgets))
         minimax_ok = minimax_ok and reported == oracles.minimax_oracle(res.profiles, z)
         cs = res.coreset
         machinery = len(cs) - cs.meta["far_count"]
@@ -314,7 +314,7 @@ def test_09_protocol_budget_threshold_and_accuracy():
         for _ in range(100):
             H = h_rng.choice(ps.n, size=k, replace=False)
             base = clustering_cost(ps, H, z, 0.0).radius
-            if abs(cs.cost(ps, H, z) - base) > 2 * mu * base + 1e-9:
+            if abs(weighted_cost(ps, cs.indices, cs.weights, H, z) - base) > 2 * mu * base + 1e-9:
                 good = False
                 break
         hits += good

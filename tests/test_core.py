@@ -14,14 +14,13 @@ from robustcenter.core import (
     cost_radius,
     euclidean_dists,
     farthest_m,
-    load_distance_matrix_csv,
     load_points_csv,
     peel_weight,
     relaxed_exclusions,
     weighted_cost,
     NearestTracker,
 )
-from robustcenter.coreset import WeightedCoreset, compose_with_host
+from robustcenter.coreset import UniformSample, WeightedCoreset, compose_with_host
 from robustcenter.distributed import ShardedInstance
 
 import oracles
@@ -145,6 +144,10 @@ def test_centerset_validation():
         CenterSet((1, 1), (1, 2))
     with pytest.raises(ValueError):
         CenterSet((1, 2), (2, 1))
+    # as_array() would truncate or wrap each of these.
+    for indices, rounds in (((1.5,), (1,)), ((True,), (1,)), ((-1,), (1,)), ((1,), (1.0,)), ((1,), (False,))):
+        with pytest.raises(ValueError, match="integers"):
+            CenterSet(indices, rounds)
 
 
 def test_relaxed_exclusion_counts():
@@ -242,6 +245,7 @@ GATED = {
     "dist_second": lambda ps, i: ps.dist(0, i),
     "dists_from": lambda ps, i: ps.dists_from(i),
     "coreset_indices": _coreset_over,
+    "sample_indices": lambda ps, idx: UniformSample(idx, 0, ps.n),
     "shard": _shards_around,
     "host_picks": _host_returns,
     "clustering_cost": lambda ps, idx: clustering_cost(ps, idx, 0),
@@ -451,9 +455,6 @@ def test_csv_loaders(tmp_path):
     nan.write_text("0.0,nan\n1.0,2.0\n")
     with pytest.raises(ValueError):
         load_points_csv(nan)
-    mat = tmp_path / "mat.csv"
-    mat.write_text("0.0,1.0\n1.0,0.0\n")
-    assert load_distance_matrix_csv(mat).mode == "matrix"
 
 
 def test_content_hash_tracks_values_and_mode():

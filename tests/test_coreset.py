@@ -29,6 +29,7 @@ def test_uniform_sample_budget_and_shape():
     assert s.indices.size == 12
     assert np.all(np.diff(s.indices) > 0)
     assert s.z_prime == 3  # ceil(2 * 0.1 * 12)
+    assert s.source_n == 20
 
 
 def test_uniform_sample_rejects_degenerate_setups():

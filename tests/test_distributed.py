@@ -36,13 +36,6 @@ def profile(site_id, grid, values):
 
 
 def test_site_profile_lookup():
-    f = profile(0, (0, 2, 4), (5.0, 3.0, 1.0))
-    assert f.h(0) == 5.0
-    assert f.h(1) == 5.0
-    assert f.h(3) == 3.0
-    assert f.h(99) == 1.0
-    with pytest.raises(ValueError):
-        f.h(-1)
     with pytest.raises(ValueError, match="strictly increase"):
         profile(0, (0, 0), (2.0, 1.0))
     with pytest.raises(ValueError, match="aligned"):
@@ -70,7 +63,7 @@ def test_coordinator_worked_example():
     assert d.site == 0
     assert d.budgets == (1, 1)
     assert oracles.minimax_oracle(profiles, 1) == 3.0
-    assert max(p.h(b) for p, b in zip(profiles, d.budgets)) == 3.0
+    assert max(oracles.radius_at(p, b) for p, b in zip(profiles, d.budgets)) == 3.0
 
 
 def test_coordinator_all_zero_radii():
@@ -88,7 +81,7 @@ def test_coordinator_ignores_grid_budgets_above_z():
     d = coordinator_threshold(profiles, z=1)
     assert d.budgets == (1, 0)
     assert d == oracles.coordinator_reference(profiles, 1)
-    assert max(p.h(b) for p, b in zip(profiles, d.budgets)) == oracles.minimax_oracle(profiles, 1)
+    assert max(oracles.radius_at(p, b) for p, b in zip(profiles, d.budgets)) == oracles.minimax_oracle(profiles, 1)
 
 
 def test_coordinator_rank_bound():
@@ -149,7 +142,7 @@ def test_coordinator_matches_pair_ranking_reference(case):
     assert sum(d.budgets) <= 2 * z
     assert max(d.budgets) <= z
     if (z + 1) ** len(profiles) <= MINIMAX_ALLOCATIONS:
-        got = max(p.h(b) for p, b in zip(profiles, d.budgets))
+        got = max(oracles.radius_at(p, b) for p, b in zip(profiles, d.budgets))
         assert got == oracles.minimax_oracle(profiles, z)
 
 
@@ -218,7 +211,7 @@ def planted_120():
 
 
 def check_protocol(ps, result, params):
-    grid = set(result.grid)
+    grid = set(result.profiles[0].grid)
     d = result.decision
     assert all(b in grid for b in d.budgets)
     assert sum(d.budgets) <= 2 * params.z
@@ -229,12 +222,12 @@ def check_protocol(ps, result, params):
         assert all(b >= a for a, b in zip(p.radii[1:], p.radii))
     directions = [ph["direction"] for ph in result.ledger.phases]
     assert directions == ["sites_to_coordinator", "broadcast", "sites_to_coordinator"]
-    s = result.instance.s
-    assert result.ledger.phases[0]["floats"] == 2 * len(result.grid) * s
+    s = len(result.profiles)
+    assert result.ledger.phases[0]["floats"] == 2 * len(result.profiles[0].grid) * s
     assert result.ledger.phases[1]["floats"] == 2 * s
     per_point = (ps.dim + 1) if ps.dim is not None else 2
     assert result.ledger.phases[2]["floats"] == len(cs) * per_point
-    got = max(p.h(b) for p, b in zip(result.profiles, d.budgets))
+    got = max(oracles.radius_at(p, b) for p, b in zip(result.profiles, d.budgets))
     assert got == oracles.minimax_oracle(result.profiles, params.z)
 
 
@@ -299,5 +292,5 @@ def test_protocol_random_runs_meet_guarantees(planted_120):
         params = ParamSet(k=2, z=4, n=ps.n, seed=seed)
         result = run_protocol(ps, params, s=4)
         assert sum(result.decision.budgets) <= 2 * params.z
-        got = max(p.h(b) for p, b in zip(result.profiles, result.decision.budgets))
+        got = max(oracles.radius_at(p, b) for p, b in zip(result.profiles, result.decision.budgets))
         assert got == oracles.minimax_oracle(result.profiles, params.z)

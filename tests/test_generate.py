@@ -128,6 +128,18 @@ def test_spec_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "name, value", [("n_inliers", 10.5), ("clusters", 2.5), ("dim", 2.0), ("grid_dim", True), ("outliers", 1.5)]
+)
+def test_spec_rejects_non_integer_counts(name, value):
+    # Unchecked, a float count fails later in the lattice arithmetic with a
+    # bare TypeError, or plants silently.
+    kwargs = dict(n_inliers=10, clusters=2, dim=2, grid_dim=2, cluster_radius=1.0, outliers=1)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=name):
+        GeneratorSpec(**kwargs)
+
+
 @pytest.mark.parametrize("grid_dim", [1, 2, 3, 4, 5])
 def test_lattice_matches_full_cube_enumeration(grid_dim):
     # Every count up to 5**grid_dim (capped at 3,125), plus the counts just
