@@ -264,10 +264,19 @@ class ParamSet:
 
 @dataclass(frozen=True)
 class CenterSet:
-    """Selected center indices plus the round that added each one."""
+    """Selected center indices plus the round that added each one.
+
+    A set built by ``_from_tracker`` also carries, outside its fields, a
+    read-only copy of the tracker's distances and the PointSet they were
+    computed over, so ``clustering_cost`` on that same PointSet makes no
+    second pass.  Equality, hashing, repr and ``dataclasses.replace`` see
+    only the fields, and a replaced or rebuilt set carries nothing.
+    """
 
     indices: tuple[int, ...]
     round_of: tuple[int, ...]
+    _mindist = None
+    _source = None
 
     def __post_init__(self) -> None:
         if not all(map(_is_integer, (*self.indices, *self.round_of))) or any(i < 0 for i in self.indices):
@@ -288,21 +297,33 @@ class CenterSet:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=np.intp)
 
+    @classmethod
+    def _from_tracker(cls, tracker: "NearestTracker", round_of: tuple[int, ...]) -> "CenterSet":
+        """The tracker's centers, in insertion order, carrying its distances."""
+        cs = cls(tuple(tracker.centers), round_of)
+        mindist = tracker.mindist.copy()
+        mindist.flags.writeable = False
+        object.__setattr__(cs, "_mindist", mindist)
+        object.__setattr__(cs, "_source", tracker.ps)
+        return cs
+
 
 class NearestTracker:
     """Per-point distance to the nearest selected center, updated on insert.
 
     Insertion order breaks ownership ties: a later center takes a point only
-    on strict improvement.
+    on strict improvement.  ``centers`` lists the inserted centers in order.
     """
 
     def __init__(self, ps: PointSet):
         self.ps = ps
         self.mindist = np.full(ps.n, np.inf)
         self.owner = np.full(ps.n, -1, dtype=np.intp)
+        self.centers: list[int] = []
 
     def add_center(self, c: int) -> None:
         d = self.ps.dists_from(c)
+        self.centers.append(c)
         better = d < self.mindist
         self.owner[better] = c
         np.minimum(self.mindist, d, out=self.mindist)
@@ -364,19 +385,29 @@ class ClusteringEval:
 
 def clustering_cost(ps: PointSet, centers, z: int, eps: float = 0.0) -> ClusteringEval:
     """Strict and relaxed cost of ``centers``, both read from one
-    nearest-center tracker (one distance pass per center).  With eps=0 the
-    two radii are equal."""
+    nearest-center distance vector.  A CenterSet that a full-data tracker run
+    over this same PointSet object built is scored from that run's distances;
+    any other input takes one distance pass per center.  With eps=0 the two
+    radii are equal."""
     idx = _point_indices(centers, ps.n)
     strict, m = relaxed_exclusions(z, 0.0), relaxed_exclusions(z, eps)
     if m >= ps.n:
         raise ValueError("exclusion budget swallows the dataset")
+    if isinstance(centers, CenterSet) and centers._source is ps:
+        return _evaluate(centers._mindist, strict, m)
     tracker = NearestTracker(ps)
     for c in idx.tolist():
         tracker.add_center(c)
+    return _evaluate(tracker.mindist, strict, m)
+
+
+def _evaluate(mindist: np.ndarray, strict: int, m: int) -> ClusteringEval:
+    """The one evaluator: radii after dropping ``strict`` and ``m`` points,
+    and the ``strict`` farthest points as the excluded set."""
     return ClusteringEval(
-        radius_after_exclusions(tracker.mindist, strict),
-        radius_after_exclusions(tracker.mindist, m),
-        frozenset(farthest_m(tracker.mindist, strict).tolist()) if strict else frozenset(),
+        radius_after_exclusions(mindist, strict),
+        radius_after_exclusions(mindist, m),
+        frozenset(farthest_m(mindist, strict).tolist()) if strict else frozenset(),
     )
 
 

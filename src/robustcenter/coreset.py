@@ -70,7 +70,7 @@ class WeightedCoreset:
         return int(self.weights.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniformSample:
     """Uniform subsample plus the inflated outlier budget to use on it."""
 
@@ -144,7 +144,7 @@ def _weigh_centers(run: GreedyRun, exclusions: int, meta: dict) -> WeightedCores
     radius = radius_after_exclusions(tracker.mindist, exclusions)
     inside = tracker.mindist <= radius
     far = np.flatnonzero(~inside)
-    cidx = run.centers().as_array()
+    cidx = np.fromiter(run.chosen, dtype=np.intp, count=len(run.chosen))
     pos_of = np.full(ps.n, -1, dtype=np.intp)
     pos_of[cidx] = np.arange(cidx.size)
     counts = np.bincount(pos_of[tracker.owner[inside]], minlength=cidx.size)

@@ -173,7 +173,9 @@ class GreedyRun:
         return max_rounds
 
     def centers(self) -> CenterSet:
-        return CenterSet(tuple(self.chosen), tuple(self.chosen.values()))
+        """The picks so far, carrying the tracker's distances for
+        ``clustering_cost`` on this run's PointSet."""
+        return CenterSet._from_tracker(self.tracker, tuple(self.chosen.values()))
 
 
 def bicriteria(ps: PointSet, cfg: GreedyConfig, rng: np.random.Generator) -> CenterSet:
@@ -196,14 +198,16 @@ def two_approx(ps: PointSet, params: ParamSet, rng: np.random.Generator) -> Cent
 def two_approx_boosted(ps: PointSet, params: ParamSet, rng: np.random.Generator) -> CenterSet:
     """Repeat two_approx boost_repetitions(params) times and keep the
     candidate with the smallest relaxed cost, which caps the failure
-    probability at 10%.  Raises GuardError up front when repetitions x k
-    exceeds ENUMERATION_GUARD tracker passes."""
+    probability at 10%.  Each candidate is scored from its own run's
+    distances, so the boost makes repetitions x k tracker passes (fewer only
+    when a run covers every point early); raises GuardError up front when
+    that count exceeds ENUMERATION_GUARD."""
     # ratio ** (k - 1) alone is a lower bound on the repetitions; comparing
     # it in logs first keeps boost_repetitions from overflowing a float.
     log_floor = (params.k - 1) * math.log((1.0 + params.eps) / params.eps)
     reps = math.inf if log_floor > math.log(ENUMERATION_GUARD) else boost_repetitions(params)
     if reps * params.k > ENUMERATION_GUARD:
-        raise GuardError(f"boosting needs more than {ENUMERATION_GUARD} tracker passes (k={params.k})")
+        raise GuardError(f"boosting needs repetitions x k={params.k} tracker passes, more than {ENUMERATION_GUARD}")
     best: CenterSet | None = None
     best_cost = math.inf
     for _ in range(reps):

@@ -43,21 +43,19 @@ def gonzalez(ps: PointSet, k: int, rng: np.random.Generator | None = None) -> Ce
 
     The start point is uniform when an rng is given and index 0 otherwise;
     every later pick is the point farthest from the chosen set, lower index
-    winning ties.
+    winning ties.  The result carries the traversal's distances for
+    ``clustering_cost`` on ``ps``.
     """
     if not 1 <= k <= ps.n:
         raise ValueError("k must lie in [1, n]")
     start = int(rng.integers(ps.n)) if rng is not None else 0
     tracker = NearestTracker(ps)
     tracker.add_center(start)
-    indices = [start]
     for _ in range(k - 1):
         if float(tracker.mindist.max()) == 0.0:
             break
-        nxt = int(np.argmax(tracker.mindist))
-        tracker.add_center(nxt)
-        indices.append(nxt)
-    return CenterSet(tuple(indices), tuple(range(1, len(indices) + 1)))
+        tracker.add_center(int(np.argmax(tracker.mindist)))
+    return CenterSet._from_tracker(tracker, tuple(range(1, len(tracker.centers) + 1)))
 
 
 def _coverage_greedy(

@@ -7,7 +7,9 @@ import pytest
 from robustcenter import bench
 from robustcenter.bench import ExperimentSpec, run_experiment
 from robustcenter.cli import main, parse_generator
+from robustcenter.core import CenterSet, ParamSet
 from robustcenter.generate import GeneratorSpec
+from robustcenter.greedy import boost_repetitions
 
 SMALL = GeneratorSpec(
     n_inliers=56, clusters=2, dim=2, grid_dim=2, cluster_radius=1.0, outliers=4
@@ -27,6 +29,29 @@ def test_run_records_and_aggregates():
     a, b = aggregates
     assert a["count"] == b["count"] == 1
     assert a["instance_hash"] == b["instance_hash"] is not None
+
+
+def test_full_tracker_records_equal_tracker_scoring(monkeypatch):
+    spec = ExperimentSpec(
+        algos=("bicriteria", "gonzalez", "two_approx"), k=2, z=4, seeds=tuple(range(5)), source=SMALL
+    )
+    carried, _ = run_experiment(spec)
+    # Without carried distances every center set is scored by a fresh
+    # tracker, and the boost spends one more pass per center on scoring.
+    monkeypatch.setattr(
+        CenterSet, "_from_tracker", classmethod(lambda cls, tracker, round_of: cls(tuple(tracker.centers), round_of))
+    )
+    rescored, _ = run_experiment(spec)
+    assert len(carried) == len(rescored) == 15
+    for a, b in zip(carried, rescored):
+        a, b = dict(a), dict(b)
+        del a["wall_time_s"], b["wall_time_s"]
+        assert {"cost_strict", "cost_relaxed", "outlier_recall"} <= a.keys()
+        if a["algo"] == "two_approx":
+            reps = boost_repetitions(ParamSet(k=2, z=4, n=a["n"], seed=a["seed"]))
+            assert a.pop("dist_evals") == reps * 2 * a["n"]
+            assert b.pop("dist_evals") == 2 * reps * 2 * a["n"]
+        assert a == b
 
 
 def test_aggregate_hash_none_when_instances_differ():

@@ -5,6 +5,7 @@ import pytest
 
 from robustcenter.core import NearestTracker, ParamSet, PointSet, clustering_cost
 from robustcenter.coreset import (
+    UniformSample,
     WeightedCoreset,
     build_coreset,
     build_coreset_auto,
@@ -30,6 +31,12 @@ def test_uniform_sample_budget_and_shape():
     assert np.all(np.diff(s.indices) > 0)
     assert s.z_prime == 3  # ceil(2 * 0.1 * 12)
     assert s.source_n == 20
+
+
+def test_uniform_sample_compares_by_identity():
+    a, b = UniformSample([0, 1], 0, 3), UniformSample([0, 2], 0, 3)
+    assert a != b and a == a
+    assert isinstance(hash(a), int)
 
 
 def test_uniform_sample_rejects_degenerate_setups():

@@ -2,14 +2,26 @@
 sampling behavior is checked."""
 
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from robustcenter.core import GuardError, ParamSet, PointSet, cost_radius
+from robustcenter.core import (
+    CenterSet,
+    DistanceStats,
+    GuardError,
+    ParamSet,
+    PointSet,
+    clustering_cost,
+    cost_radius,
+    relaxed_exclusions,
+)
 from robustcenter.generate import GeneratorSpec, planted_instance
 from robustcenter.greedy import (
     bicriteria,
+    GreedyRun,
     boost_repetitions,
     greedy_config,
     sublinear_bicriteria,
@@ -17,7 +29,7 @@ from robustcenter.greedy import (
     two_approx,
     two_approx_boosted,
 )
-from robustcenter.solvers import brute_force_opt
+from robustcenter.solvers import brute_force_opt, gonzalez
 
 
 def params_for(k, z, n, **kw):
@@ -181,3 +193,85 @@ def test_config_math_is_self_consistent():
     c = 2 + (2 / (5 * 0.9)) * math.log(10)
     assert cfg.round_constant == pytest.approx(c, rel=1e-12)
     assert cfg.rounds == math.ceil(c * 5 / 0.9 - 1e-9)
+
+
+def test_boost_scores_each_candidate_from_its_own_run():
+    ps = PointSet.from_coords(np.random.default_rng(7).normal(size=(60, 2)))
+    p = params_for(3, 2, ps.n, eps=1.0)
+    reps = boost_repetitions(p)
+    for seed in range(5):
+        before = ps.stats.evals
+        cs = two_approx_boosted(ps, p, np.random.default_rng(seed))
+        # k passes per repetition, none of them to score the candidate.
+        assert ps.stats.evals - before == reps * p.k * ps.n
+        # The same candidates, each scored by a fresh tracker; the first
+        # smallest relaxed cost wins.
+        rng = np.random.default_rng(seed)
+        candidates = [two_approx(ps, p, rng) for _ in range(reps)]
+        costs = [clustering_cost(ps, c.indices, p.z, p.eps).relaxed for c in candidates]
+        assert cs == candidates[int(np.argmin(costs))]
+
+
+def test_carried_distances_stay_outside_the_fields():
+    ps = PointSet.from_coords(np.random.default_rng(1).normal(size=(30, 2)))
+    cs = two_approx(ps, params_for(3, 2, ps.n), np.random.default_rng(0))
+    plain = CenterSet(cs.indices, cs.round_of)
+    assert cs == plain and hash(cs) == hash(plain) and repr(cs) == repr(plain)
+    assert asdict(cs) == asdict(plain) == {"indices": cs.indices, "round_of": cs.round_of}
+    assert cs._source is ps and not cs._mindist.flags.writeable
+    assert replace(cs)._source is None and plain._mindist is None
+
+
+def test_centers_taken_mid_run_keep_their_own_distances():
+    ps = PointSet.from_coords(np.random.default_rng(2).normal(size=(50, 2)))
+    run = GreedyRun(ps, np.random.default_rng(0), 2)
+    early = run.centers()
+    run.grow(4, 2, 3)
+    assert len(run.centers()) > len(early)
+    assert clustering_cost(ps, early, 3, 1.0) == clustering_cost(ps, early.indices, 3, 1.0)
+
+
+def _tracker_scored(ps, centers, z, eps):
+    """clustering_cost that must take one distance pass per center."""
+    before = ps.stats.evals
+    got = clustering_cost(ps, centers, z, eps)
+    assert ps.stats.evals - before == len(centers) * ps.n
+    return got
+
+
+# Few distinct cells make duplicate points and tied distances common.
+tie_heavy_coords = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=6, max_size=18)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coords=tie_heavy_coords, mode=st.sampled_from(["euclidean", "matrix"]), data=st.data())
+def test_carried_cost_equals_the_tracker_oracle(coords, mode, data):
+    ps = PointSet.from_coords(np.asarray(coords, dtype=np.float64))
+    if mode == "matrix":
+        ps = PointSet.from_distance_matrix(ps.cross_dists(np.arange(ps.n), np.arange(ps.n)))
+    k = data.draw(st.integers(1, 3))
+    z = data.draw(st.integers(0, ps.n - k - 1))
+    eps = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    assume(relaxed_exclusions(z, eps) < ps.n)
+    params = params_for(k, z, ps.n, eps=data.draw(st.sampled_from([0.5, 1.0])))
+    seed = data.draw(st.integers(0, 2**16))
+    perm = data.draw(st.permutations(range(ps.n)))
+    runs = (
+        bicriteria(ps, greedy_config(params), np.random.default_rng(seed)),
+        two_approx(ps, params, np.random.default_rng(seed)),
+        gonzalez(ps, k, np.random.default_rng(seed)),
+    )
+    for cs in runs:
+        # A plain tuple carries nothing, so it is scored by a fresh tracker.
+        oracle = _tracker_scored(ps, cs.indices, z, eps)
+        before = ps.stats.evals
+        assert clustering_cost(ps, cs, z, eps) == oracle
+        assert ps.stats.evals == before
+        # A replaced set, a subset and a copy with its own counter each take
+        # the tracker path.
+        moved = replace(cs, indices=tuple(range(len(cs))))
+        assert _tracker_scored(ps, moved, z, eps) == clustering_cost(ps, moved.indices, z, eps)
+        sub = ps.subset(perm)
+        assert _tracker_scored(sub, cs, z, eps) == clustering_cost(sub, cs.indices, z, eps)
+        fresh = replace(ps, stats=DistanceStats())
+        assert _tracker_scored(fresh, cs, z, eps) == oracle
