@@ -25,6 +25,7 @@ __all__ = [
 
 ENUMERATION_GUARD = 2_000_000
 _MATRIX_GUARD = 4_000  # full pairwise block above this is not desk-scale
+_STRIP_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -58,19 +59,51 @@ def gonzalez(ps: PointSet, k: int, rng: np.random.Generator | None = None) -> Ce
     return CenterSet._from_tracker(tracker, tuple(range(1, len(tracker.centers) + 1)))
 
 
+def _pairwise_block(ps: PointSet) -> np.ndarray:
+    # The n x n distance block with each unordered pair evaluated once:
+    # strips of up to 256 rows of the upper triangle, diagonal included,
+    # mirrored below it.  Distances are exactly symmetric, so the block
+    # equals ps.cross_dists(arange(n), arange(n)) bit for bit.
+    n = ps.n
+    dmat = np.empty((n, n))
+    for s in range(0, n, _STRIP_ROWS):
+        e = min(s + _STRIP_ROWS, n)
+        strip = ps.cross_dists(np.arange(s, e), np.arange(s, n))
+        dmat[s:e, s:] = strip
+        dmat[e:, s:e] = strip[:, e - s :].T
+    return dmat
+
+
+def _guard_pairwise(n: int, bytes_per_pair: int, what: str) -> None:
+    if n > _MATRIX_GUARD:
+        raise GuardError(
+            f"instance too large for {what} (n={n} > {_MATRIX_GUARD}): its n x n blocks "
+            f"would need {n * n * bytes_per_pair} bytes ({bytes_per_pair} per pair)"
+        )
+
+
+def _coverage_dtype(w: np.ndarray) -> type:
+    # Integer weights totalling below 2**24 keep every float32 score an exact
+    # integer, so argmax, ties and leftovers equal float64's.
+    if float(w.sum()) < 2**24 and np.array_equal(w, np.floor(w)):
+        return np.float32
+    return np.float64
+
+
 def _coverage_greedy(
-    dmat: np.ndarray, near: np.ndarray, w: np.ndarray, k: int, r: float
+    dmat: np.ndarray, mask: np.ndarray, cover: np.ndarray, w: np.ndarray, k: int, r: float
 ) -> tuple[list[int], float]:
     # Pick the point covering the most uncovered weight within r, then mark
-    # everything within 3r covered.  ``near`` is the caller's n x n float64
-    # scratch, refilled here with the 0/1 coverage matrix of radius r, so the
-    # scores are one float matrix-vector product per pick.  Returns picks and
-    # leftover weight.
-    np.less_equal(dmat, r, out=near)
+    # everything within 3r covered.  ``mask`` (bool) and ``cover`` (w's
+    # dtype) are the caller's n x n scratch: the compare lands in the mask and
+    # one cast copy makes the 0/1 coverage matrix, so the scores are one
+    # matrix-vector product per pick.  Returns picks and leftover weight.
+    np.less_equal(dmat, r, out=mask)
+    np.copyto(cover, mask)
     uncovered = w.copy()
     picks: list[int] = []
     for _ in range(k):
-        scores = near @ uncovered
+        scores = cover @ uncovered
         best = int(np.argmax(scores))
         if scores[best] <= 0.0:
             break
@@ -81,8 +114,14 @@ def _coverage_greedy(
 
 def _candidate_radii(dmat: np.ndarray) -> np.ndarray:
     # The block is exactly symmetric with a zero diagonal, so its upper
-    # triangle, diagonal included, holds zero and every distinct distance.
-    return np.unique(dmat[~np.tri(dmat.shape[0], k=-1, dtype=bool)])
+    # triangle, diagonal included, holds zero and every distinct distance:
+    # sort those rows once and keep the first value of each run.
+    vals = np.concatenate([dmat[i, i:] for i in range(dmat.shape[0])])
+    vals.sort()
+    first = np.empty(vals.size, dtype=bool)
+    first[0] = True
+    np.not_equal(vals[1:], vals[:-1], out=first[1:])
+    return vals[first]
 
 
 def charikar_3approx(
@@ -92,31 +131,35 @@ def charikar_3approx(
 
     Binary-searches the sorted pairwise distances for the smallest radius
     guess whose coverage greedy leaves at most z weight uncovered, and returns
-    the picks of that guess.  Intended for coreset-scale inputs: besides the
-    float64 pairwise block it holds one float64 n x n coverage matrix, refilled
-    at each guess.  The picks equal those of the pure-Python search in
-    ``tests/oracles.py`` (``charikar_reference``), bit for bit.
+    the picks of that guess.  Intended for coreset-scale inputs (up to 4,000
+    points): each unordered pair is evaluated once, and the host holds
+    8 + 1 + 4 bytes per pair (the float64 pairwise block, a bool mask and a
+    float32 coverage matrix), or 8 + 1 + 8 when a weight is not an integer or
+    the total reaches 2**24.  The picks equal those of the pure-Python search
+    in ``tests/oracles.py`` (``charikar_reference``), bit for bit.
     """
     n = ps.n
     if k < 1:
         raise ValueError("k must be >= 1")
-    if n > _MATRIX_GUARD:
-        raise GuardError(f"instance too large for the radius-guessing solver (n={n})")
     w = _checked_weights(n, np.ones(n) if weights is None else weights, z)
-    dmat = ps.cross_dists(np.arange(n), np.arange(n))
+    dtype = _coverage_dtype(w)
+    _guard_pairwise(n, 8 + 1 + np.dtype(dtype).itemsize, "the radius-guessing solver")
+    w = w.astype(dtype)
+    dmat = _pairwise_block(ps)
     candidates = _candidate_radii(dmat)
-    near = np.empty_like(dmat)
+    mask = np.empty((n, n), dtype=bool)
+    cover = np.empty((n, n), dtype=dtype)
     picks: list[int] | None = None
     lo, hi = -1, candidates.size - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        found, leftover = _coverage_greedy(dmat, near, w, k, float(candidates[mid]))
+        found, leftover = _coverage_greedy(dmat, mask, cover, w, k, float(candidates[mid]))
         if leftover <= z:
             hi, picks = mid, found
         else:
             lo = mid
     if picks is None:  # no guess below the largest distance was feasible
-        picks, leftover = _coverage_greedy(dmat, near, w, k, float(candidates[hi]))
+        picks, leftover = _coverage_greedy(dmat, mask, cover, w, k, float(candidates[hi]))
         if leftover > z:
             raise RuntimeError("largest pairwise distance must be feasible")
     return CenterSet(tuple(picks), tuple(range(1, len(picks) + 1)))
@@ -146,11 +189,10 @@ def brute_force_opt(
     if not 1 <= k <= n:
         raise ValueError("k must lie in [1, n]")
     w = _checked_weights(n, np.ones(n) if weights is None else weights, z)
-    if n > _MATRIX_GUARD:
-        raise GuardError(f"instance too large for exhaustive search (n={n})")
+    _guard_pairwise(n, 8, "exhaustive search")
     if math.comb(n, k) > ENUMERATION_GUARD:
         raise GuardError(f"enumeration budget exceeded: C({n},{k}) > {ENUMERATION_GUARD}")
-    dmat = ps.cross_dists(np.arange(n), np.arange(n))
+    dmat = _pairwise_block(ps)
     best_r, best_combo, best_whole = math.inf, None, 0
     for combos in _combo_batches(n, k, max(64, (1 << 21) // max(1, k * n))):
         radii, whole = peel_weight(dmat[combos].min(axis=1), w, z)

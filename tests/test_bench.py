@@ -54,6 +54,16 @@ def test_full_tracker_records_equal_tracker_scoring(monkeypatch):
         assert a == b
 
 
+def test_charikar_record_counts_each_pair_once():
+    # 600 points: strips of 256, 256 and 88 rows over the upper triangle,
+    # 256*600 + 256*344 + 88*88 evaluations, against 600**2 for the full block.
+    source = GeneratorSpec(n_inliers=590, clusters=3, dim=2, grid_dim=2, cluster_radius=1.0, outliers=10)
+    spec = ExperimentSpec(algos=("charikar",), k=3, z=10, seeds=(0,), source=source)
+    (rec,), _ = run_experiment(spec)
+    assert rec["n"] == 600
+    assert rec["dist_evals"] == 249_408
+
+
 def test_aggregate_hash_none_when_instances_differ():
     spec = ExperimentSpec(algos=("gonzalez",), k=2, z=4, seeds=(0, 1, 2), source=SMALL)
     _, aggregates = run_experiment(spec)

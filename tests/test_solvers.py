@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robustcenter.core import GuardError, PointSet, cost_radius, weighted_cost
-from robustcenter.solvers import _candidate_radii, brute_force_opt, charikar_3approx, gonzalez
+from robustcenter.solvers import (
+    _candidate_radii,
+    _coverage_dtype,
+    _pairwise_block,
+    brute_force_opt,
+    charikar_3approx,
+    gonzalez,
+)
 
 import oracles
 
@@ -76,6 +83,23 @@ def test_brute_force_guards():
     huge = PointSet.from_coords(np.arange(4100, dtype=np.float64)[:, None])
     with pytest.raises(GuardError):
         brute_force_opt(huge, 1, 0)
+
+
+@pytest.mark.parametrize(
+    ("weights", "per_pair"),
+    [pytest.param(None, 13, id="unit-float32"), pytest.param(0.5, 17, id="real-float64")],
+)
+def test_charikar_guard_names_the_bytes_of_its_blocks(weights, per_pair):
+    # 4,001 points: the float64 block, the bool mask and the coverage matrix
+    # would need 4001**2 * (8 + 1 + 4 or 8) bytes.
+    n = 4_001
+    ps = PointSet.from_coords(np.arange(n, dtype=np.float64)[:, None])
+    w = None if weights is None else np.full(n, weights)
+    with pytest.raises(GuardError, match=rf"n={n} > 4000\): .* {n * n * per_pair} bytes \({per_pair} per pair\)"):
+        charikar_3approx(ps, w, 1, 0)
+    assert ps.stats.evals == 0
+    with pytest.raises(GuardError, match=rf" {n * n * 8} bytes \(8 per pair\)"):
+        brute_force_opt(ps, 1, 0)
 
 
 def test_gonzalez_frozen_line():
@@ -219,6 +243,62 @@ def test_charikar_matches_reference_search_seeded():
         total = n if weights is None else sum(weights)
         z = int(rng.integers(0, total // 3 + 1))
         _assert_matches_reference(ps, weights, 1 + trial % 4, z)
+
+
+@pytest.mark.parametrize("matrix", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+def test_pairwise_block_evaluates_each_pair_once(n, matrix, monkeypatch):
+    rng = np.random.default_rng(n)
+    ps = PointSet.from_coords(rng.normal(scale=5.0, size=(n, 3)))
+    if matrix:
+        ps = PointSet.from_distance_matrix(_pairwise(ps))
+    full = _pairwise(ps)
+    shapes = []
+    cross_dists = PointSet.cross_dists
+
+    def recording(self, rows, cols):
+        block = cross_dists(self, rows, cols)
+        shapes.append(block.shape)
+        return block
+
+    monkeypatch.setattr(PointSet, "cross_dists", recording)
+    before = ps.stats.evals
+    got = _pairwise_block(ps)
+    assert got.dtype == np.float64 and got.shape == (n, n)
+    assert np.array_equal(got.view(np.uint64), full.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), got.T.view(np.uint64))
+    assert len(shapes) == -(-n // 256)
+    evals = ps.stats.evals - before
+    assert evals == sum(r * c for r, c in shapes)
+    # Each unordered pair once, plus the mirrored half of each strip's
+    # leading square.
+    assert evals == n * (n + 1) // 2 + sum(r * (r - 1) // 2 for r, _ in shapes)
+
+
+def test_coverage_dtype_is_float32_only_for_exact_integer_scores():
+    assert _coverage_dtype(np.ones(5)) is np.float32
+    assert _coverage_dtype(np.array([2.0**24 - 2, 1.0])) is np.float32
+    assert _coverage_dtype(np.array([2.0**24 - 1, 1.0])) is np.float64
+    assert _coverage_dtype(np.array([3.0, 2.5, 1.0])) is np.float64
+
+
+def test_charikar_scores_stay_exact_at_the_float32_boundary():
+    # Integer weights totalling 2**25 + 1: at radius 1, point 1 covers
+    # 2**24 + 1 and point 0 covers 2**24, which float32 rounds to a tie that
+    # point 0 would win, and its leftover 2**24 + 1 would round into z.
+    ps = line_ps([0.0, 100.0, 101.0])
+    w = [2**24, 2**24, 1]
+    _assert_matches_reference(ps, w, 1, 2**24)
+    assert charikar_3approx(ps, np.asarray(w), 1, 2**24).indices == (1,)
+
+
+def test_charikar_real_weights_below_float32_resolution():
+    # Weights 1 and 1 + 2**-30 round to the same float32 value; only float64
+    # tells them apart.
+    ps = line_ps([0.0, 100.0])
+    w = [1.0, 1.0 + 2.0**-30]
+    got = charikar_3approx(ps, np.asarray(w), 1, 1.0 + 2.0**-31)
+    assert got.indices == oracles.charikar_reference(_pairwise(ps).tolist(), w, 1, 1.0 + 2.0**-31) == (1,)
 
 
 @pytest.mark.parametrize("matrix", [False, True])
