@@ -41,6 +41,8 @@ __all__ = [
     "load_points_csv",
 ]
 
+# Entries in one kernel temporary, and the budget of one tracker block.
+_CHUNK = 1 << 17
 # Absorbs binary-float fuzz in count formulas: (1 + 0.1) * 10 is
 # 11.000000000000002 in doubles and must count as 11, not 12.
 _CEIL_SLACK = 1e-9
@@ -111,21 +113,31 @@ def _dists_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 def euclidean_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances between a and b over their last (coordinate) axis.
 
-    The first axis of ``a`` indexes the result's rows and ``b`` has fewer
-    axes than ``a``; the axes in between broadcast.  Squared differences are
-    summed axis by axis in numpy's pairwise order, so the result equals
+    Either ``a`` holds rows (rows x D) and ``b`` one point (D), giving one
+    distance per row; or ``a`` holds rows as (rows x 1 x D) and ``b`` points
+    (cols x D), giving a rows x cols block.  Squared differences are summed
+    axis by axis in numpy's pairwise order, so the result equals
     np.sqrt(((a - b)**2).sum(-1)) on row-major operands bit for bit.  Counts
     nothing.
     """
-    if b.ndim >= a.ndim:
-        raise ValueError("b must have fewer axes than a, whose first axis indexes the rows")
-    shape = np.broadcast(a, b).shape
-    out = np.empty(shape[:-1])
-    # Row chunks keep each (D x chunk) temporary near 1 MB, small enough to
-    # stay in cache between the passes over it.
-    step = max(1, (1 << 17) // max(1, shape[-1] * math.prod(shape[1:-1])))
-    for s in range(0, shape[0], step):
-        _dists_into(a[s : s + step], b, out[s : s + step])
+    if b.ndim != a.ndim - 1 or a.ndim not in (2, 3) or (a.ndim == 3 and a.shape[1] != 1):
+        raise ValueError("pass rows (rows x D) and one point (D), or rows (rows x 1 x D) and points (cols x D)")
+    dim = a.shape[-1]
+    if a.ndim == 2:
+        out = np.empty(a.shape[0])
+        step = max(1, _CHUNK // dim)
+        for s in range(0, out.size, step):
+            _dists_into(a[s : s + step], b, out[s : s + step])
+        return out
+    # Chunks over both axes keep each (D x rows x cols) temporary within
+    # _CHUNK entries, about 1 MB, small enough to stay in cache between the
+    # passes over it.
+    out = np.empty((a.shape[0], b.shape[0]))
+    cstep = max(1, min(b.shape[0], _CHUNK // dim))
+    rstep = max(1, _CHUNK // (dim * cstep))
+    for s in range(0, out.shape[0], rstep):
+        for t in range(0, out.shape[1], cstep):
+            _dists_into(a[s : s + rstep], b[t : t + cstep], out[s : s + rstep, t : t + cstep])
     return out
 
 
@@ -190,13 +202,20 @@ class PointSet:
             return float(self.dmat[i, j])
         return float(euclidean_dists(self.coords[i : i + 1], self.coords[j])[0])
 
-    def dists_from(self, i: int) -> np.ndarray:
-        """Distances from point i to every point."""
-        _point_index(i, self.n)
-        self.stats.evals += self.n
+    def dists_from(self, i) -> np.ndarray:
+        """Distances from point i to every point; for a 1-D index vector i,
+        one such row per index."""
+        if np.ndim(i) == 0:
+            _point_index(i, self.n)
+            self.stats.evals += self.n
+            if self.mode == "matrix":
+                return self.dmat[i].copy()
+            return euclidean_dists(self.coords, self.coords[i])
+        idx = _point_indices(i, self.n)
+        self.stats.evals += idx.size * self.n
         if self.mode == "matrix":
-            return self.dmat[i].copy()
-        return euclidean_dists(self.coords, self.coords[i])
+            return self.dmat[idx]
+        return euclidean_dists(self.coords[idx][:, None, :], self.coords)
 
     def cross_dists(self, rows: Iterable[int], cols: Iterable[int]) -> np.ndarray:
         """|rows| x |cols| distance block."""
@@ -313,6 +332,9 @@ class NearestTracker:
 
     Insertion order breaks ownership ties: a later center takes a point only
     on strict improvement.  ``centers`` lists the inserted centers in order.
+    Centers are evaluated in ``dists_from`` blocks of at most
+    max(1, _CHUNK // n) rows: a block holds at most 2**17 distances (1 MiB),
+    or one n-length row when n is larger.
     """
 
     def __init__(self, ps: PointSet):
@@ -321,12 +343,23 @@ class NearestTracker:
         self.owner = np.full(ps.n, -1, dtype=np.intp)
         self.centers: list[int] = []
 
-    def add_center(self, c: int) -> None:
-        d = self.ps.dists_from(c)
-        self.centers.append(c)
-        better = d < self.mindist
-        self.owner[better] = c
-        np.minimum(self.mindist, d, out=self.mindist)
+    def add_center(self, c) -> None:
+        """Insert center c, or each center of the sequence c in order."""
+        idx = np.atleast_1d(c)
+        step = max(1, _CHUNK // self.ps.n)
+        # An empty c still makes one call, so the index rule rejects it.
+        for s in range(0, max(1, idx.size), step):
+            self._fold(idx[s : s + step])
+
+    def _fold(self, block: np.ndarray) -> None:
+        # A lone center takes the one-point pass, the cheaper form.  The rows
+        # die on return, so the next block's pass never overlaps them.
+        rows = self.ps.dists_from(block) if block.size != 1 else [self.ps.dists_from(block[0])]
+        for center, row in zip(block.tolist(), rows):
+            better = row < self.mindist
+            self.owner[better] = center
+            np.minimum(self.mindist, row, out=self.mindist)
+        self.centers.extend(block.tolist())
 
 
 def farthest_m(mindist: np.ndarray, m: int) -> np.ndarray:
@@ -336,14 +369,18 @@ def farthest_m(mindist: np.ndarray, m: int) -> np.ndarray:
     partition selection.
     """
     n = mindist.shape[0]
-    if not 0 < m <= n:
-        raise ValueError(f"m must lie in [1, {n}], got {m}")
+    if not (_is_integer(m) and 0 < m <= n):
+        raise ValueError(f"m must be an integer in [1, {n}], got {m!r}")
     if m == n:
         return np.arange(n, dtype=np.intp)
     cut = np.partition(mindist, n - m)[n - m]
-    above = np.flatnonzero(mindist > cut)
-    at_cut = np.flatnonzero(mindist == cut)[: m - above.size]
-    return np.sort(np.concatenate([above, at_cut])).astype(np.intp)
+    picked = np.flatnonzero(mindist >= cut)
+    extra = picked.size - m
+    if extra:
+        # Ties straddle the cut: drop the highest-index points at the cut.
+        at_cut = np.flatnonzero(mindist[picked] == cut)
+        picked = np.delete(picked, at_cut[at_cut.size - extra :])
+    return picked
 
 
 def _is_integer(v) -> bool:
@@ -396,8 +433,7 @@ def clustering_cost(ps: PointSet, centers, z: int, eps: float = 0.0) -> Clusteri
     if isinstance(centers, CenterSet) and centers._source is ps:
         return _evaluate(centers._mindist, strict, m)
     tracker = NearestTracker(ps)
-    for c in idx.tolist():
-        tracker.add_center(c)
+    tracker.add_center(idx)
     return _evaluate(tracker.mindist, strict, m)
 
 
@@ -419,6 +455,8 @@ def cost_radius(ps: PointSet, centers, z: int, eps: float = 0.0) -> float:
 def radius_after_exclusions(mindist: np.ndarray, m: int) -> float:
     """(m+1)-th largest tracked distance; the value is tie-order independent."""
     n = mindist.shape[0]
+    if not (_is_integer(m) and m >= 0):
+        raise ValueError(f"exclusion count must be a non-negative integer, got {m!r}")
     if m >= n:
         raise ValueError("exclusion budget swallows the dataset")
     if m == 0:

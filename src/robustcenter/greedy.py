@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _CHUNK,
     CenterSet,
     GuardError,
     NearestTracker,
@@ -29,7 +30,6 @@ from .core import (
     ceil_count,
     clustering_cost,
     farthest_m,
-    radius_after_exclusions,
     relaxed_exclusions,
 )
 from .solvers import ENUMERATION_GUARD
@@ -147,8 +147,9 @@ class GreedyRun:
         self._add(rng.choice(ps.n, size=min(init_sample, ps.n), replace=False))
 
     def _add(self, picks: np.ndarray) -> None:
-        for c in _add_new(self.chosen, picks, self.round_no):
-            self.tracker.add_center(c)
+        new = _add_new(self.chosen, picks, self.round_no)
+        if new:
+            self.tracker.add_center(new)
 
     def grow(
         self,
@@ -162,14 +163,18 @@ class GreedyRun:
         the pool_size farthest; stop once the radius after dropping the
         ``exclusions`` farthest points is <= target (by default: once every
         point is covered).  Returns the number of rounds run."""
+        if exclusions >= self.ps.n:
+            raise ValueError("exclusion budget swallows the dataset")
         # z = 0 would empty the pool; clamp so rounds still make progress.
         pool_size = min(max(1, pool_size), self.ps.n)
         for spent in range(max_rounds):
-            if radius_after_exclusions(self.tracker.mindist, exclusions) <= target:
+            # The radius after dropping the farthest ``exclusions`` points is
+            # <= target exactly when at most that many points lie beyond it.
+            if np.count_nonzero(self.tracker.mindist > target) <= exclusions:
                 return spent
             pool = farthest_m(self.tracker.mindist, pool_size)
             self.round_no += 1
-            self._add(self.rng.choice(pool, size=min(sample_count, pool.size), replace=False))
+            self._add(pool[self.rng.choice(pool.size, size=min(sample_count, pool.size), replace=False)])
         return max_rounds
 
     def centers(self) -> CenterSet:
@@ -230,7 +235,8 @@ def sublinear_bicriteria(
     the current centers and keeps the take_per_round farthest sampled points.
 
     No tracker over the full set is maintained; a round evaluates exactly
-    |sample| * |centers| distances, independent of n.
+    |sample| * |centers| distances, independent of n, in row blocks of at
+    most 2**17 distances each.
     """
     n = ps.n
     chosen: dict[int, int] = {}
@@ -240,7 +246,13 @@ def sublinear_bicriteria(
     for j in range(2, cfg.rounds + 1):
         before = ps.stats.evals
         sample = rng.choice(n, size=draw, replace=False)
-        dists = ps.cross_dists(sample, list(chosen)).min(axis=1)
+        # Row blocks of at most _CHUNK distances: a round never holds the
+        # whole draw x |centers| block.
+        cols = np.fromiter(chosen, dtype=np.intp, count=len(chosen))
+        step = max(1, _CHUNK // cols.size)
+        dists = np.empty(draw)
+        for s in range(0, draw, step):
+            dists[s : s + step] = ps.cross_dists(sample[s : s + step], cols).min(axis=1)
         if stats is not None:
             stats.setdefault("round_dist_evals", []).append(ps.stats.evals - before)
         if float(dists.max()) == 0.0:

@@ -2,7 +2,9 @@
 
 Everything here avoids numpy on purpose: distances go through math.dist and
 selection is done with sorted() so the two code paths share nothing beyond
-float64 arithmetic.
+float64 arithmetic.  The greedy reference is the one exception: to replay a
+run bit for bit it draws from numpy's random stream and takes each center's
+distances from the library's one-point pass.
 """
 
 import itertools
@@ -66,6 +68,51 @@ def farthest_by_sort(dists, m: int):
     """Indices of the m largest values, low index first on ties, ascending."""
     order = sorted(range(len(dists)), key=lambda i: (-dists[i], i))
     return sorted(order[:m])
+
+
+class OneAtATimeTracker:
+    """Nearest-center distances and owners: one ``dists_from`` pass per
+    center, folded point by point; a later center takes a point only on
+    strict improvement."""
+
+    def __init__(self, ps):
+        self.ps = ps
+        self.mindist = [math.inf] * ps.n
+        self.owner = [-1] * ps.n
+
+    def add_center(self, c: int) -> None:
+        for i, d in enumerate(self.ps.dists_from(c).tolist()):
+            if d < self.mindist[i]:
+                self.mindist[i], self.owner[i] = d, c
+
+
+class GreedyReference:
+    """GreedyRun replayed one center at a time: the stop test and the pool
+    come from sorting, and each round draws from the pool list itself."""
+
+    def __init__(self, ps, rng, init_sample: int):
+        self.rng = rng
+        self.tracker = OneAtATimeTracker(ps)
+        self.chosen = {}
+        self.round_no = 1
+        self._add(rng.choice(ps.n, size=min(init_sample, ps.n), replace=False))
+
+    def _add(self, picks) -> None:
+        for p in picks.tolist():
+            if p not in self.chosen:
+                self.chosen[p] = self.round_no
+                self.tracker.add_center(p)
+
+    def grow(self, pool_size, sample_count, max_rounds, exclusions=0, target=0.0) -> int:
+        mindist = self.tracker.mindist
+        pool_size = min(max(1, pool_size), len(mindist))
+        for spent in range(max_rounds):
+            if sorted(mindist, reverse=True)[exclusions] <= target:
+                return spent
+            pool = farthest_by_sort(mindist, pool_size)
+            self.round_no += 1
+            self._add(self.rng.choice(pool, size=min(sample_count, len(pool)), replace=False))
+        return max_rounds
 
 
 def _coverage_greedy(dist_rows, weights, k: int, r: float):

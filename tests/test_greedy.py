@@ -2,6 +2,7 @@
 sampling behavior is checked."""
 
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -18,6 +19,9 @@ from robustcenter.core import (
     cost_radius,
     relaxed_exclusions,
 )
+import robustcenter.coreset as coreset
+import robustcenter.greedy as greedy
+from robustcenter.coreset import build_coreset, build_coreset_auto
 from robustcenter.generate import GeneratorSpec, planted_instance
 from robustcenter.greedy import (
     bicriteria,
@@ -30,6 +34,8 @@ from robustcenter.greedy import (
     two_approx_boosted,
 )
 from robustcenter.solvers import brute_force_opt, gonzalez
+
+import oracles
 
 
 def params_for(k, z, n, **kw):
@@ -173,6 +179,100 @@ def test_sublinear_counts_independent_of_n():
         counts[ps.n] = stats["round_dist_evals"]
     a, b = counts.values()
     assert a == b
+
+
+def _sublinear_run(ps, p, seed):
+    stats = {}
+    cs = sublinear_bicriteria(ps, greedy_config(p), sublinear_config(p), np.random.default_rng(seed), stats=stats)
+    return cs.indices, cs.round_of, stats
+
+
+@pytest.mark.parametrize("mode", ["euclidean", "matrix"])
+def test_sublinear_row_blocks_leave_centers_and_counts_unchanged(mode, monkeypatch):
+    ps = planted_instance(
+        GeneratorSpec(n_inliers=290, clusters=3, dim=2, grid_dim=2, cluster_radius=1.0, outliers=10), 2
+    ).ps
+    if mode == "matrix":
+        ps = PointSet.from_distance_matrix(ps.cross_dists(np.arange(ps.n), np.arange(ps.n)))
+    p = params_for(3, 10, ps.n, eps=0.5)
+    whole = [_sublinear_run(ps, p, seed) for seed in range(10)]
+    # Seven distances per block score every sampled point on its own.
+    monkeypatch.setattr(greedy, "_CHUNK", 7)
+    assert [_sublinear_run(ps, p, seed) for seed in range(10)] == whole
+
+
+def test_sublinear_scorer_memory_stays_bounded():
+    # The whole draw x centers block was 20,000 x 1,298 doubles (208 MB).
+    ps = PointSet.from_coords(np.random.default_rng(0).uniform(0, 100, size=(20_000, 2)))
+    p = params_for(5, 10, ps.n, eps=0.1)
+    tracemalloc.start()
+    try:
+        cs = sublinear_bicriteria(ps, greedy_config(p), sublinear_config(p), np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cs) > 1000
+    assert peak < 8 << 20
+
+
+class _RecordedRun(GreedyRun):
+    """A GreedyRun that keeps its starting random state and its grow calls."""
+
+    runs: list = []
+
+    def __init__(self, ps, rng, init_sample):
+        self.start = (rng.bit_generator.state, init_sample)
+        self.calls = []
+        super().__init__(ps, rng, init_sample)
+        _RecordedRun.runs.append(self)
+
+    def grow(self, *args, **kwargs):
+        spent = super().grow(*args, **kwargs)
+        self.calls.append((args, kwargs, spent))
+        return spent
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coords=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=8, max_size=30),
+    mode=st.sampled_from(["euclidean", "matrix"]),
+    data=st.data(),
+)
+def test_greedy_run_matches_the_one_center_reference(coords, mode, data):
+    # Duplicate points and tied distances are common on 16 cells.
+    ps = PointSet.from_coords(np.asarray(coords, dtype=np.float64))
+    if mode == "matrix":
+        ps = PointSet.from_distance_matrix(ps.cross_dists(np.arange(ps.n), np.arange(ps.n)))
+    k = data.draw(st.integers(1, 3))
+    z = data.draw(st.integers(0, (ps.n - 1) // 6))
+    p = params_for(k, z, ps.n, eps=data.draw(st.sampled_from([0.25, 1.0])))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    _RecordedRun.runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greedy, "GreedyRun", _RecordedRun)
+        mp.setattr(coreset, "GreedyRun", _RecordedRun)
+        cs = bicriteria(ps, greedy_config(p), np.random.default_rng(seed))
+        build_coreset(ps, p, data.draw(st.sampled_from([0.5, 1.0])), np.random.default_rng(seed))
+        build_coreset_auto(ps, p, np.random.default_rng(seed))
+    assert len(_RecordedRun.runs) >= 2
+    for run in _RecordedRun.runs:
+        state, init_sample = run.start
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
+        ref = oracles.GreedyReference(ps, rng, init_sample)
+        for args, kwargs, spent in run.calls:
+            assert ref.grow(*args, **kwargs) == spent
+        assert list(run.chosen.items()) == list(ref.chosen.items())
+        assert run.tracker.mindist.tobytes() == np.array(ref.tracker.mindist).tobytes()
+        assert run.tracker.owner.tolist() == ref.tracker.owner
+    first = _RecordedRun.runs[0]
+    assert cs.indices == tuple(first.chosen) and cs.round_of == tuple(first.chosen.values())
+
+
+def test_grow_rejects_an_exclusion_budget_that_swallows_the_dataset():
+    run = GreedyRun(PointSet.from_coords(np.arange(5.0)), np.random.default_rng(0), 1)
+    with pytest.raises(ValueError, match="swallows"):
+        run.grow(1, 1, 3, exclusions=5)
 
 
 def test_sublinear_deterministic():
