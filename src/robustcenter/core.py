@@ -41,8 +41,6 @@ __all__ = [
     "load_points_csv",
 ]
 
-# Entries in one kernel temporary, and the budget of one tracker block.
-_CHUNK = 1 << 17
 # Absorbs binary-float fuzz in count formulas: (1 + 0.1) * 10 is
 # 11.000000000000002 in doubles and must count as 11, not 12.
 _CEIL_SLACK = 1e-9
@@ -113,31 +111,21 @@ def _dists_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 def euclidean_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances between a and b over their last (coordinate) axis.
 
-    Either ``a`` holds rows (rows x D) and ``b`` one point (D), giving one
-    distance per row; or ``a`` holds rows as (rows x 1 x D) and ``b`` points
-    (cols x D), giving a rows x cols block.  Squared differences are summed
-    axis by axis in numpy's pairwise order, so the result equals
+    The first axis of ``a`` indexes the result's rows and ``b`` has fewer
+    axes than ``a``; the axes in between broadcast.  Squared differences are
+    summed axis by axis in numpy's pairwise order, so the result equals
     np.sqrt(((a - b)**2).sum(-1)) on row-major operands bit for bit.  Counts
     nothing.
     """
-    if b.ndim != a.ndim - 1 or a.ndim not in (2, 3) or (a.ndim == 3 and a.shape[1] != 1):
-        raise ValueError("pass rows (rows x D) and one point (D), or rows (rows x 1 x D) and points (cols x D)")
-    dim = a.shape[-1]
-    if a.ndim == 2:
-        out = np.empty(a.shape[0])
-        step = max(1, _CHUNK // dim)
-        for s in range(0, out.size, step):
-            _dists_into(a[s : s + step], b, out[s : s + step])
-        return out
-    # Chunks over both axes keep each (D x rows x cols) temporary within
-    # _CHUNK entries, about 1 MB, small enough to stay in cache between the
-    # passes over it.
-    out = np.empty((a.shape[0], b.shape[0]))
-    cstep = max(1, min(b.shape[0], _CHUNK // dim))
-    rstep = max(1, _CHUNK // (dim * cstep))
-    for s in range(0, out.shape[0], rstep):
-        for t in range(0, out.shape[1], cstep):
-            _dists_into(a[s : s + rstep], b[t : t + cstep], out[s : s + rstep, t : t + cstep])
+    if b.ndim >= a.ndim:
+        raise ValueError("b must have fewer axes than a, whose first axis indexes the rows")
+    shape = np.broadcast(a, b).shape
+    out = np.empty(shape[:-1])
+    # Row chunks keep each (D x chunk) temporary near 1 MB, small enough to
+    # stay in cache between the passes over it.
+    step = max(1, (1 << 17) // max(1, shape[-1] * math.prod(shape[1:-1])))
+    for s in range(0, shape[0], step):
+        _dists_into(a[s : s + step], b, out[s : s + step])
     return out
 
 
@@ -202,20 +190,13 @@ class PointSet:
             return float(self.dmat[i, j])
         return float(euclidean_dists(self.coords[i : i + 1], self.coords[j])[0])
 
-    def dists_from(self, i) -> np.ndarray:
-        """Distances from point i to every point; for a 1-D index vector i,
-        one such row per index."""
-        if np.ndim(i) == 0:
-            _point_index(i, self.n)
-            self.stats.evals += self.n
-            if self.mode == "matrix":
-                return self.dmat[i].copy()
-            return euclidean_dists(self.coords, self.coords[i])
-        idx = _point_indices(i, self.n)
-        self.stats.evals += idx.size * self.n
+    def dists_from(self, i: int) -> np.ndarray:
+        """Distances from point i to every point."""
+        _point_index(i, self.n)
+        self.stats.evals += self.n
         if self.mode == "matrix":
-            return self.dmat[idx]
-        return euclidean_dists(self.coords[idx][:, None, :], self.coords)
+            return self.dmat[i].copy()
+        return euclidean_dists(self.coords, self.coords[i])
 
     def cross_dists(self, rows: Iterable[int], cols: Iterable[int]) -> np.ndarray:
         """|rows| x |cols| distance block."""
@@ -224,6 +205,30 @@ class PointSet:
         if self.mode == "matrix":
             return self.dmat[np.ix_(r, c)].copy()
         return euclidean_dists(self.coords[r][:, None, :], self.coords[c])
+
+    def nearest_dists(self, rows: Iterable[int], cols: Iterable[int]) -> np.ndarray:
+        """Distance from each row point to its nearest col point: the row
+        minima of cross_dists(rows, cols), counted the same, computed in row
+        blocks so the whole |rows| x |cols| block never exists."""
+        r, c = _point_indices(rows, self.n), _point_indices(cols, self.n)
+        self.stats.evals += r.size * c.size
+        out = np.empty(r.size)
+        if self.mode == "matrix":
+            step = max(1, (1 << 17) // c.size)
+            for s in range(0, r.size, step):
+                self.dmat[np.ix_(r[s : s + step], c)].min(axis=1, out=out[s : s + step])
+            return out
+        # Each block is one chunk of euclidean_dists, written into one buffer
+        # for the whole call: a fresh block per chunk made the allocator map
+        # and fault in new pages each time.
+        a, b = self.coords[r][:, None, :], self.coords[c]
+        step = max(1, (1 << 17) // (self.dim * c.size))
+        block = np.empty((min(step, r.size), c.size))
+        for s in range(0, r.size, step):
+            rows_in = min(step, r.size - s)
+            _dists_into(a[s : s + rows_in], b, block[:rows_in])
+            block[:rows_in].min(axis=1, out=out[s : s + rows_in])
+        return out
 
     def subset(self, indices: Iterable[int]) -> "PointSet":
         """New PointSet restricted to ``indices`` (fresh counter)."""
@@ -332,9 +337,6 @@ class NearestTracker:
 
     Insertion order breaks ownership ties: a later center takes a point only
     on strict improvement.  ``centers`` lists the inserted centers in order.
-    Centers are evaluated in ``dists_from`` blocks of at most
-    max(1, _CHUNK // n) rows: a block holds at most 2**17 distances (1 MiB),
-    or one n-length row when n is larger.
     """
 
     def __init__(self, ps: PointSet):
@@ -343,23 +345,12 @@ class NearestTracker:
         self.owner = np.full(ps.n, -1, dtype=np.intp)
         self.centers: list[int] = []
 
-    def add_center(self, c) -> None:
-        """Insert center c, or each center of the sequence c in order."""
-        idx = np.atleast_1d(c)
-        step = max(1, _CHUNK // self.ps.n)
-        # An empty c still makes one call, so the index rule rejects it.
-        for s in range(0, max(1, idx.size), step):
-            self._fold(idx[s : s + step])
-
-    def _fold(self, block: np.ndarray) -> None:
-        # A lone center takes the one-point pass, the cheaper form.  The rows
-        # die on return, so the next block's pass never overlaps them.
-        rows = self.ps.dists_from(block) if block.size != 1 else [self.ps.dists_from(block[0])]
-        for center, row in zip(block.tolist(), rows):
-            better = row < self.mindist
-            self.owner[better] = center
-            np.minimum(self.mindist, row, out=self.mindist)
-        self.centers.extend(block.tolist())
+    def add_center(self, c: int) -> None:
+        d = self.ps.dists_from(c)
+        self.centers.append(c)
+        better = d < self.mindist
+        self.owner[better] = c
+        np.minimum(self.mindist, d, out=self.mindist)
 
 
 def farthest_m(mindist: np.ndarray, m: int) -> np.ndarray:
@@ -433,7 +424,8 @@ def clustering_cost(ps: PointSet, centers, z: int, eps: float = 0.0) -> Clusteri
     if isinstance(centers, CenterSet) and centers._source is ps:
         return _evaluate(centers._mindist, strict, m)
     tracker = NearestTracker(ps)
-    tracker.add_center(idx)
+    for c in idx.tolist():
+        tracker.add_center(c)
     return _evaluate(tracker.mindist, strict, m)
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _CHUNK,
     CenterSet,
     GuardError,
     NearestTracker,
@@ -147,9 +146,8 @@ class GreedyRun:
         self._add(rng.choice(ps.n, size=min(init_sample, ps.n), replace=False))
 
     def _add(self, picks: np.ndarray) -> None:
-        new = _add_new(self.chosen, picks, self.round_no)
-        if new:
-            self.tracker.add_center(new)
+        for c in _add_new(self.chosen, picks, self.round_no):
+            self.tracker.add_center(c)
 
     def grow(
         self,
@@ -246,13 +244,7 @@ def sublinear_bicriteria(
     for j in range(2, cfg.rounds + 1):
         before = ps.stats.evals
         sample = rng.choice(n, size=draw, replace=False)
-        # Row blocks of at most _CHUNK distances: a round never holds the
-        # whole draw x |centers| block.
-        cols = np.fromiter(chosen, dtype=np.intp, count=len(chosen))
-        step = max(1, _CHUNK // cols.size)
-        dists = np.empty(draw)
-        for s in range(0, draw, step):
-            dists[s : s + step] = ps.cross_dists(sample[s : s + step], cols).min(axis=1)
+        dists = ps.nearest_dists(sample, np.fromiter(chosen, dtype=np.intp, count=len(chosen)))
         if stats is not None:
             stats.setdefault("round_dist_evals", []).append(ps.stats.evals - before)
         if float(dists.max()) == 0.0:

@@ -111,24 +111,27 @@ def test_coordinate_major_kernel_is_bit_equal_to_row_wise_sum(dim):
 def test_euclidean_dists_takes_the_rows_from_a():
     x = np.arange(12.0).reshape(4, 3)
     assert np.array_equal(euclidean_dists(x, x[1]), row_wise_dists(x, x[1]))
-    for a, b in ((x[1], x), (x[1:2], x), (np.stack([x, x], axis=1), x), (x[:, None, :], x[1])):
+    for a, b in ((x[1], x), (x[1:2], x)):
         with pytest.raises(ValueError):
             euclidean_dists(a, b)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 8, 9, 129])
-def test_vector_dists_from_equals_stacked_single_passes(dim):
-    # At dim=129 the 2**17-entry chunks split both the rows and the points.
-    rng = np.random.default_rng(dim)
-    n = 2500
-    ps = PointSet.from_coords(rng.normal(scale=37.5, size=(n, dim)) + rng.random((n, dim)))
-    idx = [0, 17, n - 1, 17, 404, 3, 1999]
+@pytest.mark.parametrize("mode", ["euclidean", "matrix"])
+@pytest.mark.parametrize("cols", [1, 7, 700, 70_000])
+def test_nearest_dists_are_the_row_minima_of_cross_dists(cols, mode):
+    # 700 columns split the rows into several blocks; 70,000 make one-row
+    # blocks.
+    rng = np.random.default_rng(cols)
+    n = 1500 if mode == "matrix" else 80_000
+    ps = PointSet.from_coords(rng.normal(scale=37.5, size=(n, 3)))
+    if mode == "matrix":
+        ps = PointSet.from_distance_matrix(ps.cross_dists(np.arange(n), np.arange(n)))
+    rows = rng.choice(n, size=150, replace=False)
+    c = rng.choice(n, size=min(cols, n), replace=False)
     before = ps.stats.evals
-    block = ps.dists_from(np.array(idx))
-    assert ps.stats.evals - before == len(idx) * n
-    assert block.tobytes() == np.stack([ps.dists_from(i) for i in idx]).tobytes()
-    mps = PointSet.from_distance_matrix(ps.cross_dists(range(40), range(40)))
-    assert np.array_equal(mps.dists_from(idx[:2] + [39]), mps.dmat[[0, 17, 39]])
+    got = ps.nearest_dists(rows, c)
+    assert ps.stats.evals - before == rows.size * c.size
+    assert got.tobytes() == np.stack([ps.cross_dists([r], c).min(axis=1)[0] for r in rows]).tobytes()
 
 
 def test_paramset_bounds():
@@ -261,7 +264,8 @@ GATED = {
     "dist_first": lambda ps, i: ps.dist(i, 0),
     "dist_second": lambda ps, i: ps.dist(0, i),
     "dists_from": lambda ps, i: ps.dists_from(i),
-    "dists_from_vector": lambda ps, idx: ps.dists_from(idx),
+    "nearest_dists_rows": lambda ps, idx: ps.nearest_dists(idx, [0]),
+    "nearest_dists_cols": lambda ps, idx: ps.nearest_dists([0], idx),
     "coreset_indices": _coreset_over,
     "sample_indices": lambda ps, idx: UniformSample(idx, 0, ps.n),
     "shard": _shards_around,
@@ -456,36 +460,21 @@ def test_selection_helpers_reject_non_integer_and_negative_counts(count):
     assert radius_after_exclusions(d, np.uint8(1)) == 2.0
 
 
-def test_tracker_block_peaks_within_one_row_plus_one_chunk():
-    # At 100,000 points a block is one row: the peak is that row plus the
+def test_tracker_pass_peaks_within_one_row_plus_one_chunk():
+    # At 100,000 x 8 points each insert holds one n-length row plus the
     # kernel's 2**17-double slab, never a second coordinate copy or a
     # D x n slab.
     ps = PointSet.from_coords(np.random.default_rng(0).standard_normal((100_000, 8)))
     tracker = NearestTracker(ps)
     tracemalloc.start()
     try:
-        tracker.add_center(np.arange(16))
+        for c in range(16):
+            tracker.add_center(c)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= ps.n * 8 + (1 << 20) + (1 << 17)
     assert ps.stats.evals == 16 * ps.n and tracker.centers == list(range(16))
-
-
-def test_tracker_blocks_fold_like_one_center_at_a_time():
-    # 50,000 points make blocks of two rows, so five centers fold as 2 + 2 + 1;
-    # 81 cells make duplicate points and tied distances common.
-    ps = PointSet.from_coords(np.random.default_rng(5).integers(-4, 5, size=(50_000, 2)).astype(np.float64))
-    twin = next(i for i in np.flatnonzero((ps.coords == ps.coords[7]).all(axis=1)).tolist() if i != 7)
-    centers = [7, 3, 40_000, twin, 12]
-    tracker = NearestTracker(ps)
-    tracker.add_center(centers)
-    ref = oracles.OneAtATimeTracker(ps)
-    for c in centers:
-        ref.add_center(c)
-    assert tracker.mindist.tobytes() == np.array(ref.mindist).tobytes()
-    assert tracker.owner.tolist() == ref.owner and tracker.centers == centers
-    assert ps.stats.evals == 2 * len(centers) * ps.n
 
 
 @settings(max_examples=40, deadline=None)

@@ -189,16 +189,17 @@ def _sublinear_run(ps, p, seed):
 
 @pytest.mark.parametrize("mode", ["euclidean", "matrix"])
 def test_sublinear_row_blocks_leave_centers_and_counts_unchanged(mode, monkeypatch):
+    # Rounds score up to 2,904 x 274 distances, seven row blocks.
     ps = planted_instance(
-        GeneratorSpec(n_inliers=290, clusters=3, dim=2, grid_dim=2, cluster_radius=1.0, outliers=10), 2
+        GeneratorSpec(n_inliers=1990, clusters=3, dim=2, grid_dim=2, cluster_radius=1.0, outliers=10), 2
     ).ps
     if mode == "matrix":
         ps = PointSet.from_distance_matrix(ps.cross_dists(np.arange(ps.n), np.arange(ps.n)))
     p = params_for(3, 10, ps.n, eps=0.5)
-    whole = [_sublinear_run(ps, p, seed) for seed in range(10)]
-    # Seven distances per block score every sampled point on its own.
-    monkeypatch.setattr(greedy, "_CHUNK", 7)
-    assert [_sublinear_run(ps, p, seed) for seed in range(10)] == whole
+    blocked = [_sublinear_run(ps, p, seed) for seed in range(10)]
+    # The former scorer: one whole draw x centers block per round.
+    monkeypatch.setattr(PointSet, "nearest_dists", lambda self, rows, cols: self.cross_dists(rows, cols).min(axis=1))
+    assert [_sublinear_run(ps, p, seed) for seed in range(10)] == blocked
 
 
 def test_sublinear_scorer_memory_stays_bounded():
