@@ -219,8 +219,8 @@ class PointSet:
                 self.dmat[np.ix_(r[s : s + step], c)].min(axis=1, out=out[s : s + step])
             return out
         # Each block is one chunk of euclidean_dists, written into one buffer
-        # for the whole call: a fresh block per chunk made the allocator map
-        # and fault in new pages each time.
+        # for the whole call: a fresh 1 MiB block per chunk has the allocator
+        # map and fault in new pages each time.
         a, b = self.coords[r][:, None, :], self.coords[c]
         step = max(1, (1 << 17) // (self.dim * c.size))
         block = np.empty((min(step, r.size), c.size))
@@ -489,8 +489,7 @@ def weighted_cost(ps: PointSet, point_indices, weights, centers, z: float) -> fl
     """Weighted strict cost: the straddler's distance under peel_weight."""
     idx = _point_indices(point_indices, ps.n)
     w = _checked_weights(idx.size, weights, z)
-    d = ps.cross_dists(idx, centers).min(axis=1)
-    return float(peel_weight(d, w, z)[0])
+    return float(peel_weight(ps.nearest_dists(idx, centers), w, z)[0])
 
 
 def load_points_csv(path) -> PointSet:
