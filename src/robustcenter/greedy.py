@@ -244,7 +244,7 @@ def sublinear_bicriteria(
     for j in range(2, cfg.rounds + 1):
         before = ps.stats.evals
         sample = rng.choice(n, size=draw, replace=False)
-        dists = ps.nearest_dists(sample, np.fromiter(chosen, dtype=np.intp, count=len(chosen)))
+        dists = ps.nearest_dists(sample, list(chosen))
         if stats is not None:
             stats.setdefault("round_dist_evals", []).append(ps.stats.evals - before)
         if float(dists.max()) == 0.0:
