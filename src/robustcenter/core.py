@@ -99,33 +99,43 @@ def _sum_axes(sq: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return sq[lo]
 
 
-def _dists_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    # One contiguous slab of squared differences per coordinate axis.
-    sq = np.empty((a.shape[-1],) + out.shape)
+def _summed_squares(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    # One contiguous slab of squared differences per coordinate axis, summed
+    # into the first slab, which is returned.
+    sq = np.empty((a.shape[-1],) + shape)
     for j in range(a.shape[-1]):
         np.subtract(a[..., j], b[..., j], out=sq[j])
     np.square(sq, out=sq)
-    np.sqrt(_sum_axes(sq, 0, a.shape[-1]), out=out)
+    return _sum_axes(sq, 0, a.shape[-1])
 
 
-def euclidean_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _dists_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    np.sqrt(_summed_squares(a, b, out.shape), out=out)
+
+
+def euclidean_dists(a: np.ndarray, b: np.ndarray, root: bool = True) -> np.ndarray:
     """Distances between a and b over their last (coordinate) axis.
 
     The first axis of ``a`` indexes the result's rows and ``b`` has fewer
     axes than ``a``; the axes in between broadcast.  Squared differences are
     summed axis by axis in numpy's pairwise order, so the result equals
-    np.sqrt(((a - b)**2).sum(-1)) on row-major operands bit for bit.  Counts
-    nothing.
+    np.sqrt(((a - b)**2).sum(-1)) on row-major operands bit for bit.  With
+    ``root=False`` it is that sum before the root.  Counts nothing.
     """
     if b.ndim >= a.ndim:
         raise ValueError("b must have fewer axes than a, whose first axis indexes the rows")
     shape = np.broadcast(a, b).shape
-    out = np.empty(shape[:-1])
     # Row chunks keep each (D x chunk) temporary near 1 MB, small enough to
     # stay in cache between the passes over it.
     step = max(1, (1 << 17) // max(1, shape[-1] * math.prod(shape[1:-1])))
+    if not root and step >= shape[0]:
+        return _summed_squares(a, b, shape[:-1])  # one chunk: its sum slab is the result
+    out = np.empty(shape[:-1])
     for s in range(0, shape[0], step):
-        _dists_into(a[s : s + step], b, out[s : s + step])
+        if root:
+            _dists_into(a[s : s + step], b, out[s : s + step])
+        else:
+            out[s : s + step] = _summed_squares(a[s : s + step], b, out[s : s + step].shape)
     return out
 
 
@@ -190,13 +200,16 @@ class PointSet:
             return float(self.dmat[i, j])
         return float(euclidean_dists(self.coords[i : i + 1], self.coords[j])[0])
 
-    def dists_from(self, i: int) -> np.ndarray:
-        """Distances from point i to every point."""
+    def dists_from(self, i: int, root: bool = True) -> np.ndarray:
+        """Distances from point i to every point.  With ``root=False``,
+        coordinates give the kernel's summed squares before its final root,
+        whose np.sqrt is the default result bit for bit; a distance matrix
+        has no root to skip and gives its distances either way."""
         _point_index(i, self.n)
         self.stats.evals += self.n
         if self.mode == "matrix":
             return self.dmat[i].copy()
-        return euclidean_dists(self.coords, self.coords[i])
+        return euclidean_dists(self.coords, self.coords[i], root)
 
     def cross_dists(self, rows: Iterable[int], cols: Iterable[int]) -> np.ndarray:
         """|rows| x |cols| distance block."""
@@ -336,21 +349,46 @@ class NearestTracker:
     """Per-point distance to the nearest selected center, updated on insert.
 
     Insertion order breaks ownership ties: a later center takes a point only
-    on strict improvement.  ``centers`` lists the inserted centers in order.
+    on strict improvement of its distance.  ``centers`` lists the inserted
+    centers in order.
+
+    ``keys`` holds the unrooted distances behind ``mindist`` (on a distance
+    matrix, ``mindist`` itself).  The root is monotone, so a center can take
+    only the points whose key it lowers; an insert roots and compares just
+    those, unless more than an eighth of the row fell, as on the first few
+    inserts, where it roots the whole row.
     """
 
     def __init__(self, ps: PointSet):
         self.ps = ps
         self.mindist = np.full(ps.n, np.inf)
+        self.keys = np.full(ps.n, np.inf) if ps.mode == "euclidean" else self.mindist
         self.owner = np.full(ps.n, -1, dtype=np.intp)
         self.centers: list[int] = []
 
     def add_center(self, c: int) -> None:
-        d = self.ps.dists_from(c)
+        d = self.ps.dists_from(c, root=False)
         self.centers.append(c)
-        better = d < self.mindist
-        self.owner[better] = c
-        np.minimum(self.mindist, d, out=self.mindist)
+        has_root = self.keys is not self.mindist
+        fell = d < self.keys
+        if 8 * np.count_nonzero(fell) > d.size:
+            if has_root:
+                np.minimum(self.keys, d, out=self.keys)
+                np.sqrt(d, out=d)
+            better = d < self.mindist
+            self.owner[better] = c
+            np.minimum(self.mindist, d, out=self.mindist)
+            return
+        idx = fell.nonzero()[0]
+        near = d[idx]
+        if has_root:
+            self.keys[idx] = near
+            np.sqrt(near, out=near)
+        # Distinct keys can share a root; then the earlier center keeps it.
+        better = near < self.mindist[idx]
+        idx = idx[better]
+        self.owner[idx] = c
+        self.mindist[idx] = near[better]
 
 
 def farthest_m(mindist: np.ndarray, m: int) -> np.ndarray:

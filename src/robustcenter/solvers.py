@@ -91,15 +91,14 @@ def _coverage_dtype(w: np.ndarray) -> type:
 
 
 def _coverage_greedy(
-    dmat: np.ndarray, mask: np.ndarray, cover: np.ndarray, w: np.ndarray, k: int, r: float
+    dmat: np.ndarray, cover: np.ndarray, w: np.ndarray, k: int, r: float
 ) -> tuple[list[int], float]:
     # Pick the point covering the most uncovered weight within r, then mark
-    # everything within 3r covered.  ``mask`` (bool) and ``cover`` (w's
-    # dtype) are the caller's n x n scratch: the compare lands in the mask and
-    # one cast copy makes the 0/1 coverage matrix, so the scores are one
-    # matrix-vector product per pick.  Returns picks and leftover weight.
-    np.less_equal(dmat, r, out=mask)
-    np.copyto(cover, mask)
+    # everything within 3r covered.  ``cover`` (w's dtype) is the caller's
+    # n x n scratch: the compare lands in it as the 0/1 coverage matrix, so
+    # the scores are one matrix-vector product per pick.  Returns picks and
+    # leftover weight.
+    np.less_equal(dmat, r, out=cover, casting="unsafe")
     uncovered = w.copy()
     picks: list[int] = []
     for _ in range(k):
@@ -133,9 +132,9 @@ def charikar_3approx(
     guess whose coverage greedy leaves at most z weight uncovered, and returns
     the picks of that guess.  Intended for coreset-scale inputs (up to 4,000
     points): each unordered pair is evaluated once, and the host holds
-    8 + 1 + 4 bytes per pair (the float64 pairwise block, a bool mask and a
-    float32 coverage matrix), or 8 + 1 + 8 when a weight is not an integer or
-    the total reaches 2**24.  The picks equal those of the pure-Python search
+    8 + 4 bytes per pair (the float64 pairwise block and a float32 coverage
+    matrix), or 8 + 8 when a weight is not an integer or the total reaches
+    2**24.  The picks equal those of the pure-Python search
     in ``tests/oracles.py`` (``charikar_reference``), bit for bit.
     """
     n = ps.n
@@ -143,23 +142,22 @@ def charikar_3approx(
         raise ValueError("k must be >= 1")
     w = _checked_weights(n, np.ones(n) if weights is None else weights, z)
     dtype = _coverage_dtype(w)
-    _guard_pairwise(n, 8 + 1 + np.dtype(dtype).itemsize, "the radius-guessing solver")
+    _guard_pairwise(n, 8 + np.dtype(dtype).itemsize, "the radius-guessing solver")
     w = w.astype(dtype)
     dmat = _pairwise_block(ps)
     candidates = _candidate_radii(dmat)
-    mask = np.empty((n, n), dtype=bool)
     cover = np.empty((n, n), dtype=dtype)
     picks: list[int] | None = None
     lo, hi = -1, candidates.size - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        found, leftover = _coverage_greedy(dmat, mask, cover, w, k, float(candidates[mid]))
+        found, leftover = _coverage_greedy(dmat, cover, w, k, float(candidates[mid]))
         if leftover <= z:
             hi, picks = mid, found
         else:
             lo = mid
     if picks is None:  # no guess below the largest distance was feasible
-        picks, leftover = _coverage_greedy(dmat, mask, cover, w, k, float(candidates[hi]))
+        picks, leftover = _coverage_greedy(dmat, cover, w, k, float(candidates[hi]))
         if leftover > z:
             raise RuntimeError("largest pairwise distance must be feasible")
     return CenterSet(tuple(picks), tuple(range(1, len(picks) + 1)))

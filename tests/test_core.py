@@ -108,6 +108,26 @@ def test_coordinate_major_kernel_is_bit_equal_to_row_wise_sum(dim):
     assert ps.content_hash() == h.hexdigest()
 
 
+@pytest.mark.parametrize(("dim", "n"), [(2, 1_000), (2, 70_000), (8, 20_000)])
+def test_unrooted_dists_from_roots_to_the_default_row(dim, n):
+    # Kernel chunks hold 2**17 entries: 70,000 x 2 and 20,000 x 8 span two.
+    rng = np.random.default_rng(dim)
+    ps = PointSet.from_coords(rng.normal(scale=37.5, size=(n, dim)) + rng.random((n, dim)))
+    rows = np.ascontiguousarray(ps.coords)
+    for i in (0, n // 2, n - 1):
+        before = ps.stats.evals
+        sq = ps.dists_from(i, root=False)
+        assert ps.stats.evals - before == n
+        assert sq.tobytes() == ((rows - rows[i]) ** 2).sum(-1).tobytes()
+        assert np.sqrt(sq).tobytes() == ps.dists_from(i).tobytes()
+
+
+def test_unrooted_dists_from_on_a_matrix_is_the_row():
+    ps = PointSet.from_distance_matrix(np.array([[0.0, 3.0, 4.0], [3.0, 0.0, 5.0], [4.0, 5.0, 0.0]]))
+    assert np.array_equal(ps.dists_from(1, root=False), [3.0, 0.0, 5.0])
+    assert ps.stats.evals == 3
+
+
 def test_euclidean_dists_takes_the_rows_from_a():
     x = np.arange(12.0).reshape(4, 3)
     assert np.array_equal(euclidean_dists(x, x[1]), row_wise_dists(x, x[1]))
@@ -264,6 +284,7 @@ GATED = {
     "dist_first": lambda ps, i: ps.dist(i, 0),
     "dist_second": lambda ps, i: ps.dist(0, i),
     "dists_from": lambda ps, i: ps.dists_from(i),
+    "dists_from_unrooted": lambda ps, i: ps.dists_from(i, root=False),
     "nearest_dists_rows": lambda ps, idx: ps.nearest_dists(idx, [0]),
     "nearest_dists_cols": lambda ps, idx: ps.nearest_dists([0], idx),
     "coreset_indices": _coreset_over,
@@ -274,7 +295,7 @@ GATED = {
     "weighted_cost_points": lambda ps, idx: weighted_cost(ps, idx, np.ones(np.shape(idx)), [0], 0),
     "weighted_cost_centers": lambda ps, idx: weighted_cost(ps, [0, 1, 2], [1, 1, 1], idx, 0),
 }
-SCALAR_ENTRIES = {"dist_first", "dist_second", "dists_from"}
+SCALAR_ENTRIES = {"dist_first", "dist_second", "dists_from", "dists_from_unrooted"}
 BAD_INDICES = {
     "negative": -1,
     "n": 3,
@@ -500,6 +521,60 @@ def test_tracker_owner_keeps_first_on_ties():
     tracker.add_center(1)
     # point 2 is 1.0 from both centers; the earlier center keeps it
     assert tracker.owner[2] == 0
+
+
+def _root_collision():
+    # Points on a circle of radius 1.5 about the origin: their squared norms
+    # lie within a few ulps of 2.25, where a square's ulp is about 1.5 of its
+    # root's, so some distinct squares share a root.
+    theta = np.random.default_rng(2024).uniform(0.0, 2.0 * np.pi, 4_000)
+    pts = 1.5 * np.column_stack([np.cos(theta), np.sin(theta)])
+    sq = (pts**2).sum(-1)
+    order = np.argsort(sq, kind="stable")
+    for hi, lo in zip(order[1:], order[:-1]):
+        if sq[hi] > sq[lo] and np.sqrt(sq[hi]) == np.sqrt(sq[lo]):
+            return pts[hi], pts[lo]
+    raise AssertionError("no root collision on the circle")
+
+
+@pytest.mark.parametrize("fillers", [0, 30])
+def test_tracker_keeps_the_earlier_center_when_distinct_squares_share_a_root(fillers):
+    # Point 0 is the origin, center 1 is farther from it than center 2 in
+    # squares but not in roots.  Fillers stacked on center 1 keep center 2's
+    # insert below an eighth of the row, so it takes the candidate update;
+    # without them it takes the whole-row update.
+    far, near = _root_collision()
+    ps = PointSet.from_coords(np.vstack([np.zeros(2), far, near] + [far] * fillers))
+    tracker, ref = NearestTracker(ps), oracles.OneAtATimeTracker(ps)
+    for c in (1, 2):
+        tracker.add_center(c)
+        ref.add_center(c)
+    squares = ps.dists_from(0, root=False)
+    assert squares[1] > squares[2] and np.sqrt(squares[1]) == np.sqrt(squares[2])
+    assert tracker.owner[0] == 1
+    assert tracker.mindist.tobytes() == np.array(ref.mindist).tobytes()
+    assert tracker.owner.tolist() == ref.owner
+    assert np.sqrt(tracker.keys).tobytes() == tracker.mindist.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["euclidean", "matrix"])
+def test_tracker_matches_the_one_center_oracle_on_both_update_paths(mode):
+    # Integer grid points give tied and duplicate distances, normal points
+    # distinct ones.
+    rng = np.random.default_rng(11)
+    coords = np.vstack([rng.integers(0, 12, size=(300, 2)), rng.normal(5.0, 3.0, size=(300, 2))])
+    ps = PointSet.from_coords(coords)
+    if mode == "matrix":
+        ps = PointSet.from_distance_matrix(ps.cross_dists(np.arange(ps.n), np.arange(ps.n)))
+    tracker, ref = NearestTracker(ps), oracles.OneAtATimeTracker(ps)
+    whole_row = []
+    for c in rng.choice(ps.n, size=60, replace=False).tolist():
+        whole_row.append(8 * np.count_nonzero(ps.dists_from(c, root=False) < tracker.keys) > ps.n)
+        tracker.add_center(c)
+        ref.add_center(c)
+        assert tracker.mindist.tobytes() == np.array(ref.mindist).tobytes()
+        assert tracker.owner.tolist() == ref.owner
+    assert any(whole_row) and not all(whole_row)
 
 
 def test_csv_loaders(tmp_path):

@@ -87,11 +87,11 @@ def test_brute_force_guards():
 
 @pytest.mark.parametrize(
     ("weights", "per_pair"),
-    [pytest.param(None, 13, id="unit-float32"), pytest.param(0.5, 17, id="real-float64")],
+    [pytest.param(None, 12, id="unit-float32"), pytest.param(0.5, 16, id="real-float64")],
 )
 def test_charikar_guard_names_the_bytes_of_its_blocks(weights, per_pair):
-    # 4,001 points: the float64 block, the bool mask and the coverage matrix
-    # would need 4001**2 * (8 + 1 + 4 or 8) bytes.
+    # 4,001 points: the float64 block and the coverage matrix would need
+    # 4001**2 * (8 + 4 or 8) bytes.
     n = 4_001
     ps = PointSet.from_coords(np.arange(n, dtype=np.float64)[:, None])
     w = None if weights is None else np.full(n, weights)
