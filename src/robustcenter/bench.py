@@ -28,12 +28,13 @@ from .distributed import ShardedInstance, run_protocol
 from .generate import GeneratorSpec, planted_instance
 from .greedy import (
     bicriteria,
+    gonzalez,
     greedy_config,
     sublinear_bicriteria,
     sublinear_config,
     two_approx_boosted,
 )
-from .solvers import brute_force_opt, charikar_3approx, gonzalez
+from .solvers import brute_force_opt, charikar_3approx
 
 __all__ = ["ALGORITHMS", "ExperimentSpec", "run_experiment"]
 

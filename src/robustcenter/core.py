@@ -276,9 +276,7 @@ class ParamSet:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("k", "z", "n", "seed"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        _check_integer_fields(self, "k", "z", "n", "seed")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not 0 <= self.z < self.n:
@@ -335,9 +333,10 @@ class CenterSet:
         return np.asarray(self.indices, dtype=np.intp)
 
     @classmethod
-    def _from_tracker(cls, tracker: "NearestTracker", round_of: tuple[int, ...]) -> "CenterSet":
-        """The tracker's centers, in insertion order, carrying its distances."""
-        cs = cls(tuple(tracker.centers), round_of)
+    def _from_tracker(cls, tracker: "NearestTracker", chosen: dict[int, int]) -> "CenterSet":
+        """The picks in ``chosen`` (center index to round, in insertion
+        order), carrying the distances of the tracker that took them."""
+        cs = cls(tuple(chosen), tuple(chosen.values()))
         mindist = tracker.mindist.copy()
         mindist.flags.writeable = False
         object.__setattr__(cs, "_mindist", mindist)
@@ -349,8 +348,7 @@ class NearestTracker:
     """Per-point distance to the nearest selected center, updated on insert.
 
     Insertion order breaks ownership ties: a later center takes a point only
-    on strict improvement of its distance.  ``centers`` lists the inserted
-    centers in order.
+    on strict improvement of its distance.
 
     ``keys`` holds the unrooted distances behind ``mindist`` (on a distance
     matrix, ``mindist`` itself).  The root is monotone, so a center can take
@@ -364,11 +362,9 @@ class NearestTracker:
         self.mindist = np.full(ps.n, np.inf)
         self.keys = np.full(ps.n, np.inf) if ps.mode == "euclidean" else self.mindist
         self.owner = np.full(ps.n, -1, dtype=np.intp)
-        self.centers: list[int] = []
 
     def add_center(self, c: int) -> None:
         d = self.ps.dists_from(c, root=False)
-        self.centers.append(c)
         has_root = self.keys is not self.mindist
         fell = d < self.keys
         if 8 * np.count_nonzero(fell) > d.size:
@@ -415,6 +411,14 @@ def farthest_m(mindist: np.ndarray, m: int) -> np.ndarray:
 def _is_integer(v) -> bool:
     """A Python or numpy integer scalar, not a bool."""
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_integer_fields(obj, *names: str) -> None:
+    """Raise ValueError naming the first of ``obj``'s fields that is not
+    an integer."""
+    for name in names:
+        if not _is_integer(getattr(obj, name)):
+            raise ValueError(f"{name} must be an integer, got {getattr(obj, name)!r}")
 
 
 def _point_indices(indices, n: int, distinct: bool = False) -> np.ndarray:

@@ -30,9 +30,6 @@ from .greedy import GreedyConfig, GreedyRun, greedy_config
 
 __all__ = [
     "WeightedCoreset",
-    "UniformSample",
-    "uniform_sample_size",
-    "uniform_sample",
     "build_coreset",
     "build_coreset_auto",
     "compose_with_host",
@@ -68,55 +65,6 @@ class WeightedCoreset:
 
     def total_weight(self) -> int:
         return int(self.weights.sum())
-
-
-@dataclass(frozen=True, eq=False)
-class UniformSample:
-    """Uniform subsample plus the inflated outlier budget to use on it."""
-
-    indices: np.ndarray
-    z_prime: int
-    source_n: int
-
-    def __post_init__(self) -> None:
-        idx = _point_indices(self.indices, self.source_n, distinct=True)
-        if not 0 <= self.z_prime < idx.size:
-            raise ValueError("inflated outlier budget must stay below the sample size")
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-
-
-def uniform_sample_size(params: ParamSet, dim: int) -> int:
-    """Default sample size: ceil((40 / (eps^2 gamma)) k dim ln(k dim / (eps gamma eta)))."""
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    eps, gamma, eta, k = params.eps, params.gamma, params.eta, params.k
-    if gamma == 0:
-        raise ValueError("no outliers: use plain k-center sampling")
-    lead = 40.0 / (eps * eps * gamma) * k * dim
-    return ceil_count(lead * math.log(k * dim / (eps * gamma * eta)))
-
-
-def uniform_sample(
-    ps: PointSet,
-    params: ParamSet,
-    rng: np.random.Generator,
-    size_override: int | None = None,
-) -> UniformSample:
-    """Uniform subsample (without replacement) with z' = ceil((1+eps) gamma |S|)."""
-    if params.gamma == 0:
-        raise ValueError("no outliers: use plain k-center sampling")
-    if size_override is None:
-        if ps.dim is None:
-            raise ValueError("default sample size needs Euclidean coordinates; pass size_override")
-        size = min(ps.n, uniform_sample_size(params, ps.dim))
-    else:
-        size = int(size_override)
-        if not 1 <= size <= ps.n:
-            raise ValueError("sample size must lie in [1, n]")
-    indices = np.sort(rng.choice(ps.n, size=size, replace=False))
-    z_prime = ceil_count((1.0 + params.eps) * params.gamma * size)
-    return UniformSample(indices=indices, z_prime=z_prime, source_n=ps.n)
 
 
 def _identity_coreset(ps: PointSet, builder: str, reason: str) -> WeightedCoreset:

@@ -38,9 +38,9 @@ log = logging.getLogger(__name__)
 
 def outlier_budget_grid(z: int) -> list[int]:
     """Budget grid {0, z} plus every power of two up to z."""
-    if z < 0:
-        raise ValueError("outlier budget must be >= 0")
-    labels = {0, int(z)}
+    if not (_is_integer(z) and z >= 0):
+        raise ValueError(f"outlier budget must be an integer >= 0, got {z!r}")
+    labels = {0, z}
     p = 2
     while p <= z:
         labels.add(p)
@@ -69,8 +69,8 @@ class ShardedInstance:
 
     @classmethod
     def balanced(cls, ps: PointSet, s: int, rng: np.random.Generator) -> "ShardedInstance":
-        if not 1 <= s <= ps.n:
-            raise ValueError("site count must lie in [1, n]")
+        if not (_is_integer(s) and 1 <= s <= ps.n):
+            raise ValueError(f"site count must be an integer in [1, {ps.n}], got {s!r}")
         perm = rng.permutation(ps.n)
         return cls(ps=ps, shards=tuple(np.array_split(perm, s)))
 
@@ -212,8 +212,8 @@ def coordinator_threshold(profiles, z: int) -> ThresholdDecision:
     s = len(profiles)
     if s < 1:
         raise ValueError("need at least one site")
-    if z < 0:
-        raise ValueError("outlier budget must be >= 0")
+    if not (_is_integer(z) and z >= 0):
+        raise ValueError(f"outlier budget must be an integer >= 0, got {z!r}")
     if len({p.site_id for p in profiles}) != s:
         raise ValueError("site ids must be distinct")
     if 2 * z + 1 > s * (z + 1):

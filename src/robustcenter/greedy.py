@@ -2,11 +2,11 @@
 
 One loop, randomized Gonzalez, backs every full-data algorithm: ``GreedyRun``
 seeds with a small uniform sample, then repeatedly samples from the current
-farthest set until a stop rule holds.  ``bicriteria``, ``two_approx`` and both
-coreset builders (``coreset.build_coreset``, ``coreset.build_coreset_auto``)
-differ only in the pool size, the sample count and the stop rule.  The
-sublinear variant touches only a fresh uniform sample each round, so its
-per-round distance work is independent of n.
+farthest set until a stop rule holds.  ``bicriteria``, ``two_approx``,
+``gonzalez`` and both coreset builders (``coreset.build_coreset``,
+``coreset.build_coreset_auto``) differ only in the pool size, the sample count
+and the stop rule.  The sublinear variant touches only a fresh uniform sample
+each round, so its per-round distance work is independent of n.
 
 All uniform draws are without replacement (capped at the population size) and
 results are deduplicated against the current center set, so a round's growth
@@ -15,6 +15,7 @@ is deterministic in size.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,8 @@ from .core import (
     NearestTracker,
     ParamSet,
     PointSet,
+    _check_integer_fields,
+    _is_integer,
     ceil_count,
     clustering_cost,
     farthest_m,
@@ -43,8 +46,11 @@ __all__ = [
     "bicriteria",
     "two_approx",
     "two_approx_boosted",
+    "gonzalez",
     "sublinear_bicriteria",
 ]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -58,6 +64,7 @@ class GreedyConfig:
     per_round_sample: int
 
     def __post_init__(self) -> None:
+        _check_integer_fields(self, "rounds", "init_sample", "per_round_sample")
         if self.rounds < 1:
             raise ValueError("round count must be >= 1")
         if self.init_sample < 1 or self.per_round_sample < 1:
@@ -76,7 +83,7 @@ def greedy_config(params: ParamSet, rounds_override: int | None = None) -> Greed
     k, eta, eps, gamma = params.k, params.eta, params.eps, params.gamma
     log_term = math.log(1.0 / eta)
     c = 2.0 + (2.0 / (k * (1.0 - eta))) * log_term
-    rounds = ceil_count(c * k / (1.0 - eta)) if rounds_override is None else int(rounds_override)
+    rounds = ceil_count(c * k / (1.0 - eta)) if rounds_override is None else rounds_override
     return GreedyConfig(
         params=params,
         rounds=rounds,
@@ -95,6 +102,7 @@ class SublinearConfig:
     take_per_round: int
 
     def __post_init__(self) -> None:
+        _check_integer_fields(self, "sample_size", "take_per_round")
         if not 0 < self.sigma < 1:
             raise ValueError("sigma must lie in (0, 1)")
         if self.sample_size < 1:
@@ -178,7 +186,7 @@ class GreedyRun:
     def centers(self) -> CenterSet:
         """The picks so far, carrying the tracker's distances for
         ``clustering_cost`` on this run's PointSet."""
-        return CenterSet._from_tracker(self.tracker, tuple(self.chosen.values()))
+        return CenterSet._from_tracker(self.tracker, self.chosen)
 
 
 def bicriteria(ps: PointSet, cfg: GreedyConfig, rng: np.random.Generator) -> CenterSet:
@@ -195,6 +203,21 @@ def two_approx(ps: PointSet, params: ParamSet, rng: np.random.Generator) -> Cent
     """One uniform seed plus k-1 single draws from the farthest set."""
     run = GreedyRun(ps, rng, 1)
     run.grow(relaxed_exclusions(params.z, params.eps), 1, params.k - 1)
+    return run.centers()
+
+
+def gonzalez(ps: PointSet, k: int, rng: np.random.Generator) -> CenterSet:
+    """Farthest-first traversal (Gonzalez 1985); 2-approximation for the
+    no-outlier problem.
+
+    The greedy loop with a one-point pool: a uniform start, then up to k-1
+    picks of the point farthest from the chosen set, lower index winning
+    ties, stopping once every point is covered.
+    """
+    if not (_is_integer(k) and 1 <= k <= ps.n):
+        raise ValueError(f"k must lie in [1, {ps.n}] and be an integer, got {k!r}")
+    run = GreedyRun(ps, rng, 1)
+    run.grow(1, 1, k - 1)
     return run.centers()
 
 
@@ -227,7 +250,6 @@ def sublinear_bicriteria(
     cfg: GreedyConfig,
     sub: SublinearConfig,
     rng: np.random.Generator,
-    stats: dict | None = None,
 ) -> CenterSet:
     """Sample-only greedy: each round scores a fresh uniform sample against
     the current centers and keeps the take_per_round farthest sampled points.
@@ -241,16 +263,12 @@ def sublinear_bicriteria(
     _add_new(chosen, rng.choice(n, size=min(cfg.init_sample, n), replace=False), 1)
 
     draw = min(sub.sample_size, n)
+    if draw < sub.sample_size:
+        log.info("sample-only greedy: per-round sample of %d capped at n=%d", sub.sample_size, n)
     for j in range(2, cfg.rounds + 1):
-        before = ps.stats.evals
         sample = rng.choice(n, size=draw, replace=False)
         dists = ps.nearest_dists(sample, list(chosen))
-        if stats is not None:
-            stats.setdefault("round_dist_evals", []).append(ps.stats.evals - before)
         if float(dists.max()) == 0.0:
             break
-        take = min(sub.take_per_round, draw)
-        added = _add_new(chosen, sample[farthest_m(dists, take)], j)
-        if stats is not None:
-            stats.setdefault("round_added", []).append(len(added))
+        _add_new(chosen, sample[farthest_m(dists, min(sub.take_per_round, draw))], j)
     return CenterSet(tuple(chosen), tuple(chosen.values()))

@@ -1,9 +1,9 @@
 """Host solvers: baselines that consume plain or weighted instances.
 
-These are deliberately classical algorithms (farthest-first traversal, the
-radius-guessing 3-approximation, exhaustive search) used as composition hosts
-and as ground-truth oracles in tests.  Everything here is deterministic given
-its inputs.
+These are deliberately classical algorithms (the radius-guessing
+3-approximation, exhaustive search) used as composition hosts and as
+ground-truth oracles in tests.  Everything here is deterministic given its
+inputs.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CenterSet, GuardError, NearestTracker, PointSet, _checked_weights, clustering_cost, peel_weight
+from .core import CenterSet, GuardError, PointSet, _checked_weights, _is_integer, clustering_cost, peel_weight
 
 __all__ = [
     "OracleResult",
-    "gonzalez",
     "charikar_3approx",
     "brute_force_opt",
 ]
@@ -37,26 +36,6 @@ class OracleResult:
     r_opt: float
     opt_centers: CenterSet
     opt_excluded: frozenset[int]
-
-
-def gonzalez(ps: PointSet, k: int, rng: np.random.Generator | None = None) -> CenterSet:
-    """Farthest-first traversal; 2-approximation for the no-outlier problem.
-
-    The start point is uniform when an rng is given and index 0 otherwise;
-    every later pick is the point farthest from the chosen set, lower index
-    winning ties.  The result carries the traversal's distances for
-    ``clustering_cost`` on ``ps``.
-    """
-    if not 1 <= k <= ps.n:
-        raise ValueError("k must lie in [1, n]")
-    start = int(rng.integers(ps.n)) if rng is not None else 0
-    tracker = NearestTracker(ps)
-    tracker.add_center(start)
-    for _ in range(k - 1):
-        if float(tracker.mindist.max()) == 0.0:
-            break
-        tracker.add_center(int(np.argmax(tracker.mindist)))
-    return CenterSet._from_tracker(tracker, tuple(range(1, len(tracker.centers) + 1)))
 
 
 def _pairwise_block(ps: PointSet) -> np.ndarray:
@@ -138,8 +117,8 @@ def charikar_3approx(
     in ``tests/oracles.py`` (``charikar_reference``), bit for bit.
     """
     n = ps.n
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not (_is_integer(k) and k >= 1):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     w = _checked_weights(n, np.ones(n) if weights is None else weights, z)
     dtype = _coverage_dtype(w)
     _guard_pairwise(n, 8 + np.dtype(dtype).itemsize, "the radius-guessing solver")
@@ -184,8 +163,8 @@ def brute_force_opt(
     (enumeration order).  Guarded to C(n, k) <= 2e6 and n <= 4000.
     """
     n = ps.n
-    if not 1 <= k <= n:
-        raise ValueError("k must lie in [1, n]")
+    if not (_is_integer(k) and 1 <= k <= n):
+        raise ValueError(f"k must lie in [1, {n}] and be an integer, got {k!r}")
     w = _checked_weights(n, np.ones(n) if weights is None else weights, z)
     _guard_pairwise(n, 8, "exhaustive search")
     if math.comb(n, k) > ENUMERATION_GUARD:

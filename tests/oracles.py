@@ -2,16 +2,18 @@
 
 Everything here avoids numpy on purpose: distances go through math.dist and
 selection is done with sorted() so the two code paths share nothing beyond
-float64 arithmetic.  The greedy reference is the one exception: to replay a
-run bit for bit it draws from numpy's random stream and takes each center's
-distances from the library's one-point pass.
+float64 arithmetic.  The greedy references are the one exception: to replay
+a run bit for bit they draw from numpy's random stream and take each center's
+distances from the library's one-point pass.  ``EvalLog`` is a test-side
+recorder of the library's distance counter.
 """
 
 import itertools
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from robustcenter.core import GuardError
+from robustcenter.core import DistanceStats, GuardError
 from robustcenter.distributed import ThresholdDecision
 
 ALLOCATION_GUARD = 2_000_000
@@ -84,6 +86,33 @@ class OneAtATimeTracker:
         for i, d in enumerate(self.ps.dists_from(c).tolist()):
             if d < self.mindist[i]:
                 self.mindist[i], self.owner[i] = d, c
+
+
+def gonzalez_reference(ps, k: int, rng):
+    """Farthest-first traversal as a loop of its own: a start at
+    ``rng.integers(n)``, then the first point of largest distance, until k
+    centers are chosen or every point is covered.  Returns indices and
+    rounds."""
+    tracker = OneAtATimeTracker(ps)
+    centers = [int(rng.integers(ps.n))]
+    tracker.add_center(centers[0])
+    while len(centers) < k and max(tracker.mindist) > 0:
+        centers.append(tracker.mindist.index(max(tracker.mindist)))
+        tracker.add_center(centers[-1])
+    return tuple(centers), tuple(range(1, len(centers) + 1))
+
+
+@dataclass
+class EvalLog(DistanceStats):
+    """A distance counter that also logs every increment, in order; give it
+    to a run with ``dataclasses.replace(ps, stats=EvalLog())``."""
+
+    increments: list = field(default_factory=list)
+
+    def __setattr__(self, name, value):
+        if name == "evals" and "increments" in self.__dict__:
+            self.increments.append(value - self.evals)
+        super().__setattr__(name, value)
 
 
 class GreedyReference:

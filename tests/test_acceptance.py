@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,18 +21,18 @@ from robustcenter.coreset import (
     build_coreset,
     build_coreset_auto,
     compose_with_host,
-    uniform_sample,
 )
 from robustcenter.distributed import run_protocol
 from robustcenter.generate import GeneratorSpec, planted_instance
 from robustcenter.greedy import (
     bicriteria,
+    gonzalez,
     greedy_config,
     sublinear_bicriteria,
     sublinear_config,
     two_approx_boosted,
 )
-from robustcenter.solvers import brute_force_opt, charikar_3approx, gonzalez
+from robustcenter.solvers import brute_force_opt, charikar_3approx
 
 import oracles
 
@@ -144,11 +145,10 @@ def test_04_subsampled_greedy_rate_and_scale_free_work(exact20):
         bp = ParamSet(k=3, z=z, n=big.n, eps=1.0, eta=0.25)
         per_seed = []
         for s in range(3):
-            stats = {}
-            sublinear_bicriteria(
-                big, greedy_config(bp), sublinear_config(bp), np.random.default_rng(s), stats=stats
-            )
-            per_seed.append(stats["round_dist_evals"])
+            # Each round makes one counter increment: its sample scoring.
+            logged = replace(big, stats=oracles.EvalLog())
+            sublinear_bicriteria(logged, greedy_config(bp), sublinear_config(bp), np.random.default_rng(s))
+            per_seed.append(logged.stats.increments)
         counts.append(per_seed)
     same = counts[0] == counts[1]
     _report(
@@ -269,10 +269,12 @@ def test_08_subsample_then_solve_pipeline(exact20):
     p = ParamSet(k=2, z=2, n=ps.n, eps=0.5)
     exclusions = ceil_count((1 + p.eps) ** 2 / (1 - p.eps) * p.z)
     hits = 0
+    # A uniform sample of 12 points with the inflated budget z' = ceil((1+eps) gamma 12).
+    z_prime = ceil_count((1 + p.eps) * p.gamma * 12)
     for seed in range(TRIALS):
-        s = uniform_sample(ps, p, np.random.default_rng(seed), size_override=12)
-        picks = charikar_3approx(ps.subset(s.indices), None, p.k, s.z_prime)
-        mapped = s.indices[picks.as_array()]
+        sample = np.sort(np.random.default_rng(seed).choice(ps.n, size=12, replace=False))
+        picks = charikar_3approx(ps.subset(sample), None, p.k, z_prime)
+        mapped = sample[picks.as_array()]
         if cost_radius(ps, mapped, exclusions, 0.0) <= 3 * r_opt + 1e-9:
             hits += 1
     _report(

@@ -39,7 +39,7 @@ def test_full_tracker_records_equal_tracker_scoring(monkeypatch):
     # Without carried distances every center set is scored by a fresh
     # tracker, and the boost spends one more pass per center on scoring.
     monkeypatch.setattr(
-        CenterSet, "_from_tracker", classmethod(lambda cls, tracker, round_of: cls(tuple(tracker.centers), round_of))
+        CenterSet, "_from_tracker", classmethod(lambda cls, tracker, chosen: cls(tuple(chosen), tuple(chosen.values())))
     )
     rescored, _ = run_experiment(spec)
     assert len(carried) == len(rescored) == 15

@@ -5,51 +5,13 @@ import pytest
 
 from robustcenter.core import NearestTracker, ParamSet, PointSet, clustering_cost
 from robustcenter.coreset import (
-    UniformSample,
     WeightedCoreset,
     build_coreset,
     build_coreset_auto,
     compose_with_host,
-    uniform_sample,
-    uniform_sample_size,
 )
 from robustcenter.generate import GeneratorSpec, planted_instance
 from robustcenter.solvers import brute_force_opt
-
-
-def test_uniform_sample_size_frozen():
-    p = ParamSet(k=2, z=1, n=20, eps=0.5, eta=0.1)
-    # 12800 * ln(1600) = 94435.3...
-    assert uniform_sample_size(p, 2) == 94436
-
-
-def test_uniform_sample_budget_and_shape():
-    ps = PointSet.from_coords(np.arange(20.0).reshape(-1, 1))
-    p = ParamSet(k=2, z=2, n=20, eps=1.0)
-    s = uniform_sample(ps, p, np.random.default_rng(0), size_override=12)
-    assert s.indices.size == 12
-    assert np.all(np.diff(s.indices) > 0)
-    assert s.z_prime == 3  # ceil(2 * 0.1 * 12)
-    assert s.source_n == 20
-
-
-def test_uniform_sample_compares_by_identity():
-    a, b = UniformSample([0, 1], 0, 3), UniformSample([0, 2], 0, 3)
-    assert a != b and a == a
-    assert isinstance(hash(a), int)
-
-
-def test_uniform_sample_rejects_degenerate_setups():
-    ps = PointSet.from_coords(np.arange(10.0).reshape(-1, 1))
-    with pytest.raises(ValueError):
-        uniform_sample(ps, ParamSet(k=2, z=0, n=10), np.random.default_rng(0))
-    dmat = np.abs(np.subtract.outer(np.arange(5.0), np.arange(5.0)))
-    mps = PointSet.from_distance_matrix(dmat)
-    with pytest.raises(ValueError):
-        uniform_sample(mps, ParamSet(k=1, z=1, n=5), np.random.default_rng(0))
-    # inflated budget must stay below the sample size
-    with pytest.raises(ValueError):
-        uniform_sample(ps, ParamSet(k=2, z=1, n=10, eps=99.0), np.random.default_rng(0), size_override=5)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Round-budget formulas are frozen against hand-computed values before any
 sampling behavior is checked."""
 
+import logging
 import math
 import tracemalloc
 from dataclasses import asdict, replace
@@ -22,18 +23,20 @@ from robustcenter.core import (
 import robustcenter.coreset as coreset
 import robustcenter.greedy as greedy
 from robustcenter.coreset import build_coreset, build_coreset_auto
+from robustcenter.distributed import ShardedInstance, SiteProfile, coordinator_threshold, outlier_budget_grid
 from robustcenter.generate import GeneratorSpec, planted_instance
 from robustcenter.greedy import (
     bicriteria,
     GreedyRun,
     boost_repetitions,
+    gonzalez,
     greedy_config,
     sublinear_bicriteria,
     sublinear_config,
     two_approx,
     two_approx_boosted,
 )
-from robustcenter.solvers import brute_force_opt, gonzalez
+from robustcenter.solvers import brute_force_opt, charikar_3approx
 
 import oracles
 
@@ -62,6 +65,34 @@ def test_rounds_override():
     assert cfg.rounds == 7
     with pytest.raises(ValueError):
         greedy_config(params_for(2, 1, 5), rounds_override=0)
+
+
+_LINE = PointSet.from_coords(np.arange(10.0))
+_P = params_for(2, 1, 10)
+_PROFILES = (SiteProfile(0, (0, 1), (1.0, 0.0), {}, 5), SiteProfile(1, (0, 1), (2.0, 0.0), {}, 5))
+NON_INTEGER_COUNTS = {
+    "rounds_override": lambda: greedy_config(_P, rounds_override=3.7),
+    "sites": lambda: ShardedInstance.balanced(_LINE, 2.5, np.random.default_rng(0)),
+    "budget_grid": lambda: outlier_budget_grid(2.5),
+    "threshold_budget": lambda: coordinator_threshold(_PROFILES, 2.5),
+    "threshold_bool_budget": lambda: coordinator_threshold(_PROFILES, True),
+    "charikar_k": lambda: charikar_3approx(_LINE, None, 1.5, 0),
+    "brute_force_k": lambda: brute_force_opt(_LINE, 1.5, 0),
+    "gonzalez_k": lambda: gonzalez(_LINE, 1.5, np.random.default_rng(0)),
+    "gonzalez_bool_k": lambda: gonzalez(_LINE, True, np.random.default_rng(0)),
+    "rounds": lambda: replace(greedy_config(_P), rounds=2.5),
+    "init_sample": lambda: replace(greedy_config(_P), init_sample=1.5),
+    "per_round_sample": lambda: replace(greedy_config(_P), per_round_sample=1.5),
+    "sample_size": lambda: replace(sublinear_config(_P), sample_size=500.5),
+    "take_per_round": lambda: replace(sublinear_config(_P), take_per_round=1.5),
+}
+
+
+@pytest.mark.parametrize("entry", NON_INTEGER_COUNTS)
+def test_every_count_entry_point_rejects_a_non_integer(entry):
+    # Each was truncated to a valid-looking count or died with a bare TypeError.
+    with pytest.raises(ValueError, match="integer"):
+        NON_INTEGER_COUNTS[entry]()
 
 
 def test_boost_repetitions_frozen():
@@ -154,16 +185,32 @@ def test_sublinear_round_evals_track_center_count():
     p = params_for(3, 10, ps.n, eps=1.0, eta=0.25)
     cfg = greedy_config(p)
     sub = sublinear_config(p)
-    stats = {}
-    cs = sublinear_bicriteria(ps, cfg, sub, np.random.default_rng(4), stats=stats)
+    logged = replace(ps, stats=oracles.EvalLog())
+    cs = sublinear_bicriteria(logged, cfg, sub, np.random.default_rng(4))
     draw = min(sub.sample_size, ps.n)
-    evals = stats["round_dist_evals"]
-    added = stats["round_added"]
+    evals = logged.stats.increments
+    added = [cs.round_of.count(j) for j in range(2, len(evals) + 2)]
     centers_before = cfg.init_sample
     for got, grew in zip(evals, added):
         assert got == draw * centers_before
         centers_before += grew
     assert len(cs) == cfg.init_sample + sum(added)
+
+
+def test_sublinear_logs_its_capped_draw(caplog):
+    ps = PointSet.from_coords(np.arange(40.0))
+    p = params_for(2, 2, ps.n, eps=0.5)
+    sub = sublinear_config(p)
+    assert sub.sample_size > ps.n
+    with caplog.at_level(logging.INFO, logger="robustcenter.greedy"):
+        sublinear_bicriteria(ps, greedy_config(p), sub, np.random.default_rng(0))
+    assert [r.getMessage() for r in caplog.records] == [
+        f"sample-only greedy: per-round sample of {sub.sample_size} capped at n=40"
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="robustcenter.greedy"):
+        sublinear_bicriteria(ps, greedy_config(p), replace(sub, sample_size=40), np.random.default_rng(0))
+    assert not caplog.records
 
 
 def test_sublinear_counts_independent_of_n():
@@ -174,17 +221,17 @@ def test_sublinear_counts_independent_of_n():
         )
         ps = planted_instance(spec, 0).ps
         p = params_for(3, z, ps.n, eps=1.0, eta=0.25)
-        stats = {}
-        sublinear_bicriteria(ps, greedy_config(p), sublinear_config(p), np.random.default_rng(0), stats=stats)
-        counts[ps.n] = stats["round_dist_evals"]
+        logged = replace(ps, stats=oracles.EvalLog())
+        sublinear_bicriteria(logged, greedy_config(p), sublinear_config(p), np.random.default_rng(0))
+        counts[ps.n] = logged.stats.increments
     a, b = counts.values()
     assert a == b
 
 
 def _sublinear_run(ps, p, seed):
-    stats = {}
-    cs = sublinear_bicriteria(ps, greedy_config(p), sublinear_config(p), np.random.default_rng(seed), stats=stats)
-    return cs.indices, cs.round_of, stats
+    logged = replace(ps, stats=oracles.EvalLog())
+    cs = sublinear_bicriteria(logged, greedy_config(p), sublinear_config(p), np.random.default_rng(seed))
+    return cs.indices, cs.round_of, logged.stats.increments
 
 
 @pytest.mark.parametrize("mode", ["euclidean", "matrix"])
@@ -376,3 +423,32 @@ def test_carried_cost_equals_the_tracker_oracle(coords, mode, data):
         assert _tracker_scored(sub, cs, z, eps) == clustering_cost(sub, cs.indices, z, eps)
         fresh = replace(ps, stats=DistanceStats())
         assert _tracker_scored(fresh, cs, z, eps) == oracle
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    coords=tie_heavy_coords,
+    mode=st.sampled_from(["euclidean", "matrix"]),
+    k=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gonzalez_replays_the_reference_traversal(coords, mode, k, seed):
+    ps = PointSet.from_coords(np.asarray(coords, dtype=np.float64))
+    if mode == "matrix":
+        ps = PointSet.from_distance_matrix(ps.cross_dists(np.arange(ps.n), np.arange(ps.n)))
+    k = min(k, ps.n)
+    before = ps.stats.evals
+    cs = gonzalez(ps, k, np.random.default_rng(seed))
+    evals = ps.stats.evals - before
+    indices, round_of = oracles.gonzalez_reference(ps, k, np.random.default_rng(seed))
+    assert (cs.indices, cs.round_of) == (indices, round_of)
+    assert ps.stats.evals - before - evals == evals == len(indices) * ps.n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 12_000, 1 << 20])
+def test_one_point_draw_is_the_integer_draw(n):
+    # gonzalez starts with GreedyRun's draw of one point without replacement,
+    # which numpy serves from the same stream as Generator.integers(n).
+    for seed in range(50):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert a.choice(n, size=1, replace=False).tolist() == [int(b.integers(n))]

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robustcenter.core import GuardError, PointSet, cost_radius, weighted_cost
+from robustcenter.greedy import gonzalez
 from robustcenter.solvers import (
     _candidate_radii,
     _coverage_dtype,
     _pairwise_block,
     brute_force_opt,
     charikar_3approx,
-    gonzalez,
 )
 
 import oracles
@@ -103,18 +103,24 @@ def test_charikar_guard_names_the_bytes_of_its_blocks(weights, per_pair):
 
 
 def test_gonzalez_frozen_line():
-    cs = gonzalez(line_ps([0.0, 10.0, 11.0]), 2)
-    assert cs.indices == (0, 2)
-    assert cs.round_of == (1, 2)
+    # From each start the second pick is the farthest point: 2 from 0, and 0
+    # from either end of the pair 10, 11.
+    ps = line_ps([0.0, 10.0, 11.0])
+    runs = {}
+    for seed in range(20):
+        cs = gonzalez(ps, 2, np.random.default_rng(seed))
+        runs[cs.indices[0]] = cs.indices
+        assert cs.round_of == (1, 2)
+    assert runs == {0: (0, 2), 1: (1, 0), 2: (2, 0)}
 
 
 def test_gonzalez_is_two_approx_without_outliers():
     rng = np.random.default_rng(5)
-    for _ in range(15):
+    for seed in range(15):
         ps, k, _ = random_instance(rng)
         pts = [tuple(row) for row in ps.coords]
         r_opt, _ = oracles.exhaustive_opt(pts, k, 0)
-        cs = gonzalez(ps, k)
+        cs = gonzalez(ps, k, np.random.default_rng(seed))
         assert cost_radius(ps, cs, 0, 0.0) <= 2 * r_opt + 1e-9
 
 
