@@ -58,8 +58,7 @@ def ceil_count(x: float) -> int:
 
 def relaxed_exclusions(z: int, eps: float) -> int:
     """Points dropped by the relaxed cost: ceil((1+eps) * z)."""
-    if z < 0:
-        raise ValueError("outlier count must be non-negative")
+    z = _count(z, "z", 0)
     if eps < 0:
         raise ValueError("relaxation parameter must be non-negative")
     return ceil_count((1.0 + eps) * z)
@@ -193,8 +192,7 @@ class PointSet:
         return self.coords.shape[1] if self.mode == "euclidean" else None
 
     def dist(self, i: int, j: int) -> float:
-        _point_index(i, self.n)
-        _point_index(j, self.n)
+        i, j = _count(i, "point index", 0, self.n - 1), _count(j, "point index", 0, self.n - 1)
         self.stats.evals += 1
         if self.mode == "matrix":
             return float(self.dmat[i, j])
@@ -205,7 +203,7 @@ class PointSet:
         coordinates give the kernel's summed squares before its final root,
         whose np.sqrt is the default result bit for bit; a distance matrix
         has no root to skip and gives its distances either way."""
-        _point_index(i, self.n)
+        i = _count(i, "point index", 0, self.n - 1)
         self.stats.evals += self.n
         if self.mode == "matrix":
             return self.dmat[i].copy()
@@ -264,7 +262,8 @@ class ParamSet:
     """Shared problem parameters, validated once at construction.
 
     gamma is derived (z/n) rather than stored; k + z < n rejects instances
-    where excluding the outliers leaves nothing to cluster.
+    where excluding the outliers leaves nothing to cluster.  Counts are
+    stored as Python ints, so numpy unsigned ones cannot wrap.
     """
 
     k: int
@@ -276,11 +275,10 @@ class ParamSet:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_integer_fields(self, "k", "z", "n", "seed")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not 0 <= self.z < self.n:
-            raise ValueError("z must satisfy 0 <= z < n")
+        n = _count(self.n, "n", 2)
+        for name, lo, hi in (("k", 1, n - 1), ("z", 0, n - 1), ("seed", 0, 2**64 - 1)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, lo, hi))
+        object.__setattr__(self, "n", n)
         if self.k + self.z >= self.n:
             raise ValueError("degenerate instance: k + z must be < n")
         if not 0 < self.eps < math.inf:
@@ -289,8 +287,6 @@ class ParamSet:
             raise ValueError("eta must lie in (0, 1/2)")
         if not 0 < self.mu < 1:
             raise ValueError("mu must lie in (0, 1)")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
 
     @property
     def gamma(self) -> float:
@@ -394,8 +390,7 @@ def farthest_m(mindist: np.ndarray, m: int) -> np.ndarray:
     partition selection.
     """
     n = mindist.shape[0]
-    if not (_is_integer(m) and 0 < m <= n):
-        raise ValueError(f"m must be an integer in [1, {n}], got {m!r}")
+    m = _count(m, "m", 1, n)
     if m == n:
         return np.arange(n, dtype=np.intp)
     cut = np.partition(mindist, n - m)[n - m]
@@ -413,12 +408,24 @@ def _is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _check_integer_fields(obj, *names: str) -> None:
-    """Raise ValueError naming the first of ``obj``'s fields that is not
-    an integer."""
-    for name in names:
-        if not _is_integer(getattr(obj, name)):
-            raise ValueError(f"{name} must be an integer, got {getattr(obj, name)!r}")
+def _count(value, name: str, lo: int, hi: int | None = None) -> int:
+    """The one count rule: an integer (``_is_integer``) in [lo, hi], or at
+    least lo when hi is None, returned as a Python int; otherwise a
+    ValueError that names the count."""
+    if _is_integer(value):
+        v = int(value)
+        if lo <= v and (hi is None or v <= hi):
+            return v
+    if hi is None:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+    raise ValueError(f"{name} must lie in [{lo}, {hi}] and be an integer, got {value!r}")
+
+
+def _check_n(ps: PointSet, n: int, what: str = "params.n") -> None:
+    """Reject parameters or a coreset made for another point set, whose
+    sample sizes and budgets would be wrong here."""
+    if n != ps.n:
+        raise ValueError(f"{what}={n} does not match the point set's n={ps.n}")
 
 
 def _point_indices(indices, n: int, distinct: bool = False) -> np.ndarray:
@@ -434,12 +441,6 @@ def _point_indices(indices, n: int, distinct: bool = False) -> np.ndarray:
     if distinct and np.unique(idx).size != idx.size:
         raise ValueError("center and point indices must be distinct")
     return idx.astype(np.intp, copy=False)
-
-
-def _point_index(i, n: int) -> None:
-    """The same rule for one scalar index, without building an array."""
-    if not (_is_integer(i) and 0 <= i < n):
-        raise ValueError(f"point index must be an integer that lies in [0, {n}), got {i!r}")
 
 
 @dataclass(frozen=True)
@@ -460,9 +461,8 @@ def clustering_cost(ps: PointSet, centers, z: int, eps: float = 0.0) -> Clusteri
     any other input takes one distance pass per center.  With eps=0 the two
     radii are equal."""
     idx = _point_indices(centers, ps.n)
-    strict, m = relaxed_exclusions(z, 0.0), relaxed_exclusions(z, eps)
-    if m >= ps.n:
-        raise ValueError("exclusion budget swallows the dataset")
+    strict = relaxed_exclusions(z, 0.0)
+    m = _count(relaxed_exclusions(z, eps), "exclusion budget ceil((1+eps)z)", 0, ps.n - 1)
     if isinstance(centers, CenterSet) and centers._source is ps:
         return _evaluate(centers._mindist, strict, m)
     tracker = NearestTracker(ps)
@@ -489,10 +489,7 @@ def cost_radius(ps: PointSet, centers, z: int, eps: float = 0.0) -> float:
 def radius_after_exclusions(mindist: np.ndarray, m: int) -> float:
     """(m+1)-th largest tracked distance; the value is tie-order independent."""
     n = mindist.shape[0]
-    if not (_is_integer(m) and m >= 0):
-        raise ValueError(f"exclusion count must be a non-negative integer, got {m!r}")
-    if m >= n:
-        raise ValueError("exclusion budget swallows the dataset")
+    m = _count(m, "m", 0, n - 1)
     if m == 0:
         return float(mindist.max())
     return float(np.partition(mindist, n - 1 - m)[n - 1 - m])

@@ -20,6 +20,8 @@ from .core import (
     ClusteringEval,
     ParamSet,
     PointSet,
+    _check_n,
+    _count,
     _point_indices,
     ceil_count,
     clustering_cost,
@@ -128,11 +130,10 @@ def build_coreset(
     bi-criteria loop for ceil(c l / (1 - eta)) rounds; if that budget exceeds
     n the unit-weight fallback is returned instead.
     """
+    _check_n(ps, params.n)
     if not 0 < doubling_dim < math.inf:
         raise ValueError("doubling dimension must be positive and finite")
-    exclusions = relaxed_exclusions(params.z, 1.0)
-    if exclusions >= ps.n:
-        raise ValueError("relaxed exclusion budget swallows the dataset")
+    exclusions = _count(relaxed_exclusions(params.z, 1.0), "exclusion budget 2z", 0, ps.n - 1)
     raw_rounds = math.inf  # (2/mu)^dim > n already puts the budget above n
     if doubling_dim * math.log(2.0 / params.mu) <= math.log(ps.n):
         target = ceil_count((2.0 / params.mu) ** doubling_dim * params.k)
@@ -152,9 +153,8 @@ def build_coreset_auto(ps: PointSet, params: ParamSet, rng: np.random.Generator)
     budget tripled until the cost excluding 6z points drops to (mu/2) times
     the phase-1 radius.
     """
-    exclusions = relaxed_exclusions(params.z, 5.0)
-    if exclusions >= ps.n:
-        raise ValueError("relaxed exclusion budget (6z) swallows the dataset")
+    _check_n(ps, params.n)
+    exclusions = _count(relaxed_exclusions(params.z, 5.0), "exclusion budget 6z", 0, ps.n - 1)
     run, cfg = _phase_one(ps, params, rng)
     r_phase1 = radius_after_exclusions(run.tracker.mindist, relaxed_exclusions(params.z, 1.0))
     # While the radius after 6z exclusions is above the target, every pool
@@ -173,6 +173,8 @@ def compose_with_host(cs: WeightedCoreset, ps: PointSet, params: ParamSet, host)
     into the coreset; they are mapped back to original indices before the
     strict cost is evaluated.
     """
+    _check_n(ps, params.n)
+    _check_n(ps, cs.source_n, "the coreset's source_n")
     sub = ps.subset(cs.indices)
     picks = host(sub, cs.weights, params.k, params.z)
     return clustering_cost(ps, cs.indices[_point_indices(picks, len(cs))], params.z, 0.0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ParamSet, PointSet, _is_integer, _point_indices
+from .core import ParamSet, PointSet, _check_n, _count, _point_indices
 from .coreset import WeightedCoreset, _identity_coreset, build_coreset, build_coreset_auto
 
 __all__ = [
@@ -38,8 +38,7 @@ log = logging.getLogger(__name__)
 
 def outlier_budget_grid(z: int) -> list[int]:
     """Budget grid {0, z} plus every power of two up to z."""
-    if not (_is_integer(z) and z >= 0):
-        raise ValueError(f"outlier budget must be an integer >= 0, got {z!r}")
+    z = _count(z, "z", 0)
     labels = {0, z}
     p = 2
     while p <= z:
@@ -69,8 +68,7 @@ class ShardedInstance:
 
     @classmethod
     def balanced(cls, ps: PointSet, s: int, rng: np.random.Generator) -> "ShardedInstance":
-        if not (_is_integer(s) and 1 <= s <= ps.n):
-            raise ValueError(f"site count must be an integer in [1, {ps.n}], got {s!r}")
+        s = _count(s, "site count", 1, ps.n)
         perm = rng.permutation(ps.n)
         return cls(ps=ps, shards=tuple(np.array_split(perm, s)))
 
@@ -212,8 +210,7 @@ def coordinator_threshold(profiles, z: int) -> ThresholdDecision:
     s = len(profiles)
     if s < 1:
         raise ValueError("need at least one site")
-    if not (_is_integer(z) and z >= 0):
-        raise ValueError(f"outlier budget must be an integer >= 0, got {z!r}")
+    z = _count(z, "z", 0)
     if len({p.site_id for p in profiles}) != s:
         raise ValueError("site ids must be distinct")
     if 2 * z + 1 > s * (z + 1):
@@ -282,9 +279,8 @@ def run_protocol(
         raise ValueError("pass exactly one of s or instance")
     if instance is not None and instance.ps is not ps:
         raise ValueError("instance must shard the same point set")
-    sites = s if instance is None else instance.s
-    if not _is_integer(sites) or not 1 <= sites <= ps.n:
-        raise ValueError(f"site count must be an integer in [1, {ps.n}], got {sites!r}")
+    _check_n(ps, params.n)
+    sites = _count(s, "site count", 1, ps.n) if instance is None else instance.s
     children = np.random.SeedSequence(params.seed).spawn(sites + 1)
     if instance is None:
         instance = ShardedInstance.balanced(ps, sites, np.random.default_rng(children[-1]))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointSet, _is_integer, euclidean_dists
+from .core import PointSet, _count, euclidean_dists
 
 __all__ = [
     "GeneratorSpec",
@@ -24,17 +24,16 @@ __all__ = [
 ]
 
 SEPARATION_FACTOR = 20.0
+MEB_ITERATIONS = 100
 
 
-def meb_approx(pts: np.ndarray, iterations: int = 100):
-    """Approximate minimum enclosing ball of the rows of ``pts`` by repeated
-    drift toward the farthest point with step 1/(i+1); starts at point 0.
-    Distances use the PointSet kernel's summation order but are not counted:
-    generator work is not algorithm work."""
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+def meb_approx(pts: np.ndarray):
+    """Approximate minimum enclosing ball of the rows of ``pts`` by
+    MEB_ITERATIONS drifts toward the farthest point with step 1/(i+1);
+    starts at point 0.  Distances use the PointSet kernel's summation order
+    but are not counted: generator work is not algorithm work."""
     center = pts[0].astype(np.float64).copy()
-    for i in range(1, iterations + 1):
+    for i in range(1, MEB_ITERATIONS + 1):
         far = pts[np.argmax(euclidean_dists(pts, center))]
         center += (far - center) / (i + 1)
     radius = float(euclidean_dists(pts, center).max())
@@ -58,7 +57,8 @@ def _uniform_ball(rng: np.random.Generator, count: int, center: np.ndarray, radi
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Recipe for a planted instance."""
+    """Recipe for a planted instance.  Counts are stored as Python ints, so
+    numpy unsigned ones cannot wrap."""
 
     n_inliers: int
     clusters: int
@@ -69,19 +69,15 @@ class GeneratorSpec:
     outlier_scale: float = 3.0
 
     def __post_init__(self) -> None:
-        for name in ("n_inliers", "clusters", "dim", "grid_dim", "outliers"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.n_inliers < 1 or not 1 <= self.clusters <= self.n_inliers:
-            raise ValueError("need 1 <= clusters <= n_inliers")
-        if not 1 <= self.grid_dim <= self.dim:
-            raise ValueError("need 1 <= grid_dim <= dim")
-        if self.cluster_radius <= 0:
-            raise ValueError("cluster radius must be positive")
-        if not 0 <= self.outliers < self.n_inliers:
-            raise ValueError("outlier count must stay below n_inliers")
-        if self.outlier_scale < 0:
-            raise ValueError("outlier scale must be >= 0")
+        n, dim = _count(self.n_inliers, "n_inliers", 1), _count(self.dim, "dim", 1)
+        for name, lo, hi in (("clusters", 1, n), ("grid_dim", 1, dim), ("outliers", 0, n - 1)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, lo, hi))
+        object.__setattr__(self, "n_inliers", n)
+        object.__setattr__(self, "dim", dim)
+        if not 0 < self.cluster_radius < np.inf:
+            raise ValueError(f"cluster_radius must be positive and finite, got {self.cluster_radius!r}")
+        if not 0 <= self.outlier_scale < np.inf:
+            raise ValueError(f"outlier_scale must be non-negative and finite, got {self.outlier_scale!r}")
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ from .core import (
     NearestTracker,
     ParamSet,
     PointSet,
-    _check_integer_fields,
-    _is_integer,
+    _check_n,
+    _count,
     ceil_count,
     clustering_cost,
     farthest_m,
@@ -64,11 +64,8 @@ class GreedyConfig:
     per_round_sample: int
 
     def __post_init__(self) -> None:
-        _check_integer_fields(self, "rounds", "init_sample", "per_round_sample")
-        if self.rounds < 1:
-            raise ValueError("round count must be >= 1")
-        if self.init_sample < 1 or self.per_round_sample < 1:
-            raise ValueError("sample counts must be >= 1")
+        for name in ("rounds", "init_sample", "per_round_sample"):
+            _count(getattr(self, name), name, 1)
         if self.round_constant <= 0:
             raise ValueError("round constant must be positive")
 
@@ -102,13 +99,10 @@ class SublinearConfig:
     take_per_round: int
 
     def __post_init__(self) -> None:
-        _check_integer_fields(self, "sample_size", "take_per_round")
         if not 0 < self.sigma < 1:
             raise ValueError("sigma must lie in (0, 1)")
-        if self.sample_size < 1:
-            raise ValueError("per-round sample size must be >= 1")
-        if not 0 < self.take_per_round <= self.sample_size:
-            raise ValueError("take_per_round must lie in [1, sample_size]")
+        size = _count(self.sample_size, "sample_size", 1)
+        _count(self.take_per_round, "take_per_round", 1, size)
 
 
 def sublinear_config(params: ParamSet) -> SublinearConfig:
@@ -193,6 +187,7 @@ def bicriteria(ps: PointSet, cfg: GreedyConfig, rng: np.random.Generator) -> Cen
     """Multi-draw greedy: seed, then per round sample per_round_sample
     vertices from the current farthest set.  Output size is at most
     init_sample + (rounds - 1) * per_round_sample."""
+    _check_n(ps, cfg.params.n)
     run = GreedyRun(ps, rng, cfg.init_sample)
     pool_size = relaxed_exclusions(cfg.params.z, cfg.params.eps)
     run.grow(pool_size, cfg.per_round_sample, cfg.rounds - 1)
@@ -201,6 +196,7 @@ def bicriteria(ps: PointSet, cfg: GreedyConfig, rng: np.random.Generator) -> Cen
 
 def two_approx(ps: PointSet, params: ParamSet, rng: np.random.Generator) -> CenterSet:
     """One uniform seed plus k-1 single draws from the farthest set."""
+    _check_n(ps, params.n)
     run = GreedyRun(ps, rng, 1)
     run.grow(relaxed_exclusions(params.z, params.eps), 1, params.k - 1)
     return run.centers()
@@ -214,8 +210,7 @@ def gonzalez(ps: PointSet, k: int, rng: np.random.Generator) -> CenterSet:
     picks of the point farthest from the chosen set, lower index winning
     ties, stopping once every point is covered.
     """
-    if not (_is_integer(k) and 1 <= k <= ps.n):
-        raise ValueError(f"k must lie in [1, {ps.n}] and be an integer, got {k!r}")
+    k = _count(k, "k", 1, ps.n)
     run = GreedyRun(ps, rng, 1)
     run.grow(1, 1, k - 1)
     return run.centers()
@@ -258,6 +253,7 @@ def sublinear_bicriteria(
     |sample| * |centers| distances, independent of n, in row blocks of at
     most 2**17 distances each.
     """
+    _check_n(ps, cfg.params.n)
     n = ps.n
     chosen: dict[int, int] = {}
     _add_new(chosen, rng.choice(n, size=min(cfg.init_sample, n), replace=False), 1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CenterSet, GuardError, PointSet, _checked_weights, _is_integer, clustering_cost, peel_weight
+from .core import CenterSet, GuardError, PointSet, _checked_weights, _count, clustering_cost, peel_weight
 
 __all__ = [
     "OracleResult",
@@ -117,8 +117,7 @@ def charikar_3approx(
     in ``tests/oracles.py`` (``charikar_reference``), bit for bit.
     """
     n = ps.n
-    if not (_is_integer(k) and k >= 1):
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    k = _count(k, "k", 1)
     w = _checked_weights(n, np.ones(n) if weights is None else weights, z)
     dtype = _coverage_dtype(w)
     _guard_pairwise(n, 8 + np.dtype(dtype).itemsize, "the radius-guessing solver")
@@ -163,8 +162,7 @@ def brute_force_opt(
     (enumeration order).  Guarded to C(n, k) <= 2e6 and n <= 4000.
     """
     n = ps.n
-    if not (_is_integer(k) and 1 <= k <= n):
-        raise ValueError(f"k must lie in [1, {n}] and be an integer, got {k!r}")
+    k = _count(k, "k", 1, n)
     w = _checked_weights(n, np.ones(n) if weights is None else weights, z)
     _guard_pairwise(n, 8, "exhaustive search")
     if math.comb(n, k) > ENUMERATION_GUARD:

@@ -170,11 +170,14 @@ def test_paramset_bounds():
         dict(k=2, z=1, n=10, seed=1.5),
         dict(k=2, z=1, n=10, eps=float("nan")),
         dict(k=2, z=1, n=10, eps=float("inf")),
+        # 200 + 100 wraps to 44 in uint8 arithmetic.
+        dict(k=np.uint8(200), z=np.uint8(100), n=250),
     ):
         with pytest.raises(ValueError):
             ParamSet(**kwargs)
     assert ParamSet(k=2, z=3, n=30).gamma == pytest.approx(0.1)
-    assert ParamSet(k=np.int64(2), z=np.int32(1), n=np.uint16(10), seed=np.int64(3)).n == 10
+    p = ParamSet(k=np.int64(2), z=np.int32(1), n=np.uint16(10), seed=np.int64(3))
+    assert [(type(v), v) for v in (p.k, p.z, p.n, p.seed)] == [(int, 2), (int, 1), (int, 10), (int, 3)]
 
 
 def test_centerset_validation():

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from robustcenter.core import PointSet
 from robustcenter.generate import (
+    MEB_ITERATIONS,
     GeneratorSpec,
     _lattice_offsets,
     meb_approx,
@@ -38,18 +39,18 @@ def test_meb_is_bit_equal_to_row_wise_norms():
     rng = np.random.default_rng(3)
     base = rng.normal(scale=12.5, size=(250, 10)) + 0.3
     # Reversed-coordinate twins lie at near-equal distances, so a last-ulp
-    # change in the norms moves the farthest pick and the radius at some of
-    # these iteration counts.
+    # change in the norms moves some farthest pick, and with it the final
+    # center and radius.
     ps = PointSet.from_coords(np.vstack([np.zeros(10), base, base[:, ::-1]]))
     rows = np.ascontiguousarray(ps.coords)
     center = rows[0].copy()
-    for iterations in range(1, 31):
+    for i in range(1, MEB_ITERATIONS + 1):
         far = rows[np.argmax(np.linalg.norm(rows - center, axis=1))]
-        center += (far - center) / (iterations + 1)
-        radius = float(np.linalg.norm(rows - center, axis=1).max())
-        got_center, got_radius = meb_approx(ps.coords, iterations)
-        assert np.array_equal(got_center, center)
-        assert got_radius == radius
+        center += (far - center) / (i + 1)
+    radius = float(np.linalg.norm(rows - center, axis=1).max())
+    got_center, got_radius = meb_approx(ps.coords)
+    assert np.array_equal(got_center, center)
+    assert got_radius == radius
 
 
 def test_inject_outliers_containment():
@@ -126,6 +127,23 @@ def test_spec_validation():
         GeneratorSpec(
             n_inliers=5, clusters=1, dim=2, grid_dim=1, cluster_radius=1.0, outlier_scale=-1.0
         )
+    for name, value in (
+        ("cluster_radius", float("nan")),
+        ("cluster_radius", float("inf")),
+        ("outlier_scale", float("nan")),
+        ("outlier_scale", float("inf")),
+    ):
+        kwargs = dict(n_inliers=5, clusters=1, dim=2, grid_dim=1, cluster_radius=1.0)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=name):
+            GeneratorSpec(**kwargs)
+    # Stored as Python ints: uint8 arithmetic would size the buffer at
+    # (250 + 10) % 256 = 4 rows.
+    spec = GeneratorSpec(
+        n_inliers=np.uint8(250), clusters=2, dim=2, grid_dim=2, cluster_radius=1.0, outliers=np.uint8(10)
+    )
+    assert type(spec.n_inliers) is int and type(spec.outliers) is int
+    assert planted_instance(spec, 0).ps.n == 260
 
 
 @pytest.mark.parametrize(

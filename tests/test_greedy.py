@@ -22,8 +22,14 @@ from robustcenter.core import (
 )
 import robustcenter.coreset as coreset
 import robustcenter.greedy as greedy
-from robustcenter.coreset import build_coreset, build_coreset_auto
-from robustcenter.distributed import ShardedInstance, SiteProfile, coordinator_threshold, outlier_budget_grid
+from robustcenter.coreset import WeightedCoreset, build_coreset, build_coreset_auto, compose_with_host
+from robustcenter.distributed import (
+    ShardedInstance,
+    SiteProfile,
+    coordinator_threshold,
+    outlier_budget_grid,
+    run_protocol,
+)
 from robustcenter.generate import GeneratorSpec, planted_instance
 from robustcenter.greedy import (
     bicriteria,
@@ -70,29 +76,58 @@ def test_rounds_override():
 _LINE = PointSet.from_coords(np.arange(10.0))
 _P = params_for(2, 1, 10)
 _PROFILES = (SiteProfile(0, (0, 1), (1.0, 0.0), {}, 5), SiteProfile(1, (0, 1), (2.0, 0.0), {}, 5))
+# Each entry: the count's name in the error, and a call passing a non-integer.
 NON_INTEGER_COUNTS = {
-    "rounds_override": lambda: greedy_config(_P, rounds_override=3.7),
-    "sites": lambda: ShardedInstance.balanced(_LINE, 2.5, np.random.default_rng(0)),
-    "budget_grid": lambda: outlier_budget_grid(2.5),
-    "threshold_budget": lambda: coordinator_threshold(_PROFILES, 2.5),
-    "threshold_bool_budget": lambda: coordinator_threshold(_PROFILES, True),
-    "charikar_k": lambda: charikar_3approx(_LINE, None, 1.5, 0),
-    "brute_force_k": lambda: brute_force_opt(_LINE, 1.5, 0),
-    "gonzalez_k": lambda: gonzalez(_LINE, 1.5, np.random.default_rng(0)),
-    "gonzalez_bool_k": lambda: gonzalez(_LINE, True, np.random.default_rng(0)),
-    "rounds": lambda: replace(greedy_config(_P), rounds=2.5),
-    "init_sample": lambda: replace(greedy_config(_P), init_sample=1.5),
-    "per_round_sample": lambda: replace(greedy_config(_P), per_round_sample=1.5),
-    "sample_size": lambda: replace(sublinear_config(_P), sample_size=500.5),
-    "take_per_round": lambda: replace(sublinear_config(_P), take_per_round=1.5),
+    "rounds_override": ("rounds", lambda: greedy_config(_P, rounds_override=3.7)),
+    "sites": ("site count", lambda: ShardedInstance.balanced(_LINE, 2.5, np.random.default_rng(0))),
+    "budget_grid": ("z", lambda: outlier_budget_grid(2.5)),
+    "threshold_budget": ("z", lambda: coordinator_threshold(_PROFILES, 2.5)),
+    "threshold_bool_budget": ("z", lambda: coordinator_threshold(_PROFILES, True)),
+    "charikar_k": ("k", lambda: charikar_3approx(_LINE, None, 1.5, 0)),
+    "brute_force_k": ("k", lambda: brute_force_opt(_LINE, 1.5, 0)),
+    "gonzalez_k": ("k", lambda: gonzalez(_LINE, 1.5, np.random.default_rng(0))),
+    "gonzalez_bool_k": ("k", lambda: gonzalez(_LINE, True, np.random.default_rng(0))),
+    "rounds": ("rounds", lambda: replace(greedy_config(_P), rounds=2.5)),
+    "init_sample": ("init_sample", lambda: replace(greedy_config(_P), init_sample=1.5)),
+    "per_round_sample": ("per_round_sample", lambda: replace(greedy_config(_P), per_round_sample=1.5)),
+    "sample_size": ("sample_size", lambda: replace(sublinear_config(_P), sample_size=500.5)),
+    "take_per_round": ("take_per_round", lambda: replace(sublinear_config(_P), take_per_round=1.5)),
+    # z=2.5 rounded up to 3 exclusions: radius 6.0 on the line, not an error.
+    "cost_z": ("z", lambda: clustering_cost(_LINE, [0], 2.5)),
 }
 
 
 @pytest.mark.parametrize("entry", NON_INTEGER_COUNTS)
 def test_every_count_entry_point_rejects_a_non_integer(entry):
     # Each was truncated to a valid-looking count or died with a bare TypeError.
-    with pytest.raises(ValueError, match="integer"):
-        NON_INTEGER_COUNTS[entry]()
+    name, call = NON_INTEGER_COUNTS[entry]
+    with pytest.raises(ValueError, match=rf"^{name} must .*integer"):
+        call()
+
+
+_FOR_30 = params_for(2, 1, 30)  # derived for 30 points; _LINE has 10
+_HOST = lambda sub, w, k, z: [0]  # noqa: E731
+MISMATCHED_N = {
+    "bicriteria": lambda: bicriteria(_LINE, greedy_config(_FOR_30), np.random.default_rng(0)),
+    "two_approx": lambda: two_approx(_LINE, _FOR_30, np.random.default_rng(0)),
+    "sublinear": lambda: sublinear_bicriteria(
+        _LINE, greedy_config(_FOR_30), sublinear_config(_FOR_30), np.random.default_rng(0)
+    ),
+    "build_coreset": lambda: build_coreset(_LINE, _FOR_30, 1.0, np.random.default_rng(0)),
+    "build_coreset_auto": lambda: build_coreset_auto(_LINE, _FOR_30, np.random.default_rng(0)),
+    "compose_params": lambda: compose_with_host(
+        WeightedCoreset(np.arange(10), np.ones(10, dtype=np.int64), 10), _LINE, _FOR_30, _HOST
+    ),
+    "compose_source_n": lambda: compose_with_host(WeightedCoreset(np.arange(2), np.array([10, 10]), 20), _LINE, _P, _HOST),
+    "run_protocol": lambda: run_protocol(_LINE, _FOR_30, s=2),
+}
+
+
+@pytest.mark.parametrize("entry", MISMATCHED_N)
+def test_entry_points_reject_params_or_a_coreset_made_for_another_point_set(entry):
+    # Each ran silently with the other set's sample sizes and budgets.
+    with pytest.raises(ValueError, match="does not match the point set's n=10"):
+        MISMATCHED_N[entry]()
 
 
 def test_boost_repetitions_frozen():
