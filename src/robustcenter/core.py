@@ -17,6 +17,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,6 +45,18 @@ __all__ = [
 # Absorbs binary-float fuzz in count formulas: (1 + 0.1) * 10 is
 # 11.000000000000002 in doubles and must count as 11, not 12.
 _CEIL_SLACK = 1e-9
+
+# The candidate filter of ``PointSet.dists_from(..., below=)`` runs on
+# coordinates of _GRAM_MIN_DIM to _GRAM_MAX_DIM axes.  Below the minimum its
+# matrix-vector product costs about as much as the slab passes it saves; the
+# maximum keeps the proof's second-order terms and every norm finite.  Past
+# _GRAM_MAX_COORD a squared norm could overflow, so such a point set keeps
+# the whole-row pass.  _GRAM_FLOOR lowers every filter value by more than
+# all underflow losses together.
+_GRAM_MIN_DIM = 4
+_GRAM_MAX_DIM = 1 << 20
+_GRAM_MAX_COORD = 1e150
+_GRAM_FLOOR = 1e-300
 
 
 class GuardError(RuntimeError):
@@ -152,6 +165,7 @@ class PointSet:
     coords: np.ndarray | None
     dmat: np.ndarray | None
     stats: DistanceStats = field(default_factory=DistanceStats, repr=False)
+    _gram = None  # the filter's scaled norms once built; not a field
 
     @classmethod
     def from_coords(cls, coords: np.ndarray | Sequence[Sequence[float]]) -> "PointSet":
@@ -198,16 +212,89 @@ class PointSet:
             return float(self.dmat[i, j])
         return float(euclidean_dists(self.coords[i : i + 1], self.coords[j])[0])
 
-    def dists_from(self, i: int, root: bool = True) -> np.ndarray:
+    def dists_from(self, i: int, root: bool = True, below: np.ndarray | None = None) -> np.ndarray:
         """Distances from point i to every point.  With ``root=False``,
-        coordinates give the kernel's summed squares before its final root,
-        whose np.sqrt is the default result bit for bit; a distance matrix
-        has no root to skip and gives its distances either way."""
+        coordinates give the kernel's summed squares (keys) before its final
+        root, whose np.sqrt is the default result bit for bit; a distance
+        matrix has no root to skip and gives its distances either way.
+
+        ``below`` (n thresholds, read only with ``root=False``) lets an
+        entry whose key is not below its threshold hold a value v with
+        below <= v <= key instead; every key below it is exact.  On
+        coordinates of D in [_GRAM_MIN_DIM, _GRAM_MAX_DIM] axes, none above
+        _GRAM_MAX_COORD in magnitude, one matrix-vector product gives each
+        point x the filter value
+
+            f = fl(fl(x.(-2c) + s_x) + fl(s_c - F)),   s_p = fl((1 - tol) n_p),
+
+        with n_p the kernel's summed squares of p (``_gram_norms``),
+        tol = (4D + 16)u, u = 2**-53 and F = _GRAM_FLOOR.  Points with
+        f < below get the exact key from the kernel's arithmetic on their
+        gathered rows, and the rest keep f.  Past n/8 candidates the whole
+        row is computed instead.  The count is n evaluations either way.
+
+        Why f < K', the kernel's rounded key.  Let S = |x|^2 + |c|^2,
+        K = |x - c|^2 <= 2S, and w = 2**-1075, the most a product loses to
+        underflow (sums and differences underflow exactly); every other
+        rounding is a factor 1 + d with |d| <= u.  To first order in u:
+        - K' adds D rounded squares of rounded differences, all
+          non-negative, so K' >= (1-u)^(D+2) K - Dw >= K - 2(D+2)uS - Dw.
+        - The product, in any order and with or without FMA (-2c is exact),
+          lies within DuS + Dw of -2x.c, as sum 2|x_j||c_j| <= S.
+        - n_x <= (1+u)^D |x|^2 + Dw, so s_x <= (1-tol)(1+(D+1)u)|x|^2
+          + (D+1)w, and likewise s_c.
+        - fl(s_c - F) <= s_c(1+u) - F(1-u), whatever the sign of s_c - F.
+        - The two additions round by at most 2uS and u(3S + F).
+        Together f <= K' - (tol - (4D+11)u)S - F(1-2u) + (4D+2)w.  With
+        D <= _GRAM_MAX_DIM the second-order terms stay below 5uS and
+        (4D+2)w below F/2, so f < K': the filter keeps every point whose
+        key could fall below its threshold, and a kept f never exceeds the
+        key it stands for.  There |coordinate| <= 1e150 also keeps every
+        intermediate below 1e307, so nothing overflows.
+        """
         i = _count(i, "point index", 0, self.n - 1)
         self.stats.evals += self.n
         if self.mode == "matrix":
             return self.dmat[i].copy()
-        return euclidean_dists(self.coords, self.coords[i], root)
+        norms = None if below is None or root else self._gram_norms()
+        if norms is None:
+            return euclidean_dists(self.coords, self.coords[i], root)
+        x, c = self.coords, self.coords[i]
+        g = x @ (-2.0 * c)
+        g += norms
+        g += norms[i] - _GRAM_FLOOR
+        cand = g < below
+        if 8 * np.count_nonzero(cand) > self.n:
+            del g, cand  # freed before the whole-row pass makes its own row
+            return euclidean_dists(x, c, False)
+        cand = cand.nonzero()[0]
+        # Gathered rows are row-major, and subtract, square and a reduce
+        # along each row give the slab kernel's key bit for bit.
+        step = max(1, (1 << 17) // self.dim)
+        for s in range(0, cand.size, step):
+            rows = cand[s : s + step]
+            block = x[rows]
+            block -= c
+            np.square(block, out=block)
+            g[rows] = np.add.reduce(block, axis=1)
+        return g
+
+    def _gram_norms(self) -> np.ndarray | None:
+        """Each point's summed squares from the distance kernel, scaled by
+        1 - (4D + 16)2**-53: the norms the filter of ``dists_from`` reads,
+        or None where it does not run.  Built on the first call and kept
+        outside the fields, so equality, repr and content_hash ignore it."""
+        if self._gram is None:
+            norms = np.empty(0)
+            if (
+                self.mode == "euclidean"
+                and _GRAM_MIN_DIM <= self.dim <= _GRAM_MAX_DIM
+                and max(self.coords.max(), -self.coords.min()) <= _GRAM_MAX_COORD
+            ):
+                scale = 1.0 - (4 * self.dim + 16) * 2.0**-53
+                norms = euclidean_dists(self.coords, np.zeros(self.dim), root=False) * scale
+            object.__setattr__(self, "_gram", norms)
+        return self._gram if self._gram.size else None
 
     def cross_dists(self, rows: Iterable[int], cols: Iterable[int]) -> np.ndarray:
         """|rows| x |cols| distance block."""
@@ -351,6 +438,13 @@ class NearestTracker:
     only the points whose key it lowers; an insert roots and compares just
     those, unless more than an eighth of the row fell, as on the first few
     inserts, where it roots the whole row.
+
+    Each insert passes ``keys`` as ``below`` to ``dists_from``, so on
+    coordinates of enough axes only the points whose key could fall get an
+    exact key; the rest hold a value at or above their key, which the
+    compare leaves alone.  ``keys``, ``mindist`` and ``owner`` equal the
+    whole-row result bit for bit.  The norms that filter reads are built
+    with the first tracker on a point set, not inside an insert.
     """
 
     def __init__(self, ps: PointSet):
@@ -358,9 +452,10 @@ class NearestTracker:
         self.mindist = np.full(ps.n, np.inf)
         self.keys = np.full(ps.n, np.inf) if ps.mode == "euclidean" else self.mindist
         self.owner = np.full(ps.n, -1, dtype=np.intp)
+        ps._gram_norms()  # built here, not inside an insert
 
     def add_center(self, c: int) -> None:
-        d = self.ps.dists_from(c, root=False)
+        d = self.ps.dists_from(c, root=False, below=self.keys)
         has_root = self.keys is not self.mindist
         fell = d < self.keys
         if 8 * np.count_nonzero(fell) > d.size:
@@ -411,14 +506,15 @@ def _is_integer(v) -> bool:
 def _count(value, name: str, lo: int, hi: int | None = None) -> int:
     """The one count rule: an integer (``_is_integer``) in [lo, hi], or at
     least lo when hi is None, returned as a Python int; otherwise a
-    ValueError that names the count."""
-    if _is_integer(value):
-        v = int(value)
-        if lo <= v and (hi is None or v <= hi):
-            return v
+    ValueError that names the count.  An integer of 22 digits or more is
+    shown as 2.000e+300, not digit by digit."""
+    v = int(value) if _is_integer(value) else None
+    if v is not None and lo <= v and (hi is None or v <= hi):
+        return v
+    shown = repr(value) if v is None or abs(v) < 10**21 else format(Decimal(v), ".3e")
     if hi is None:
-        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
-    raise ValueError(f"{name} must lie in [{lo}, {hi}] and be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {lo}, got {shown}")
+    raise ValueError(f"{name} must lie in [{lo}, {hi}] and be an integer, got {shown}")
 
 
 def _check_n(ps: PointSet, n: int, what: str = "params.n") -> None:

@@ -112,7 +112,9 @@ def sublinear_config(params: ParamSet) -> SublinearConfig:
     if gamma == 0:
         raise ValueError("sample-only selection needs outliers (z >= 1)")
     sigma = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * (1.0 + eps) / (3.0 * eps)))
-    sample_size = ceil_count(3.0 / (sigma * sigma * (1.0 + eps) * gamma) * math.log(4.0 / eta))
+    # A tiny eps underflows the denominator to 0; that count is infinite.
+    denominator = sigma * sigma * (1.0 + eps) * gamma
+    sample_size = ceil_count(3.0 / denominator * math.log(4.0 / eta) if denominator else math.inf)
     take = ceil_count((1.0 + sigma) * (1.0 + eps) * gamma * sample_size)
     return SublinearConfig(sigma=sigma, sample_size=sample_size, take_per_round=take)
 
@@ -120,7 +122,11 @@ def sublinear_config(params: ParamSet) -> SublinearConfig:
 def boost_repetitions(params: ParamSet) -> int:
     """Repetition count driving the boosted failure probability below 10%."""
     ratio = (1.0 + params.eps) / params.eps
-    return ceil_count(math.log(10.0) * (1.0 / (1.0 - params.gamma)) * ratio ** (params.k - 1))
+    try:
+        power = ratio ** (params.k - 1)
+    except OverflowError:  # float ** raises where * and / give inf
+        power = math.inf
+    return ceil_count(math.log(10.0) * (1.0 / (1.0 - params.gamma)) * power)
 
 
 def _add_new(chosen: dict[int, int], picks: np.ndarray, round_no: int) -> list[int]:

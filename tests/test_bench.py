@@ -190,6 +190,15 @@ def test_cli_rejects_bad_specs(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_cli_count_message_stays_short(tmp_path, capsys):
+    # ceil((1+eps)z) at eps=1e300 is an integer of 301 digits.
+    argv = ["--algo", "bicriteria", "--k", "2", "--z", "2", "--eps", "1e300", "--out", str(tmp_path / "r")]
+    assert main([*argv, "--generate", "n=40,clusters=2,dim=2,grid=2,radius=1.0,outliers=2"]) == 2
+    err = capsys.readouterr().err
+    assert "exclusion budget ceil((1+eps)z) must lie in [0, 41]" in err and "got 2.000e+300" in err
+    assert len(err) < 120
+
+
 def test_cli_rejects_non_integer_shard_entries(tmp_path, capsys):
     shards = tmp_path / "shards.json"
     shards.write_text(json.dumps({"shards": [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9.0]]}))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import robustcenter.core as core
 from robustcenter.core import (
     CenterSet,
     ParamSet,
@@ -175,6 +176,9 @@ def test_paramset_bounds():
     ):
         with pytest.raises(ValueError):
             ParamSet(**kwargs)
+    # Past the float range the message stays short and names the count.
+    with pytest.raises(ValueError, match=r"^seed must lie in \[0, 18446744073709551615\] and be an integer, got 1\.000e\+400$"):
+        ParamSet(k=2, z=1, n=10, seed=10**400)
     assert ParamSet(k=2, z=3, n=30).gamma == pytest.approx(0.1)
     p = ParamSet(k=np.int64(2), z=np.int32(1), n=np.uint16(10), seed=np.int64(3))
     assert [(type(v), v) for v in (p.k, p.z, p.n, p.seed)] == [(int, 2), (int, 1), (int, 10), (int, 3)]
@@ -500,6 +504,23 @@ def test_tracker_pass_peaks_within_one_row_plus_one_chunk():
     assert ps.stats.evals == 16 * ps.n and set(tracker.owner.tolist()) == set(range(16))
 
 
+def test_filtered_inserts_peak_within_the_same_bound(monkeypatch):
+    # Past the first few inserts few keys fall, and the candidate filter
+    # holds its product row, the candidate indices and one gathered block.
+    ps = PointSet.from_coords(np.random.default_rng(0).standard_normal((100_000, 8)))
+    tracker, calls, kernel = NearestTracker(ps), [], core.euclidean_dists
+    monkeypatch.setattr(core, "euclidean_dists", lambda *a, **k: calls.append(a) or kernel(*a, **k))
+    tracemalloc.start()
+    try:
+        for c in range(64):
+            tracker.add_center(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ps.n * 8 + (1 << 20) + (1 << 17)
+    assert len(calls) < 32 and ps.stats.evals == 64 * ps.n
+
+
 @settings(max_examples=40, deadline=None)
 @given(coords=coords_strategy, data=st.data())
 def test_tracker_matches_naive_min(coords, data):
@@ -577,6 +598,90 @@ def test_tracker_matches_the_one_center_oracle_on_both_update_paths(mode):
         assert tracker.mindist.tobytes() == np.array(ref.mindist).tobytes()
         assert tracker.owner.tolist() == ref.owner
     assert any(whole_row) and not all(whole_row)
+
+
+def _assert_matches_whole_rows(ps, tracker, centers):
+    # mindist and owner from one rooted row per center, keys from the
+    # elementwise minimum of the unrooted rows, none of them filtered.
+    ref = oracles.OneAtATimeTracker(ps)
+    for c in centers:
+        ref.add_center(c)
+    keys = np.minimum.reduce([ps.dists_from(c, root=False) for c in centers])
+    assert tracker.mindist.tobytes() == np.array(ref.mindist).tobytes()
+    assert tracker.owner.tolist() == ref.owner
+    assert tracker.keys.tobytes() == keys.tobytes()
+
+
+_CUTOFF = core._GRAM_MAX_COORD
+
+
+def _pinned(top):
+    # Uniform coordinates whose largest magnitude is exactly ``top``.
+    def make(rng, n, d):
+        x = top * rng.uniform(-1, 1, (n, d))
+        x[0, 0] = top
+        return x
+
+    return make
+
+
+def _tiny(rng, n, d):
+    return 10.0 ** rng.uniform(-162, -161, (n, d)) * rng.choice([-1.0, 1.0], (n, d))
+
+
+_FILTER_CASES = {
+    "grid ties": lambda rng, n, d: rng.integers(-2, 3, (n, d)).astype(float),
+    # Every point is a candidate, so each insert takes the whole row.
+    "offset 1e8": lambda rng, n, d: 1e8 + rng.standard_normal((n, d)),
+    "at the cutoff": _pinned(_CUTOFF),
+    "just above the cutoff": _pinned(np.nextafter(_CUTOFF, np.inf)),
+    # Magnitudes of 1e-162 to 1e-161, whose squares are subnormal.  Alone,
+    # every such point is a candidate through the floor; beside unit-scale
+    # points, the filter drops some of them.
+    "about 1e-161": lambda rng, n, d: _tiny(rng, n, d),
+    "about 1e-161 beside 1": lambda rng, n, d: np.where(rng.random((n, 1)) < 0.5, _tiny(rng, n, d), rng.uniform(-3, 3, (n, d))),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from(sorted(_FILTER_CASES)),
+    # Below the switch, at it, the benchmark's D and past _sum_axes' split.
+    dim=st.sampled_from([core._GRAM_MIN_DIM - 1, core._GRAM_MIN_DIM, 8, 137]),
+    n=st.integers(2, 120),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_filtered_tracker_is_bit_equal_to_whole_rows(case, dim, n, seed, data):
+    rng = np.random.default_rng(seed)
+    ps = PointSet.from_coords(_FILTER_CASES[case](rng, n, dim))
+    centers = rng.permutation(n)[: data.draw(st.integers(1, n))].tolist()
+    tracker = NearestTracker(ps)
+    for c in centers:
+        tracker.add_center(c)
+    _assert_matches_whole_rows(ps, tracker, centers)
+
+
+@pytest.mark.parametrize(
+    ("dim", "scale", "filtered"),
+    [(core._GRAM_MIN_DIM - 1, 1.0, False), (core._GRAM_MIN_DIM, 1.0, True), (8, _CUTOFF, True), (8, 2 * _CUTOFF, False)],
+)
+def test_filter_runs_only_on_enough_axes_below_the_cutoff(monkeypatch, dim, scale, filtered):
+    # Whole-row inserts go through the kernel; filtered ones only gather
+    # their candidates.  The largest |coordinate| is exactly ``scale``.
+    rng = np.random.default_rng(5)
+    coords = rng.standard_normal((2000, dim)) * (scale / 16)
+    coords[0, 0] = scale
+    ps = PointSet.from_coords(coords)
+    tracker, calls, kernel = NearestTracker(ps), [], core.euclidean_dists
+    monkeypatch.setattr(core, "euclidean_dists", lambda *a, **k: calls.append(a) or kernel(*a, **k))
+    centers = [1]
+    for _ in range(40):
+        tracker.add_center(centers[-1])
+        centers.append(int(tracker.mindist.argmax()))
+    assert ps.stats.evals == 40 * ps.n
+    assert (len(calls) < 40) == filtered and len(calls) >= 1
+    _assert_matches_whole_rows(ps, tracker, centers[:-1])
 
 
 def test_csv_loaders(tmp_path):

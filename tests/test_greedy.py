@@ -158,6 +158,13 @@ def test_sublinear_config_needs_outliers():
         sublinear_config(params_for(2, 0, 10))
 
 
+@pytest.mark.parametrize(("helper", "eps"), [(sublinear_config, 5e-324), (boost_repetitions, 1e-300)])
+def test_config_helpers_reject_a_count_that_overflows(helper, eps):
+    # A zero denominator and an overflowing power, each an infinite count.
+    with pytest.raises(ValueError, match="non-finite"):
+        helper(ParamSet(k=3, z=10, n=1000, eps=eps))
+
+
 @pytest.fixture(scope="module")
 def small_instance():
     spec = GeneratorSpec(
