@@ -439,12 +439,14 @@ class NearestTracker:
     those, unless more than an eighth of the row fell, as on the first few
     inserts, where it roots the whole row.
 
-    Each insert passes ``keys`` as ``below`` to ``dists_from``, so on
-    coordinates of enough axes only the points whose key could fall get an
-    exact key; the rest hold a value at or above their key, which the
-    compare leaves alone.  ``keys``, ``mindist`` and ``owner`` equal the
-    whole-row result bit for bit.  The norms that filter reads are built
-    with the first tracker on a point set, not inside an insert.
+    Each insert after the first passes ``keys`` as ``below`` to
+    ``dists_from``, so on coordinates of enough axes only the points whose
+    key could fall get an exact key; the rest hold a value at or above their
+    key, which the compare leaves alone.  The first insert finds every key
+    infinite, so it takes the whole row without the filter's product.
+    ``keys``, ``mindist`` and ``owner`` equal the whole-row result bit for
+    bit.  The norms that filter reads are built with the first tracker on a
+    point set, not inside an insert.
     """
 
     def __init__(self, ps: PointSet):
@@ -452,10 +454,12 @@ class NearestTracker:
         self.mindist = np.full(ps.n, np.inf)
         self.keys = np.full(ps.n, np.inf) if ps.mode == "euclidean" else self.mindist
         self.owner = np.full(ps.n, -1, dtype=np.intp)
+        self.held = False  # whether a center was inserted
         ps._gram_norms()  # built here, not inside an insert
 
     def add_center(self, c: int) -> None:
-        d = self.ps.dists_from(c, root=False, below=self.keys)
+        d = self.ps.dists_from(c, root=False, below=self.keys if self.held else None)
+        self.held = True
         has_root = self.keys is not self.mindist
         fell = d < self.keys
         if 8 * np.count_nonzero(fell) > d.size:

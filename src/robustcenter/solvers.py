@@ -25,6 +25,7 @@ __all__ = [
 ENUMERATION_GUARD = 2_000_000
 _MATRIX_GUARD = 4_000  # full pairwise block above this is not desk-scale
 _STRIP_ROWS = 256
+_BAND_ROWS = 128  # host rows per coverage window (charikar_3approx)
 
 
 @dataclass(frozen=True)
@@ -38,16 +39,18 @@ class OracleResult:
     opt_excluded: frozenset[int]
 
 
-def _pairwise_block(ps: PointSet) -> np.ndarray:
-    # The n x n distance block with each unordered pair evaluated once:
-    # strips of up to 256 rows of the upper triangle, diagonal included,
-    # mirrored below it.  Distances are exactly symmetric, so the block
-    # equals ps.cross_dists(arange(n), arange(n)) bit for bit.
+def _pairwise_block(ps: PointSet, order: np.ndarray | None = None) -> np.ndarray:
+    # The n x n distance block between the points taken in ``order`` (input
+    # order by default), each unordered pair evaluated once: strips of up to
+    # 256 rows of the upper triangle, diagonal included, mirrored below it.
+    # Distances are exactly symmetric, so the block equals
+    # ps.cross_dists(order, order) bit for bit.
     n = ps.n
+    idx = np.arange(n) if order is None else order
     dmat = np.empty((n, n))
     for s in range(0, n, _STRIP_ROWS):
         e = min(s + _STRIP_ROWS, n)
-        strip = ps.cross_dists(np.arange(s, e), np.arange(s, n))
+        strip = ps.cross_dists(idx[s:e], idx[s:])
         dmat[s:e, s:] = strip
         dmat[e:, s:e] = strip[:, e - s :].T
     return dmat
@@ -69,24 +72,64 @@ def _coverage_dtype(w: np.ndarray) -> type:
     return np.float64
 
 
+def _band_order(ps: PointSet) -> tuple[np.ndarray, np.ndarray | None]:
+    # The host's point order and, when it is banded, the sorted values of
+    # the axis of largest variance.  Matrix mode and n <= _BAND_ROWS keep
+    # input order and one full window.  Any axis keeps the band exact; an
+    # overflowing variance only picks a weaker one.
+    if ps.mode == "matrix" or ps.n <= _BAND_ROWS:
+        return np.arange(ps.n), None
+    with np.errstate(over="ignore", invalid="ignore"):
+        axis = int(np.argmax(ps.coords.var(axis=0)))
+    order = np.argsort(ps.coords[:, axis], kind="stable")
+    return order, ps.coords[order, axis]
+
+
+def _band_windows(xs: np.ndarray | None, n: int, r: float) -> list[tuple[slice, slice]]:
+    # Blocks of _BAND_ROWS sorted rows, each with the columns whose axis
+    # values lie within r' of the block's: every pair outside has a
+    # distance above r (charikar_3approx gives the argument).
+    if xs is None:
+        return [(slice(0, n), slice(0, n))]
+    starts = np.arange(0, n, _BAND_ROWS)
+    ends = np.minimum(starts + _BAND_ROWS, n)
+    pad = r + 2.0**-40 * (max(abs(xs[0]), abs(xs[-1])) + r) + 2.0**-500
+    lo = np.searchsorted(xs, xs[starts] - pad, side="left").tolist()
+    hi = np.searchsorted(xs, xs[ends - 1] + pad, side="right").tolist()
+    return [(slice(s, e), slice(a, b)) for s, e, a, b in zip(starts.tolist(), ends.tolist(), lo, hi)]
+
+
 def _coverage_greedy(
-    dmat: np.ndarray, cover: np.ndarray, w: np.ndarray, k: int, r: float
+    dmat: np.ndarray,
+    cover: np.ndarray,
+    w: np.ndarray,
+    k: int,
+    r: float,
+    xs: np.ndarray | None,
+    inv: np.ndarray,
 ) -> tuple[list[int], float]:
     # Pick the point covering the most uncovered weight within r, then mark
-    # everything within 3r covered.  ``cover`` (w's dtype) is the caller's
-    # n x n scratch: the compare lands in it as the 0/1 coverage matrix, so
-    # the scores are one matrix-vector product per pick.  Returns picks and
-    # leftover weight.
-    np.less_equal(dmat, r, out=cover, casting="unsafe")
+    # everything within 3r covered.  ``dmat``, ``cover`` and ``w`` are in
+    # host order, ``xs`` its sorted axis values (``_band_order``), and
+    # ``inv`` maps input indices to it.  ``cover`` (w's dtype) is the
+    # caller's n x n scratch: each window's compare lands in it as the 0/1
+    # coverage block, so a pick's scores are one matrix-vector product per
+    # window; entries outside the windows are never read.  Returns picks
+    # (input indices, the lowest on equal scores) and leftover weight.
+    windows = _band_windows(xs, dmat.shape[0], r)
+    for rows, cols in windows:
+        np.less_equal(dmat[rows, cols], r, out=cover[rows, cols], casting="unsafe")
     uncovered = w.copy()
+    scores = np.empty_like(w)
     picks: list[int] = []
     for _ in range(k):
-        scores = cover @ uncovered
-        best = int(np.argmax(scores))
-        if scores[best] <= 0.0:
+        for rows, cols in windows:
+            np.matmul(cover[rows, cols], uncovered[cols], out=scores[rows])
+        best = int(np.argmax(scores[inv]))
+        if scores[inv[best]] <= 0.0:
             break
         picks.append(best)
-        uncovered[dmat[best] <= 3.0 * r] = 0.0
+        uncovered[dmat[inv[best]] <= 3.0 * r] = 0.0
     return picks, float(uncovered.sum())
 
 
@@ -113,29 +156,69 @@ def charikar_3approx(
     points): each unordered pair is evaluated once, and the host holds
     8 + 4 bytes per pair (the float64 pairwise block and a float32 coverage
     matrix), or 8 + 8 when a weight is not an integer or the total reaches
-    2**24.  The picks equal those of the pure-Python search
-    in ``tests/oracles.py`` (``charikar_reference``), bit for bit.
+    2**24.  With integer weights the picks equal those of the pure-Python
+    search in ``tests/oracles.py`` (``charikar_reference``), bit for bit.
+
+    On coordinates of more than _BAND_ROWS points, the host sorts its
+    points (stably) by the axis of largest variance and builds the block in
+    that order.  For a guess r it cuts the rows into blocks of _BAND_ROWS
+    and gives each block the window of columns whose axis values lie within
+
+        r' = r + 2**-40 (M + r) + 2**-500,   M = max |axis value|,
+
+    of the block's first and last values (``searchsorted``).  The compare
+    into the coverage matrix and every pick's score product run only on
+    those windows; the 3r cover update reads whole rows.  A matrix, and
+    n <= _BAND_ROWS, take one full window in input order.  Picks are mapped
+    back to input indices, the lowest one winning equal scores, so with
+    integer weights (exact scores in any order) the picks, the probes and
+    the evaluation count do not depend on the band.  Real weights sum in
+    window order, so near-ties may pick differently than a full row would.
+
+    Why a pair (i, j) outside its window has distance above r.  Let
+    d = fl(x_i - x_j) on the sort axis.
+    - The kernel adds rounded squares, all non-negative, so its sum is
+      never below the sort axis's square fl(d*d), and the rooted distance is never
+      below fl(sqrt(fl(d*d))).
+    - fl(sqrt(fl(d*d))) = |d| when d*d neither overflows nor underflows
+      (an overflow gives an infinite distance, above any r).
+    - So the distance is at least |d|, and it remains to show |d| > r.
+      The column's value lies beyond fl(x_b - r') or fl(x_b + r') for the
+      block's first or last value x_b, and the row's value lies on the
+      block's side of x_b.  Computing r', that bound and d moves each by at
+      most u = 2**-53 of a size below M + r', plus at most 2**-1075 where a
+      product underflows, so |d| > r' - 5u(M + r') > r: the 2**-40 term
+      covers the relative part many times over, the floor the rest.
+    - The same bound keeps |d| above (1 - 5u) 2**-500, whose square is a
+      normal number, so fl(d*d) does not underflow.  Without the floor,
+      points a few 1e-160 apart lost pairs within r to underflowing
+      squares.
+    In a sweep of _BAND_ROWS over 64, 128 and 256 on 2,000-point coreset
+    hosts, 64 and 128 ran the probes within a few percent of each other
+    and 256 about 10% slower; 128 makes half as many products as 64.
     """
     n = ps.n
     k = _count(k, "k", 1)
     w = _checked_weights(n, np.ones(n) if weights is None else weights, z)
     dtype = _coverage_dtype(w)
     _guard_pairwise(n, 8 + np.dtype(dtype).itemsize, "the radius-guessing solver")
-    w = w.astype(dtype)
-    dmat = _pairwise_block(ps)
+    order, xs = _band_order(ps)
+    inv = np.argsort(order)
+    w = w[order].astype(dtype)
+    dmat = _pairwise_block(ps, order)
     candidates = _candidate_radii(dmat)
     cover = np.empty((n, n), dtype=dtype)
     picks: list[int] | None = None
     lo, hi = -1, candidates.size - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        found, leftover = _coverage_greedy(dmat, cover, w, k, float(candidates[mid]))
+        found, leftover = _coverage_greedy(dmat, cover, w, k, float(candidates[mid]), xs, inv)
         if leftover <= z:
             hi, picks = mid, found
         else:
             lo = mid
     if picks is None:  # no guess below the largest distance was feasible
-        picks, leftover = _coverage_greedy(dmat, cover, w, k, float(candidates[hi]))
+        picks, leftover = _coverage_greedy(dmat, cover, w, k, float(candidates[hi]), xs, inv)
         if leftover > z:
             raise RuntimeError("largest pairwise distance must be feasible")
     return CenterSet(tuple(picks), tuple(range(1, len(picks) + 1)))

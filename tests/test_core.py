@@ -684,6 +684,25 @@ def test_filter_runs_only_on_enough_axes_below_the_cutoff(monkeypatch, dim, scal
     _assert_matches_whole_rows(ps, tracker, centers[:-1])
 
 
+@pytest.mark.parametrize("dim", [2, 8])
+def test_first_insert_skips_the_filter(monkeypatch, dim):
+    # A fresh tracker's keys are all infinite, so every point would be a
+    # candidate: its first insert asks for the whole row, later ones filter.
+    ps = PointSet.from_coords(np.random.default_rng(dim).standard_normal((500, dim)))
+    tracker, seen, dists_from = NearestTracker(ps), [], PointSet.dists_from
+
+    def recording(self, i, root=True, below=None):
+        seen.append(below)
+        return dists_from(self, i, root, below)
+
+    monkeypatch.setattr(PointSet, "dists_from", recording)
+    centers = [3, 70, 141, 212]
+    for c in centers:
+        tracker.add_center(c)
+    assert seen[0] is None and all(b is tracker.keys for b in seen[1:]) and len(seen) == 4
+    _assert_matches_whole_rows(ps, tracker, centers)
+
+
 def test_csv_loaders(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("0.0,0.0\n1.5,2.0\n\n3.0,4.0\n")

@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from robustcenter.core import GuardError, PointSet, cost_radius, weighted_cost
 from robustcenter.greedy import gonzalez
 from robustcenter.solvers import (
+    _BAND_ROWS,
+    _band_order,
+    _band_windows,
     _candidate_radii,
     _coverage_dtype,
     _pairwise_block,
@@ -279,6 +282,104 @@ def test_pairwise_block_evaluates_each_pair_once(n, matrix, monkeypatch):
     # Each unordered pair once, plus the mirrored half of each strip's
     # leading square.
     assert evals == n * (n + 1) // 2 + sum(r * (r - 1) // 2 for r, _ in shapes)
+
+
+@pytest.mark.parametrize("matrix", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+def test_pairwise_block_in_a_given_order_equals_cross_dists(n, matrix, monkeypatch):
+    rng = np.random.default_rng(n + 1)
+    ps = PointSet.from_coords(rng.normal(scale=5.0, size=(n, 3)))
+    if matrix:
+        ps = PointSet.from_distance_matrix(_pairwise(ps))
+    order = rng.permutation(n)
+    full = ps.cross_dists(order, order)
+    calls = []
+    cross_dists = PointSet.cross_dists
+    monkeypatch.setattr(PointSet, "cross_dists", lambda self, r, c: calls.append(1) or cross_dists(self, r, c))
+    before = ps.stats.evals
+    got = _pairwise_block(ps, order)
+    assert np.array_equal(got.view(np.uint64), full.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), got.T.view(np.uint64))
+    assert len(calls) == -(-n // 256)
+    before_default = ps.stats.evals
+    _pairwise_block(ps)
+    assert before_default - before == ps.stats.evals - before_default
+
+
+# Tie-heavy integer coordinates, moved to where rounding, underflow or a
+# large offset could push a window bound past a pair within r.  At x1e150
+# every distance stays finite: |coordinates| <= 12.5 and D <= 5.
+_BAND_SCALES = {
+    "x1": lambda x: x,
+    "+1e8": lambda x: x + 1e8,
+    "x1e-154": lambda x: x * 1e-154,
+    "x1e-160": lambda x: x * 1e-160,
+    "x1e150": lambda x: x * 1e150,
+}
+
+
+def _band_instance(rng, dim, scale, jitter):
+    # More rows than one band block, so several blocks and windows run.
+    n = int(rng.integers(_BAND_ROWS + 1, 401))
+    x = rng.integers(-12, 13, size=(n, dim)).astype(np.float64)
+    if jitter:
+        rows = rng.choice(n, n // 5, replace=False)
+        x[rows] += rng.uniform(-0.5, 0.5, size=(rows.size, dim))
+    return PointSet.from_coords(_BAND_SCALES[scale](x))
+
+
+@pytest.mark.parametrize("jitter", [False, True])
+@pytest.mark.parametrize("scale", sorted(_BAND_SCALES))
+def test_banded_host_picks_equal_matrix_mode(scale, jitter):
+    # Matrix mode runs one full window over the same distances, so with
+    # integer weights the banded search must make the same picks.
+    rng = np.random.default_rng([sorted(_BAND_SCALES).index(scale), int(jitter), 7])
+    for dim in (1, 2, 3, 5):
+        for _ in range(5):
+            ps = _band_instance(rng, dim, scale, jitter)
+            dists = ps.cross_dists(range(ps.n), range(ps.n))
+            assert np.isfinite(dists).all()
+            matrix = PointSet.from_distance_matrix(dists)
+            w = None if rng.random() < 0.3 else rng.integers(1, 6, size=ps.n)
+            total = ps.n if w is None else int(w.sum())
+            k, z = int(rng.integers(1, 5)), int(rng.integers(0, total // 3 + 1))
+            assert charikar_3approx(ps, w, k, z).indices == charikar_3approx(matrix, w, k, z).indices
+            assert ps.stats.evals - dists.size == matrix.stats.evals
+
+
+@pytest.mark.parametrize("scale", sorted(_BAND_SCALES))
+def test_band_windows_leave_out_only_pairs_beyond_r(scale):
+    rng = np.random.default_rng([sorted(_BAND_SCALES).index(scale), 11])
+    partial = 0
+    for dim in (1, 2, 3, 5):
+        for jitter in (False, True):
+            ps = _band_instance(rng, dim, scale, jitter)
+            order, xs = _band_order(ps)
+            assert (np.diff(xs) >= 0).all()
+            dmat = _pairwise_block(ps, order)
+            radii = _candidate_radii(dmat)
+            for r in [0.0, *rng.choice(radii, size=12).tolist()]:
+                for rows, cols in _band_windows(xs, ps.n, r):
+                    outside = np.r_[0 : cols.start, cols.stop : ps.n]
+                    assert (dmat[rows][:, outside] > r).all()
+                    partial += outside.size > 0
+    # Every distance at the two smallest scales lies below the 2**-500
+    # floor, so there every window is full.
+    assert (partial > 0) == (scale not in ("x1e-154", "x1e-160"))
+
+
+def test_weighted_banded_host_within_three_of_optimum():
+    # Real weights change the band's summation order, so picks may differ
+    # from an unbanded search on near-ties, but not the guarantee.
+    rng = np.random.default_rng(61)
+    for _ in range(4):
+        n = int(rng.integers(140, 201))
+        ps = PointSet.from_coords(rng.normal(scale=10.0, size=(n, 2)))
+        w = rng.uniform(0.1, 4.0, size=n)
+        z = float(rng.uniform(0.0, 0.2 * w.sum()))
+        r_opt = brute_force_opt(ps, 2, z, w).r_opt
+        cs = charikar_3approx(ps, w, 2, z)
+        assert weighted_cost(ps, range(n), w, cs, z) <= 3 * r_opt + 1e-9
 
 
 def test_coverage_dtype_is_float32_only_for_exact_integer_scores():
