@@ -89,6 +89,8 @@ class ExperimentSpec:
             raise ValueError("the fixed-dimension coreset needs --rho")
         if "distributed" in self.algos and self.sites < 1 and self.shards_path is None:
             raise ValueError("distributed runs need --sites or --shards")
+        if self.sites >= 1 and self.shards_path is not None:
+            raise ValueError("--sites and --shards are alternatives; pass one of them")
         if isinstance(self.source, str) and not Path(self.source).exists():
             raise ValueError(f"input file not found: {self.source}")
 

@@ -301,7 +301,7 @@ class PointSet:
         r, c = _point_indices(rows, self.n), _point_indices(cols, self.n)
         self.stats.evals += r.size * c.size
         if self.mode == "matrix":
-            return self.dmat[np.ix_(r, c)].copy()
+            return self.dmat[np.ix_(r, c)]  # fancy indexing already copies
         return euclidean_dists(self.coords[r][:, None, :], self.coords[c])
 
     def nearest_dists(self, rows: Iterable[int], cols: Iterable[int]) -> np.ndarray:

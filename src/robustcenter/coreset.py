@@ -28,7 +28,7 @@ from .core import (
     radius_after_exclusions,
     relaxed_exclusions,
 )
-from .greedy import GreedyConfig, GreedyRun, greedy_config
+from .greedy import GreedyRun, _bicriteria_run, _round_constant, greedy_config
 
 __all__ = [
     "WeightedCoreset",
@@ -107,17 +107,6 @@ def _weigh_centers(run: GreedyRun, exclusions: int, meta: dict) -> WeightedCores
     )
 
 
-def _phase_one(
-    ps: PointSet, params: ParamSet, rng: np.random.Generator, rounds: int | None = None
-) -> tuple[GreedyRun, GreedyConfig]:
-    """The greedy loop at relaxation 1, sampling from the 2z farthest points
-    each round; ``rounds`` overrides the default round budget."""
-    cfg = greedy_config(dataclasses.replace(params, eps=1.0), rounds_override=rounds)
-    run = GreedyRun(ps, rng, cfg.init_sample)
-    run.grow(relaxed_exclusions(params.z, 1.0), cfg.per_round_sample, cfg.rounds - 1)
-    return run, cfg
-
-
 def build_coreset(
     ps: PointSet,
     params: ParamSet,
@@ -137,11 +126,11 @@ def build_coreset(
     raw_rounds = math.inf  # (2/mu)^dim > n already puts the budget above n
     if doubling_dim * math.log(2.0 / params.mu) <= math.log(ps.n):
         target = ceil_count((2.0 / params.mu) ** doubling_dim * params.k)
-        c = greedy_config(dataclasses.replace(params, eps=1.0)).round_constant
-        raw_rounds = c * target / (1.0 - params.eta)
+        raw_rounds = _round_constant(params) * target / (1.0 - params.eta)
     if raw_rounds > ps.n:
         return _identity_coreset(ps, "fixed_dim", f"round budget {raw_rounds:.0f} exceeds n={ps.n}")
-    run, _ = _phase_one(ps, params, rng, ceil_count(raw_rounds))
+    cfg = greedy_config(dataclasses.replace(params, eps=1.0))
+    run = _bicriteria_run(ps, dataclasses.replace(cfg, rounds=ceil_count(raw_rounds)), rng)
     return _weigh_centers(run, exclusions, {"builder": "fixed_dim", "fallback": False})
 
 
@@ -155,7 +144,8 @@ def build_coreset_auto(ps: PointSet, params: ParamSet, rng: np.random.Generator)
     """
     _check_n(ps, params.n)
     exclusions = _count(relaxed_exclusions(params.z, 5.0), "exclusion budget 6z", 0, ps.n - 1)
-    run, cfg = _phase_one(ps, params, rng)
+    cfg = greedy_config(dataclasses.replace(params, eps=1.0))
+    run = _bicriteria_run(ps, cfg, rng)
     r_phase1 = radius_after_exclusions(run.tracker.mindist, relaxed_exclusions(params.z, 1.0))
     # While the radius after 6z exclusions is above the target, every pool
     # point is at positive distance, so each round adds a center: n rounds

@@ -59,34 +59,29 @@ class GreedyConfig:
 
     params: ParamSet
     rounds: int
-    round_constant: float
     init_sample: int
     per_round_sample: int
 
     def __post_init__(self) -> None:
         for name in ("rounds", "init_sample", "per_round_sample"):
             _count(getattr(self, name), name, 1)
-        if self.round_constant <= 0:
-            raise ValueError("round constant must be positive")
 
 
-def greedy_config(params: ParamSet, rounds_override: int | None = None) -> GreedyConfig:
-    """Derive the round budget and sample sizes from the parameters.
+def _round_constant(params: ParamSet) -> float:
+    """c = 2 + (2 / (k (1 - eta))) ln(1/eta)."""
+    return 2.0 + (2.0 / (params.k * (1.0 - params.eta))) * math.log(1.0 / params.eta)
 
-    round_constant c = 2 + (2 / (k (1 - eta))) ln(1/eta); the default round
-    count is ceil(c k / (1 - eta)).  rounds_override replaces the count while
-    keeping c (callers that enlarge the budget reuse it).
-    """
-    k, eta, eps, gamma = params.k, params.eta, params.eps, params.gamma
-    log_term = math.log(1.0 / eta)
-    c = 2.0 + (2.0 / (k * (1.0 - eta))) * log_term
-    rounds = ceil_count(c * k / (1.0 - eta)) if rounds_override is None else rounds_override
+
+def greedy_config(params: ParamSet) -> GreedyConfig:
+    """Derive the round budget and sample sizes from the parameters: the
+    round count is ceil(c k / (1 - eta)) for c = _round_constant(params).  A
+    different budget is ``dataclasses.replace(cfg, rounds=...)``."""
+    log_term = math.log(1.0 / params.eta)
     return GreedyConfig(
         params=params,
-        rounds=rounds,
-        round_constant=c,
-        init_sample=ceil_count(log_term / (1.0 - gamma)),
-        per_round_sample=ceil_count(((1.0 + eps) / eps) * log_term),
+        rounds=ceil_count(_round_constant(params) * params.k / (1.0 - params.eta)),
+        init_sample=ceil_count(log_term / (1.0 - params.gamma)),
+        per_round_sample=ceil_count(((1.0 + params.eps) / params.eps) * log_term),
     )
 
 
@@ -94,13 +89,10 @@ def greedy_config(params: ParamSet, rounds_override: int | None = None) -> Greed
 class SublinearConfig:
     """Per-round sampling plan for the sample-only variant."""
 
-    sigma: float
     sample_size: int
     take_per_round: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.sigma < 1:
-            raise ValueError("sigma must lie in (0, 1)")
         size = _count(self.sample_size, "sample_size", 1)
         _count(self.take_per_round, "take_per_round", 1, size)
 
@@ -116,7 +108,7 @@ def sublinear_config(params: ParamSet) -> SublinearConfig:
     denominator = sigma * sigma * (1.0 + eps) * gamma
     sample_size = ceil_count(3.0 / denominator * math.log(4.0 / eta) if denominator else math.inf)
     take = ceil_count((1.0 + sigma) * (1.0 + eps) * gamma * sample_size)
-    return SublinearConfig(sigma=sigma, sample_size=sample_size, take_per_round=take)
+    return SublinearConfig(sample_size=sample_size, take_per_round=take)
 
 
 def boost_repetitions(params: ParamSet) -> int:
@@ -189,23 +181,27 @@ class GreedyRun:
         return CenterSet._from_tracker(self.tracker, self.chosen)
 
 
-def bicriteria(ps: PointSet, cfg: GreedyConfig, rng: np.random.Generator) -> CenterSet:
-    """Multi-draw greedy: seed, then per round sample per_round_sample
-    vertices from the current farthest set.  Output size is at most
-    init_sample + (rounds - 1) * per_round_sample."""
+def _bicriteria_run(ps: PointSet, cfg: GreedyConfig, rng: np.random.Generator) -> GreedyRun:
+    """Seed init_sample points, then grow rounds - 1 rounds of
+    per_round_sample draws from the ceil((1+eps) z) farthest."""
     _check_n(ps, cfg.params.n)
     run = GreedyRun(ps, rng, cfg.init_sample)
     pool_size = relaxed_exclusions(cfg.params.z, cfg.params.eps)
     run.grow(pool_size, cfg.per_round_sample, cfg.rounds - 1)
-    return run.centers()
+    return run
+
+
+def bicriteria(ps: PointSet, cfg: GreedyConfig, rng: np.random.Generator) -> CenterSet:
+    """Multi-draw greedy: seed, then per round sample per_round_sample
+    vertices from the current farthest set.  Output size is at most
+    init_sample + (rounds - 1) * per_round_sample."""
+    return _bicriteria_run(ps, cfg, rng).centers()
 
 
 def two_approx(ps: PointSet, params: ParamSet, rng: np.random.Generator) -> CenterSet:
-    """One uniform seed plus k-1 single draws from the farthest set."""
-    _check_n(ps, params.n)
-    run = GreedyRun(ps, rng, 1)
-    run.grow(relaxed_exclusions(params.z, params.eps), 1, params.k - 1)
-    return run.centers()
+    """The bi-criteria loop with k one-point rounds: one uniform seed plus
+    k-1 single draws from the farthest set."""
+    return bicriteria(ps, GreedyConfig(params, rounds=params.k, init_sample=1, per_round_sample=1), rng)
 
 
 def gonzalez(ps: PointSet, k: int, rng: np.random.Generator) -> CenterSet:

@@ -25,6 +25,7 @@ from robustcenter.coreset import (
 from robustcenter.distributed import run_protocol
 from robustcenter.generate import GeneratorSpec, planted_instance
 from robustcenter.greedy import (
+    _round_constant,
     bicriteria,
     gonzalez,
     greedy_config,
@@ -166,10 +167,8 @@ def test_05_doubled_round_budget_reaches_planted_radius():
     ps = planted_instance(spec, 0).ps
     r_opt = brute_force_opt(ps, 2, 3).r_opt
     p = ParamSet(k=2, z=3, n=ps.n, eps=1.0, eta=0.25)
-    base = greedy_config(p)
     # doubling dimension 1 doubles the usual round budget
-    rounds = ceil_count(base.round_constant * 2 * p.k / (1 - p.eta))
-    cfg = greedy_config(p, rounds_override=rounds)
+    cfg = replace(greedy_config(p), rounds=ceil_count(_round_constant(p) * 2 * p.k / (1 - p.eta)))
     floor = three_sigma_floor(0.5)
     hits = sum(
         cost_radius(ps, bicriteria(ps, cfg, np.random.default_rng(s)), p.z, p.eps)
@@ -179,7 +178,7 @@ def test_05_doubled_round_budget_reaches_planted_radius():
     _report(
         5,
         hits / TRIALS >= floor,
-        f"ratio-1 cost on {hits}/{TRIALS} seeds with {rounds} rounds, floor {floor:.4f}",
+        f"ratio-1 cost on {hits}/{TRIALS} seeds with {cfg.rounds} rounds, floor {floor:.4f}",
     )
 
 

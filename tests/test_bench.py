@@ -132,6 +132,11 @@ def test_spec_validation(tmp_path):
         ExperimentSpec(algos=("gonzalez",), k=2, z=1, seeds=(0,), source=str(tmp_path / "nope.csv"))
 
 
+def test_spec_rejects_sites_together_with_shards():
+    with pytest.raises(ValueError, match="--sites and --shards"):
+        ExperimentSpec(algos=("distributed",), k=2, z=1, seeds=(0,), source=SMALL, sites=5, shards_path="s.json")
+
+
 def test_parse_generator_round_trip():
     got = parse_generator("n=300,clusters=3,dim=2,grid=2,radius=1.0,outliers=15")
     assert got == GeneratorSpec(
@@ -214,6 +219,20 @@ def test_cli_rejects_non_integer_shard_entries(tmp_path, capsys):
     )
     assert code == 2
     assert "shard 1" in capsys.readouterr().err
+
+
+def test_cli_rejects_sites_together_with_shards(tmp_path, capsys):
+    shards = tmp_path / "shards.json"
+    shards.write_text(json.dumps({"shards": [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]}))
+    argv = ["--algo", "distributed", "--k", "2", "--z", "1", "--generate", "n=10,clusters=2,dim=1,grid=1,radius=1.0"]
+    out = tmp_path / "r"
+    assert main([*argv, "--sites", "5", "--shards", str(shards), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--sites" in err and "--shards" in err
+    assert not out.with_suffix(".jsonl").exists()
+    # Either flag alone still runs.
+    assert main([*argv, "--shards", str(shards), "--out", str(out)]) == 0
+    capsys.readouterr()
 
 
 def test_cli_guard_exit_code(tmp_path, capsys):

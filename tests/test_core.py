@@ -129,6 +129,16 @@ def test_unrooted_dists_from_on_a_matrix_is_the_row():
     assert ps.stats.evals == 3
 
 
+def test_matrix_cross_dists_block_is_a_writable_copy():
+    ps = PointSet.from_distance_matrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]))
+    dmat = ps.dmat.copy()
+    block = ps.cross_dists([0, 2], [1, 2])
+    first = block.copy()
+    block[:] = -1.0
+    assert np.array_equal(ps.dmat, dmat)
+    assert np.array_equal(ps.cross_dists([0, 2], [1, 2]), first)
+
+
 def test_euclidean_dists_takes_the_rows_from_a():
     x = np.arange(12.0).reshape(4, 3)
     assert np.array_equal(euclidean_dists(x, x[1]), row_wise_dists(x, x[1]))

@@ -13,10 +13,16 @@ import numpy as np
 import pytest
 
 from robustcenter.core import ParamSet, PointSet, clustering_cost
-from robustcenter.coreset import build_coreset_auto
+from robustcenter.coreset import build_coreset, build_coreset_auto
 from robustcenter.distributed import run_protocol
 from robustcenter.generate import GeneratorSpec, planted_instance
-from robustcenter.greedy import bicriteria, greedy_config
+from robustcenter.greedy import (
+    bicriteria,
+    greedy_config,
+    sublinear_bicriteria,
+    sublinear_config,
+    two_approx_boosted,
+)
 from robustcenter.solvers import charikar_3approx
 
 K, EPS, SITES, SEED = 3, 1.0, 3, 7
@@ -64,6 +70,10 @@ def _coreset(d: _Digest, label: str, cs) -> _Digest:
     return d.text(f"{label}.map_radius", float(cs.meta["map_radius"]).hex())
 
 
+def _centers(d: _Digest, centers) -> _Digest:
+    return d.ints("centers", centers.indices).ints("round_of", centers.round_of)
+
+
 def golden_digest(instance: str, algo: str) -> str:
     make, z = INSTANCES[instance]
     ps = make()
@@ -73,12 +83,24 @@ def golden_digest(instance: str, algo: str) -> str:
     if algo == "bicriteria":
         centers = bicriteria(ps, greedy_config(p), rng)
         ev = clustering_cost(ps, centers, z, EPS)
-        d.ints("centers", centers.indices).ints("round_of", centers.round_of)
-        d.text("strict", ev.radius.hex()).text("relaxed", ev.relaxed.hex())
+        _centers(d, centers).text("strict", ev.radius.hex()).text("relaxed", ev.relaxed.hex())
+    elif algo == "two_approx_boosted":
+        centers = two_approx_boosted(ps, p, rng)
+        _centers(d, centers).text("relaxed", clustering_cost(ps, centers, z, EPS).relaxed.hex())
+    elif algo == "sublinear_bicriteria":
+        _centers(d, sublinear_bicriteria(ps, greedy_config(p), sublinear_config(p), rng))
+    elif algo == "coreset_rho1":
+        cs = build_coreset(ps, p, 1.0, rng)
+        assert not cs.meta["fallback"]
+        _coreset(d, "coreset", cs)
     elif algo == "coreset_auto":
         _coreset(d, "coreset", build_coreset_auto(ps, p, rng))
     elif algo == "protocol":
         result = run_protocol(ps, p, s=SITES)
+        _coreset(d, "assembled", result.coreset).text("ledger", result.ledger.to_json())
+    elif algo == "protocol_rho1":
+        result = run_protocol(ps, p, s=SITES, doubling_dim=1.0)
+        assert not any(cs.meta["fallback"] for prof in result.profiles for cs in prof.coresets.values())
         _coreset(d, "assembled", result.coreset).text("ledger", result.ledger.to_json())
     elif algo == "charikar":
         cs = build_coreset_auto(ps, p, rng)
@@ -103,6 +125,20 @@ GOLDEN = {
     ("matrix", "coreset_auto"): "e19ade0eb2173750883092f315985019cddaf42a4010417ababfab894df3e1bb",
     ("matrix", "protocol"): "0c0d0e840ca3154f99437fa53958d83b028d86c75813355a3ef45b8e39128f8a",
     ("matrix", "charikar"): "e627ea23e5751dac5fe28d5b07dbdc94fe064ea1ba0254671a5b68e50d0c0c9f",
+    # Computed before two_approx and both coreset builders shared one
+    # bi-criteria run; none of these runs takes the unit-weight fallback.
+    ("planted-d2", "two_approx_boosted"): "4d31d192749a3b6b731fb4814584ed8ccb193f0bc012e3a9c3dcc7f2a5783d12",
+    ("planted-d2", "coreset_rho1"): "fea1dffa852d874a888ccaf52e13254fa88b1a52b17dc3a99c335bdf3674a384",
+    ("planted-d2", "protocol_rho1"): "5dad4136c937eef9df4de5b4916d58583cc9072ccaaba65d1227e1e0270daa69",
+    ("planted-d2", "sublinear_bicriteria"): "edbc474f7ecf2d8ae80c81a587f97151827358b1f792bb4080efe8e65f213a0d",
+    ("planted-d8", "two_approx_boosted"): "36112a3036a6be404c8e40c4c40fe0dc76c5c1fe1ec7d68773e64ae26868dc3e",
+    ("planted-d8", "coreset_rho1"): "e62e15c859ae4955e44f024103d1809d0ffea3ea5dedb2e0ced853469e29281a",
+    ("planted-d8", "protocol_rho1"): "0c0154c6ec6164c832729187747b4805b39f2f33238ee565277c1e7c4860f74c",
+    ("planted-d8", "sublinear_bicriteria"): "ac7e80fd979b8e740f872a2a9988a95bafcb8ef65820cf311758f0aa29509d91",
+    ("matrix", "two_approx_boosted"): "d4283dc6071e3dfaaf097d99257de9e0f924e89af7ec889482c7743f5fb6b371",
+    ("matrix", "coreset_rho1"): "7f5dbef75354a77fffc788db0dd75644a7176826e3a15386b7165fcea305d491",
+    ("matrix", "protocol_rho1"): "815898427b287e3fcc4a4353720dcc7f2c45b3458c5c425aaa066374d8e3f5b8",
+    ("matrix", "sublinear_bicriteria"): "abb64e55870c4ff9e335c91f78fadc918ae04365c27f9ce3001a174470f3dded",
 }
 
 

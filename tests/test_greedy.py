@@ -32,6 +32,7 @@ from robustcenter.distributed import (
 )
 from robustcenter.generate import GeneratorSpec, planted_instance
 from robustcenter.greedy import (
+    _round_constant,
     bicriteria,
     GreedyRun,
     boost_repetitions,
@@ -53,9 +54,9 @@ def params_for(k, z, n, **kw):
 
 def test_round_constant_and_count_frozen():
     # k=4, eta=0.25: c = 2 + (2 / (4 * 0.75)) ln 4
-    cfg = greedy_config(params_for(4, 1, 40, eta=0.25))
-    assert cfg.round_constant == pytest.approx(2.9241962407465937, abs=1e-9)
-    assert cfg.rounds == 16
+    p = params_for(4, 1, 40, eta=0.25)
+    assert _round_constant(p) == pytest.approx(2.9241962407465937, abs=1e-9)
+    assert greedy_config(p).rounds == 16
 
 
 def test_sample_sizes_frozen():
@@ -67,10 +68,10 @@ def test_sample_sizes_frozen():
 
 
 def test_rounds_override():
-    cfg = greedy_config(params_for(2, 1, 5), rounds_override=7)
+    cfg = replace(greedy_config(params_for(2, 1, 5)), rounds=7)
     assert cfg.rounds == 7
     with pytest.raises(ValueError):
-        greedy_config(params_for(2, 1, 5), rounds_override=0)
+        replace(greedy_config(params_for(2, 1, 5)), rounds=0)
 
 
 _LINE = PointSet.from_coords(np.arange(10.0))
@@ -78,7 +79,6 @@ _P = params_for(2, 1, 10)
 _PROFILES = (SiteProfile(0, (0, 1), (1.0, 0.0), {}, 5), SiteProfile(1, (0, 1), (2.0, 0.0), {}, 5))
 # Each entry: the count's name in the error, and a call passing a non-integer.
 NON_INTEGER_COUNTS = {
-    "rounds_override": ("rounds", lambda: greedy_config(_P, rounds_override=3.7)),
     "sites": ("site count", lambda: ShardedInstance.balanced(_LINE, 2.5, np.random.default_rng(0))),
     "budget_grid": ("z", lambda: outlier_budget_grid(2.5)),
     "threshold_budget": ("z", lambda: coordinator_threshold(_PROFILES, 2.5)),
@@ -148,7 +148,6 @@ def test_boosted_two_approx_guard_trips_before_any_repetition(k, eps):
 def test_sublinear_config_frozen():
     p = params_for(3, 1, 20, eps=1.0, eta=0.25)
     sub = sublinear_config(p)
-    assert sub.sigma == pytest.approx(0.6861406616345072, abs=1e-9)
     assert sub.sample_size == 177
     assert sub.take_per_round == 30
 
@@ -381,7 +380,7 @@ def test_config_math_is_self_consistent():
     p = params_for(5, 2, 100, eta=0.1)
     cfg = greedy_config(p)
     c = 2 + (2 / (5 * 0.9)) * math.log(10)
-    assert cfg.round_constant == pytest.approx(c, rel=1e-12)
+    assert _round_constant(p) == pytest.approx(c, rel=1e-12)
     assert cfg.rounds == math.ceil(c * 5 / 0.9 - 1e-9)
 
 
