@@ -212,7 +212,9 @@ class PointSet:
             return float(self.dmat[i, j])
         return float(euclidean_dists(self.coords[i : i + 1], self.coords[j])[0])
 
-    def dists_from(self, i: int, root: bool = True, below: np.ndarray | None = None) -> np.ndarray:
+    def dists_from(
+        self, i: int, root: bool = True, below: np.ndarray | None = None, found: list | None = None
+    ) -> np.ndarray:
         """Distances from point i to every point.  With ``root=False``,
         coordinates give the kernel's summed squares (keys) before its final
         root, whose np.sqrt is the default result bit for bit; a distance
@@ -229,9 +231,17 @@ class PointSet:
 
         with n_p the kernel's summed squares of p (``_gram_norms``),
         tol = (4D + 16)u, u = 2**-53 and F = _GRAM_FLOOR.  Points with
-        f < below get the exact key from the kernel's arithmetic on their
-        gathered rows, and the rest keep f.  Past n/8 candidates the whole
-        row is computed instead.  The count is n evaluations either way.
+        f < below are the candidates: their coordinate columns are gathered
+        into one (D x chunk) block per kernel chunk and run through the
+        kernel's own subtract, square and axis sum, so each gets its exact
+        key; the rest keep f.  Past n/8 candidates the whole row is computed
+        instead.  The count is n evaluations either way.
+
+        ``found``, a list, receives the candidates' ascending indices when
+        the filter ran and found at most n/8 of them.  Every other entry
+        then holds a value at or above its threshold, so only candidates
+        can lie below it.  Nothing is appended when the whole row was
+        computed.
 
         Why f < K', the kernel's rounded key.  Let S = |x|^2 + |c|^2,
         K = |x - c|^2 <= 2S, and w = 2**-1075, the most a product loses to
@@ -268,15 +278,18 @@ class PointSet:
             del g, cand  # freed before the whole-row pass makes its own row
             return euclidean_dists(x, c, False)
         cand = cand.nonzero()[0]
-        # Gathered rows are row-major, and subtract, square and a reduce
-        # along each row give the slab kernel's key bit for bit.
+        # x.T is the coordinate-major store seen as D contiguous axes, so one
+        # take gathers a chunk's columns as the kernel's slabs.
+        xt, c = x.T, c[:, None]
         step = max(1, (1 << 17) // self.dim)
         for s in range(0, cand.size, step):
             rows = cand[s : s + step]
-            block = x[rows]
-            block -= c
-            np.square(block, out=block)
-            g[rows] = np.add.reduce(block, axis=1)
+            sq = np.take(xt, rows, axis=1)
+            sq -= c
+            np.square(sq, out=sq)
+            g[rows] = _sum_axes(sq, 0, self.dim)
+        if found is not None:
+            found.append(cand)
         return g
 
     def _gram_norms(self) -> np.ndarray | None:
@@ -441,9 +454,12 @@ class NearestTracker:
 
     Each insert after the first passes ``keys`` as ``below`` to
     ``dists_from``, so on coordinates of enough axes only the points whose
-    key could fall get an exact key; the rest hold a value at or above their
-    key, which the compare leaves alone.  The first insert finds every key
-    infinite, so it takes the whole row without the filter's product.
+    key could fall get an exact key, from their gathered coordinate
+    columns; the rest hold a value at or above their key.  ``dists_from``
+    hands those candidates back through ``found``, and the insert then
+    compares, roots and scatters on the candidates alone, never touching
+    the rest of the row.  The first insert finds every key infinite, so it
+    takes the whole row without the filter's product.
     ``keys``, ``mindist`` and ``owner`` equal the whole-row result bit for
     bit.  The norms that filter reads are built with the first tracker on a
     point set, not inside an insert.
@@ -458,19 +474,25 @@ class NearestTracker:
         ps._gram_norms()  # built here, not inside an insert
 
     def add_center(self, c: int) -> None:
-        d = self.ps.dists_from(c, root=False, below=self.keys if self.held else None)
+        found = []
+        d = self.ps.dists_from(c, root=False, below=self.keys if self.held else None, found=found)
         self.held = True
         has_root = self.keys is not self.mindist
-        fell = d < self.keys
-        if 8 * np.count_nonzero(fell) > d.size:
-            if has_root:
-                np.minimum(self.keys, d, out=self.keys)
-                np.sqrt(d, out=d)
-            better = d < self.mindist
-            self.owner[better] = c
-            np.minimum(self.mindist, d, out=self.mindist)
-            return
-        idx = fell.nonzero()[0]
+        if found:
+            # Only the filter's candidates can hold a key below their own.
+            idx = found[0]
+            idx = idx[d[idx] < self.keys[idx]]
+        else:
+            fell = d < self.keys
+            if 8 * np.count_nonzero(fell) > d.size:
+                if has_root:
+                    np.minimum(self.keys, d, out=self.keys)
+                    np.sqrt(d, out=d)
+                better = d < self.mindist
+                self.owner[better] = c
+                np.minimum(self.mindist, d, out=self.mindist)
+                return
+            idx = fell.nonzero()[0]
         near = d[idx]
         if has_root:
             self.keys[idx] = near

@@ -241,7 +241,8 @@ def assemble(
     site_coresets,
     decision: ThresholdDecision,
 ) -> WeightedCoreset:
-    """Map each site coreset back to global indices and concatenate."""
+    """Map each site coreset back to global indices and concatenate.  The
+    result is a fallback when any site sent its unit-weight fallback."""
     indices = np.concatenate(
         [shard[cs.indices] for shard, cs in zip(instance.shards, site_coresets)]
     )
@@ -253,6 +254,7 @@ def assemble(
         source_n=instance.ps.n,
         meta={
             "builder": "two_round_protocol",
+            "fallback": any(cs.meta["fallback"] for cs in site_coresets),
             "budgets": list(decision.budgets),
             "threshold_value": decision.value,
             "threshold_site": decision.site,

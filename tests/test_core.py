@@ -694,6 +694,25 @@ def test_filter_runs_only_on_enough_axes_below_the_cutoff(monkeypatch, dim, scal
     _assert_matches_whole_rows(ps, tracker, centers[:-1])
 
 
+def test_candidates_past_one_kernel_chunk_are_bit_equal_to_whole_rows(monkeypatch):
+    # At D=137 a kernel chunk holds 2**17 // 137 = 956 points.  A far center
+    # goes in first; the second sits in a group of 1,500 points 1,000 away,
+    # whose keys all fall, so its insert gathers the group's columns in two
+    # chunks and stays below the n/8 switch to the whole row.
+    dim, group, n = 137, 1_500, 13_000
+    coords = 0.01 * np.random.default_rng(137).standard_normal((n, dim))
+    coords[n - group :, 0] += 1000.0
+    ps = PointSet.from_coords(coords)
+    tracker, calls, kernel = NearestTracker(ps), [], core.euclidean_dists
+    tracker.add_center(0)
+    monkeypatch.setattr(core, "euclidean_dists", lambda *a, **k: calls.append(a) or kernel(*a, **k))
+    tracker.add_center(n - 1)
+    assert (1 << 17) // dim < group <= n // 8
+    assert not calls and ps.stats.evals == 2 * n
+    assert np.count_nonzero(tracker.owner == n - 1) == group
+    _assert_matches_whole_rows(ps, tracker, [0, n - 1])
+
+
 @pytest.mark.parametrize("dim", [2, 8])
 def test_first_insert_skips_the_filter(monkeypatch, dim):
     # A fresh tracker's keys are all infinite, so every point would be a
@@ -701,9 +720,9 @@ def test_first_insert_skips_the_filter(monkeypatch, dim):
     ps = PointSet.from_coords(np.random.default_rng(dim).standard_normal((500, dim)))
     tracker, seen, dists_from = NearestTracker(ps), [], PointSet.dists_from
 
-    def recording(self, i, root=True, below=None):
+    def recording(self, i, root=True, below=None, found=None):
         seen.append(below)
-        return dists_from(self, i, root, below)
+        return dists_from(self, i, root, below, found)
 
     monkeypatch.setattr(PointSet, "dists_from", recording)
     centers = [3, 70, 141, 212]

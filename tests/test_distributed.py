@@ -244,6 +244,20 @@ def test_protocol_fixed_dim_sites(planted_120):
     result = run_protocol(ps, params, s=3, doubling_dim=1.0)
     check_protocol(ps, result, params)
     assert all(not cs.meta["fallback"] for p in result.profiles for cs in p.coresets.values())
+    assert result.coreset.meta["fallback"] is False
+
+
+def test_assembled_coreset_reports_a_site_fallback(planted_120):
+    # A shard of at most k points sends itself with unit weights, so the
+    # assembled coreset is a fallback too.
+    ps = planted_120
+    params = ParamSet(k=2, z=4, n=ps.n, seed=3)
+    inst = ShardedInstance(ps, (np.arange(2), np.arange(2, ps.n)))
+    result = run_protocol(ps, params, instance=inst)
+    sent = [p.coresets[b] for p, b in zip(result.profiles, result.decision.budgets)]
+    assert [cs.meta["fallback"] for cs in sent] == [True, False]
+    assert result.coreset.meta["fallback"] is True
+    assert result.coreset.total_weight() == ps.n
 
 
 def test_protocol_matrix_mode_charges_two_floats():
