@@ -85,6 +85,11 @@ class ExperimentSpec:
         unknown = [a for a in self.algos if a not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}; choose from {ALGORITHMS}")
+        if self.out == "":
+            raise ValueError("the output base path is empty")
+        repeated = sorted({a for a in self.algos if self.algos.count(a) > 1})
+        if repeated:
+            raise ValueError(f"repeated algorithms: {repeated}; name each once")
         if "coreset" in self.algos and self.doubling_dim is None:
             raise ValueError("the fixed-dimension coreset needs --rho")
         if "distributed" in self.algos and self.sites < 1 and self.shards_path is None:
@@ -204,10 +209,15 @@ def _aggregate(spec: ExperimentSpec, records: list[dict]) -> list[dict]:
     return out
 
 
-def _write_outputs(out: str, records: list[dict], aggregates: list[dict]) -> tuple[Path, Path]:
+def _output_paths(out: str) -> tuple[Path, Path]:
+    """The JSONL and CSV files an output base path names; a trailing
+    ``.jsonl`` belongs to the JSONL file, not to the base."""
     base = out[: -len(".jsonl")] if out.endswith(".jsonl") else out
-    jsonl_path = Path(base + ".jsonl")
-    csv_path = Path(base + ".csv")
+    return Path(base + ".jsonl"), Path(base + ".csv")
+
+
+def _write_outputs(out: str, records: list[dict], aggregates: list[dict]) -> None:
+    jsonl_path, csv_path = _output_paths(out)
     with jsonl_path.open("w") as fh:
         for rec in records + aggregates:
             fh.write(json.dumps(rec) + "\n")
@@ -221,7 +231,6 @@ def _write_outputs(out: str, records: list[dict], aggregates: list[dict]) -> tup
         writer.writeheader()
         for agg in aggregates:
             writer.writerow(agg)
-    return jsonl_path, csv_path
 
 
 def run_experiment(spec: ExperimentSpec):
@@ -233,6 +242,6 @@ def run_experiment(spec: ExperimentSpec):
     order = {algo: i for i, algo in enumerate(spec.algos)}
     records.sort(key=lambda r: (order[r["algo"]], r["seed"]))
     aggregates = _aggregate(spec, records)
-    if spec.out:
+    if spec.out is not None:
         _write_outputs(spec.out, records, aggregates)
     return records, aggregates

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import ALGORITHMS, ExperimentSpec, run_experiment
+from .bench import ALGORITHMS, ExperimentSpec, _output_paths, run_experiment
 from .core import GuardError
 from .generate import GeneratorSpec
 
@@ -95,7 +95,8 @@ def main(argv=None) -> int:
             if key in agg:
                 bits.append(f"{key}={agg[key]:.6g}")
         print("  ".join(bits))
-    print(f"wrote {args.out}.jsonl and {args.out}.csv ({len(records)} records)")
+    jsonl_path, csv_path = _output_paths(args.out)
+    print(f"wrote {jsonl_path} and {csv_path} ({len(records)} records)")
     return 0
 
 

@@ -14,6 +14,7 @@ them bit-equal to ``np.sqrt(((x - c)**2).sum(-1))`` on row-major data.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -165,7 +166,6 @@ class PointSet:
     coords: np.ndarray | None
     dmat: np.ndarray | None
     stats: DistanceStats = field(default_factory=DistanceStats, repr=False)
-    _gram = None  # the filter's scaled norms once built; not a field
 
     @classmethod
     def from_coords(cls, coords: np.ndarray | Sequence[Sequence[float]]) -> "PointSet":
@@ -215,17 +215,21 @@ class PointSet:
     def dists_from(
         self, i: int, root: bool = True, below: np.ndarray | None = None, found: list | None = None
     ) -> np.ndarray:
-        """Distances from point i to every point.  With ``root=False``,
-        coordinates give the kernel's summed squares (keys) before its final
-        root, whose np.sqrt is the default result bit for bit; a distance
-        matrix has no root to skip and gives its distances either way.
+        """Distances from point i to every point, counted as n evaluations.
+        With ``root=False``, coordinates give the kernel's summed squares
+        (keys) before its final root, whose np.sqrt is the default result
+        bit for bit; a distance matrix gives its distances either way.
 
-        ``below`` (n thresholds, read only with ``root=False``) lets an
-        entry whose key is not below its threshold hold a value v with
-        below <= v <= key instead; every key below it is exact.  On
-        coordinates of D in [_GRAM_MIN_DIM, _GRAM_MAX_DIM] axes, none above
-        _GRAM_MAX_COORD in magnitude, one matrix-vector product gives each
-        point x the filter value
+        ``below`` (n thresholds) needs ``found``, a list.  When at most n/8
+        entries of the returned row d fall below their threshold, ``found``
+        receives those points, np.flatnonzero(d < below); otherwise nothing
+        is appended.  The points that fell always hold their exact value.
+
+        With ``root=False`` on coordinates of D in [_GRAM_MIN_DIM,
+        _GRAM_MAX_DIM] axes, none above _GRAM_MAX_COORD in magnitude, an
+        entry that does not fall may hold a value v with below <= v <= key
+        instead.  One matrix-vector product gives each point x the filter
+        value
 
             f = fl(fl(x.(-2c) + s_x) + fl(s_c - F)),   s_p = fl((1 - tol) n_p),
 
@@ -235,13 +239,7 @@ class PointSet:
         into one (D x chunk) block per kernel chunk and run through the
         kernel's own subtract, square and axis sum, so each gets its exact
         key; the rest keep f.  Past n/8 candidates the whole row is computed
-        instead.  The count is n evaluations either way.
-
-        ``found``, a list, receives the candidates' ascending indices when
-        the filter ran and found at most n/8 of them.  Every other entry
-        then holds a value at or above its threshold, so only candidates
-        can lie below it.  Nothing is appended when the whole row was
-        computed.
+        instead.
 
         Why f < K', the kernel's rounded key.  Let S = |x|^2 + |c|^2,
         K = |x - c|^2 <= 2S, and w = 2**-1075, the most a product loses to
@@ -263,51 +261,59 @@ class PointSet:
         intermediate below 1e307, so nothing overflows.
         """
         i = _count(i, "point index", 0, self.n - 1)
+        if below is not None and found is None:
+            raise ValueError("below needs a found list to receive the points that fell")
         self.stats.evals += self.n
+        norms = None if below is None or root else self._gram_norms
         if self.mode == "matrix":
-            return self.dmat[i].copy()
-        norms = None if below is None or root else self._gram_norms()
-        if norms is None:
-            return euclidean_dists(self.coords, self.coords[i], root)
-        x, c = self.coords, self.coords[i]
-        g = x @ (-2.0 * c)
-        g += norms
-        g += norms[i] - _GRAM_FLOOR
-        cand = g < below
-        if 8 * np.count_nonzero(cand) > self.n:
-            del g, cand  # freed before the whole-row pass makes its own row
-            return euclidean_dists(x, c, False)
-        cand = cand.nonzero()[0]
-        # x.T is the coordinate-major store seen as D contiguous axes, so one
-        # take gathers a chunk's columns as the kernel's slabs.
-        xt, c = x.T, c[:, None]
-        step = max(1, (1 << 17) // self.dim)
-        for s in range(0, cand.size, step):
-            rows = cand[s : s + step]
-            sq = np.take(xt, rows, axis=1)
-            sq -= c
-            np.square(sq, out=sq)
-            g[rows] = _sum_axes(sq, 0, self.dim)
-        if found is not None:
-            found.append(cand)
-        return g
+            d = self.dmat[i].copy()
+        elif norms is None:
+            d = euclidean_dists(self.coords, self.coords[i], root)
+        else:
+            x, c = self.coords, self.coords[i]
+            d = x @ (-2.0 * c)
+            d += norms
+            d += norms[i] - _GRAM_FLOOR
+            cand = d < below
+            if 8 * np.count_nonzero(cand) > self.n:
+                del d, cand  # freed before the whole-row pass makes its own row
+                d = euclidean_dists(x, c, False)
+            else:
+                cand = cand.nonzero()[0]
+                # x.T is the coordinate-major store seen as D contiguous axes,
+                # so one take gathers a chunk's columns as the kernel's slabs.
+                xt, c = x.T, c[:, None]
+                step = max(1, (1 << 17) // self.dim)
+                for s in range(0, cand.size, step):
+                    rows = cand[s : s + step]
+                    sq = np.take(xt, rows, axis=1)
+                    sq -= c
+                    np.square(sq, out=sq)
+                    d[rows] = _sum_axes(sq, 0, self.dim)
+                # Only candidates can fall, and at most n/8 of them.
+                found.append(cand[d[cand] < below[cand]])
+                return d
+        if below is not None:
+            fell = d < below
+            if 8 * np.count_nonzero(fell) <= self.n:
+                found.append(fell.nonzero()[0])
+        return d
 
+    @functools.cached_property
     def _gram_norms(self) -> np.ndarray | None:
         """Each point's summed squares from the distance kernel, scaled by
         1 - (4D + 16)2**-53: the norms the filter of ``dists_from`` reads,
-        or None where it does not run.  Built on the first call and kept
-        outside the fields, so equality, repr and content_hash ignore it."""
-        if self._gram is None:
-            norms = np.empty(0)
-            if (
-                self.mode == "euclidean"
-                and _GRAM_MIN_DIM <= self.dim <= _GRAM_MAX_DIM
-                and max(self.coords.max(), -self.coords.min()) <= _GRAM_MAX_COORD
-            ):
-                scale = 1.0 - (4 * self.dim + 16) * 2.0**-53
-                norms = euclidean_dists(self.coords, np.zeros(self.dim), root=False) * scale
-            object.__setattr__(self, "_gram", norms)
-        return self._gram if self._gram.size else None
+        or None where it does not run.  Built on first use and cached in the
+        instance dict, outside the fields, so equality, repr and
+        content_hash ignore it."""
+        if (
+            self.mode == "euclidean"
+            and _GRAM_MIN_DIM <= self.dim <= _GRAM_MAX_DIM
+            and max(self.coords.max(), -self.coords.min()) <= _GRAM_MAX_COORD
+        ):
+            scale = 1.0 - (4 * self.dim + 16) * 2.0**-53
+            return euclidean_dists(self.coords, np.zeros(self.dim), root=False) * scale
+        return None
 
     def cross_dists(self, rows: Iterable[int], cols: Iterable[int]) -> np.ndarray:
         """|rows| x |cols| distance block."""
@@ -448,21 +454,15 @@ class NearestTracker:
 
     ``keys`` holds the unrooted distances behind ``mindist`` (on a distance
     matrix, ``mindist`` itself).  The root is monotone, so a center can take
-    only the points whose key it lowers; an insert roots and compares just
-    those, unless more than an eighth of the row fell, as on the first few
-    inserts, where it roots the whole row.
-
-    Each insert after the first passes ``keys`` as ``below`` to
-    ``dists_from``, so on coordinates of enough axes only the points whose
-    key could fall get an exact key, from their gathered coordinate
-    columns; the rest hold a value at or above their key.  ``dists_from``
-    hands those candidates back through ``found``, and the insert then
-    compares, roots and scatters on the candidates alone, never touching
-    the rest of the row.  The first insert finds every key infinite, so it
-    takes the whole row without the filter's product.
-    ``keys``, ``mindist`` and ``owner`` equal the whole-row result bit for
-    bit.  The norms that filter reads are built with the first tracker on a
-    point set, not inside an insert.
+    only the points whose key it lowers.  Each insert after the first passes
+    ``keys`` as ``below`` to ``dists_from``, which hands back the points that
+    fell when at most an eighth of the row did; the insert then roots,
+    compares and scatters on those points alone.  When nothing comes back,
+    as on the first few inserts, it updates the whole row.  The first insert
+    finds every key infinite, so it asks for the whole row without the
+    filter's product.  ``keys``, ``mindist`` and ``owner`` equal the
+    whole-row result bit for bit.  The norms the filter reads are built with
+    the first tracker on a point set, not inside an insert.
     """
 
     def __init__(self, ps: PointSet):
@@ -471,28 +471,22 @@ class NearestTracker:
         self.keys = np.full(ps.n, np.inf) if ps.mode == "euclidean" else self.mindist
         self.owner = np.full(ps.n, -1, dtype=np.intp)
         self.held = False  # whether a center was inserted
-        ps._gram_norms()  # built here, not inside an insert
+        ps._gram_norms  # built here, not inside an insert
 
     def add_center(self, c: int) -> None:
-        found = []
-        d = self.ps.dists_from(c, root=False, below=self.keys if self.held else None, found=found)
+        fell = []
+        d = self.ps.dists_from(c, root=False, below=self.keys if self.held else None, found=fell)
         self.held = True
         has_root = self.keys is not self.mindist
-        if found:
-            # Only the filter's candidates can hold a key below their own.
-            idx = found[0]
-            idx = idx[d[idx] < self.keys[idx]]
-        else:
-            fell = d < self.keys
-            if 8 * np.count_nonzero(fell) > d.size:
-                if has_root:
-                    np.minimum(self.keys, d, out=self.keys)
-                    np.sqrt(d, out=d)
-                better = d < self.mindist
-                self.owner[better] = c
-                np.minimum(self.mindist, d, out=self.mindist)
-                return
-            idx = fell.nonzero()[0]
+        if not fell:
+            if has_root:
+                np.minimum(self.keys, d, out=self.keys)
+                np.sqrt(d, out=d)
+            better = d < self.mindist
+            self.owner[better] = c
+            np.minimum(self.mindist, d, out=self.mindist)
+            return
+        idx = fell[0]
         near = d[idx]
         if has_root:
             self.keys[idx] = near
@@ -512,8 +506,6 @@ def farthest_m(mindist: np.ndarray, m: int) -> np.ndarray:
     """
     n = mindist.shape[0]
     m = _count(m, "m", 1, n)
-    if m == n:
-        return np.arange(n, dtype=np.intp)
     cut = np.partition(mindist, n - m)[n - m]
     picked = np.flatnonzero(mindist >= cut)
     extra = picked.size - m
@@ -612,8 +604,6 @@ def radius_after_exclusions(mindist: np.ndarray, m: int) -> float:
     """(m+1)-th largest tracked distance; the value is tie-order independent."""
     n = mindist.shape[0]
     m = _count(m, "m", 0, n - 1)
-    if m == 0:
-        return float(mindist.max())
     return float(np.partition(mindist, n - 1 - m)[n - 1 - m])
 
 

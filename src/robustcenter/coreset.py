@@ -95,9 +95,7 @@ def _weigh_centers(run: GreedyRun, exclusions: int, meta: dict) -> WeightedCores
     inside = tracker.mindist <= radius
     far = np.flatnonzero(~inside)
     cidx = np.fromiter(run.chosen, dtype=np.intp, count=len(run.chosen))
-    pos_of = np.full(ps.n, -1, dtype=np.intp)
-    pos_of[cidx] = np.arange(cidx.size)
-    counts = np.bincount(pos_of[tracker.owner[inside]], minlength=cidx.size)
+    counts = np.bincount(tracker.owner[inside], minlength=ps.n)[cidx]
     keep = counts > 0
     return WeightedCoreset(
         indices=np.concatenate([cidx[keep], far]),

@@ -128,6 +128,8 @@ def test_spec_validation(tmp_path):
         ExperimentSpec(algos=("nope",), k=2, z=1, seeds=(0,), source=SMALL)
     with pytest.raises(ValueError):
         ExperimentSpec(algos=("gonzalez",), k=2, z=1, seeds=(), source=SMALL)
+    with pytest.raises(ValueError, match=r"repeated algorithms: \['gonzalez'\]"):
+        ExperimentSpec(algos=("gonzalez", "bicriteria", "gonzalez"), k=2, z=1, seeds=(0,), source=SMALL)
     with pytest.raises(ValueError):
         ExperimentSpec(algos=("gonzalez",), k=2, z=1, seeds=(0,), source=str(tmp_path / "nope.csv"))
 
@@ -171,6 +173,14 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert all(float(r["cost_strict_mean"]) > 0 for r in rows)
 
 
+def test_cli_names_the_files_it_wrote_for_a_jsonl_base(tmp_path, capsys):
+    out = tmp_path / "named.jsonl"
+    gen = "n=40,clusters=2,dim=2,grid=2,radius=1.0,outliers=2"
+    assert main(["--algo", "bicriteria", "--k", "2", "--z", "2", "--generate", gen, "--out", str(out)]) == 0
+    assert f"wrote {out} and {tmp_path / 'named.csv'} (1 records)" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["named.csv", "named.jsonl"]
+
+
 def test_cli_reads_point_csv(tmp_path, capsys):
     src = tmp_path / "pts.csv"
     rng = np.random.default_rng(0)
@@ -190,9 +200,11 @@ def test_cli_rejects_bad_specs(tmp_path, capsys):
     gen = "n=40,clusters=2,dim=2,grid=2,radius=1.0,outliers=2"
     for eps in ("nan", "inf"):
         assert main(["--algo", "coreset_auto", "--eps", eps, "--generate", gen, *base]) == 2
+    assert main(["--algo", "gonzalez,gonzalez", "--generate", gen, *base]) == 2
+    assert main(["--algo", "gonzalez", "--generate", gen, *base, "--out", ""]) == 2
     assert not (tmp_path / "r.jsonl").exists()
     err = capsys.readouterr().err
-    assert "error:" in err
+    assert "error:" in err and "repeated algorithms: ['gonzalez']" in err and "output base path is empty" in err
 
 
 def test_cli_count_message_stays_short(tmp_path, capsys):

@@ -732,6 +732,77 @@ def test_first_insert_skips_the_filter(monkeypatch, dim):
     _assert_matches_whole_rows(ps, tracker, centers)
 
 
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mode=st.sampled_from(["euclidean", "matrix"]),
+    dim=st.sampled_from([2, 8]),
+    grid=st.booleans(),
+    n=st.integers(2, 80),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_found_holds_exactly_the_points_that_fell(mode, dim, grid, n, seed, data):
+    # Thresholds from a real tracker; at D=8 the filter runs on coordinates.
+    rng = np.random.default_rng(seed)
+    coords = rng.integers(-2, 3, (n, dim)).astype(float) if grid else rng.standard_normal((n, dim))
+    ps = PointSet.from_coords(coords)
+    if mode == "matrix":
+        ps = PointSet.from_distance_matrix(ps.cross_dists(np.arange(n), np.arange(n)))
+    tracker, centers = NearestTracker(ps), rng.permutation(n)[: data.draw(st.integers(1, n - 1))].tolist()
+    for c in centers:
+        tracker.add_center(c)
+    below = tracker.keys.copy()
+    # A center already held ties its own points: candidates that do not fall.
+    c = data.draw(st.sampled_from(centers) | st.integers(0, n - 1))
+    whole, found = ps.dists_from(c, root=False), []
+    got = ps.dists_from(c, root=False, below=below, found=found)
+    fell = np.flatnonzero(whole < below)
+    if 8 * fell.size <= n:
+        assert len(found) == 1 and found[0].tolist() == fell.tolist()
+    else:
+        assert found == []
+    assert np.flatnonzero(got < below).tolist() == fell.tolist()
+    assert got[fell].tobytes() == whole[fell].tobytes()
+    rest = np.setdiff1d(np.arange(n), fell)
+    assert (below[rest] <= got[rest]).all() and (got[rest] <= whole[rest]).all()
+
+
+@pytest.mark.parametrize("mode", ["euclidean", "matrix"])
+def test_below_without_found_raises(mode):
+    ps = PointSet.from_coords(np.random.default_rng(4).standard_normal((40, 8)))
+    if mode == "matrix":
+        ps = PointSet.from_distance_matrix(ps.cross_dists(np.arange(ps.n), np.arange(ps.n)))
+    with pytest.raises(ValueError, match="found"):
+        ps.dists_from(0, root=False, below=np.full(ps.n, np.inf))
+    assert ps.stats.evals == 0
+
+
+def test_norms_are_built_once_per_point_set(monkeypatch):
+    # The first tracker builds the filter's norms with one kernel call; a
+    # second tracker on the same point set reuses them.
+    ps = PointSet.from_coords(np.random.default_rng(8).standard_normal((500, 8)))
+    calls, kernel = [], core.euclidean_dists
+    monkeypatch.setattr(core, "euclidean_dists", lambda *a, **k: calls.append(a) or kernel(*a, **k))
+    first = NearestTracker(ps)
+    first.add_center(0)
+    assert len(calls) == 2  # the norms, then the first insert's whole row
+    second = NearestTracker(ps)
+    second.add_center(0)
+    assert len(calls) == 3
+    assert first.keys.tobytes() == second.keys.tobytes()
+    assert "_gram_norms" not in repr(ps) and ps.content_hash() == PointSet.from_coords(ps.coords).content_hash()
+
+
+@pytest.mark.parametrize("values", [[2.0], [3.0, 1.0, 3.0, 0.5], [1.0, 1.0, 1.0], [0.0, 4.0]])
+def test_selection_helpers_at_their_ends_match_the_sort_oracles(values):
+    # m = n in farthest_m and m = 0 in radius_after_exclusions take the
+    # general partition path.
+    d = np.asarray(values)
+    assert farthest_m(d, d.size).tolist() == oracles.farthest_by_sort(values, d.size)
+    pts = [(0.0,)] + [(v,) for v in values]
+    assert radius_after_exclusions(np.array([0.0, *values]), 0) == oracles.cost_excluding(pts, [0], 0)
+
 def test_csv_loaders(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("0.0,0.0\n1.5,2.0\n\n3.0,4.0\n")
