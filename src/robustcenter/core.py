@@ -50,18 +50,21 @@ _CEIL_SLACK = 1e-9
 # The candidate filter of ``PointSet.dists_from(..., below=)`` runs on
 # coordinates of _GRAM_MIN_DIM to _GRAM_MAX_DIM axes.  Below the minimum its
 # matrix-vector product costs about as much as the slab passes it saves; the
-# maximum keeps the proof's second-order terms and every norm finite.  Past
-# _GRAM_MAX_COORD a squared norm could overflow, so such a point set keeps
-# the whole-row pass.  _GRAM_FLOOR lowers every filter value by more than
-# all underflow losses together.
+# maximum keeps the proof's second-order terms small.  _GRAM_FLOOR lowers
+# every filter value by more than all underflow losses together.
 _GRAM_MIN_DIM = 4
 _GRAM_MAX_DIM = 1 << 20
-_GRAM_MAX_COORD = 1e150
 _GRAM_FLOOR = 1e-300
 
 
 class GuardError(RuntimeError):
     """A desk-scale enumeration or round guard tripped."""
+
+
+def _max_coordinate(dim: int) -> float:
+    """The magnitude rule: sqrt(DBL_MAX / 4 dim)(1 - 2**-20) bounds |coordinate|,
+    which keeps every summed square, at most 4 dim max|x|^2, finite."""
+    return math.sqrt(np.finfo(np.float64).max / (4 * dim)) * (1.0 - 2.0**-20)
 
 
 def ceil_count(x: float) -> int:
@@ -174,8 +177,13 @@ class PointSet:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("coordinates must form a non-empty 2-D array")
-        if not np.isfinite(arr).all():
-            raise ValueError("coordinates must be finite (no NaN/Inf)")
+        # Two reductions, as np.abs(arr).max() would copy the array; NaN fails the compare.
+        top, limit = max(arr.max(), -arr.min()), _max_coordinate(arr.shape[1])
+        if not top <= limit:
+            raise ValueError(
+                f"coordinates must be finite (no NaN/Inf) and at most {limit!r} in magnitude for "
+                f"D={arr.shape[1]}, sqrt(DBL_MAX / 4D)(1 - 2**-20); got {float(top)!r}"
+            )
         arr.flags.writeable = False
         return cls(mode="euclidean", coords=arr, dmat=None)
 
@@ -226,10 +234,9 @@ class PointSet:
         is appended.  The points that fell always hold their exact value.
 
         With ``root=False`` on coordinates of D in [_GRAM_MIN_DIM,
-        _GRAM_MAX_DIM] axes, none above _GRAM_MAX_COORD in magnitude, an
-        entry that does not fall may hold a value v with below <= v <= key
-        instead.  One matrix-vector product gives each point x the filter
-        value
+        _GRAM_MAX_DIM] axes, an entry that does not fall may hold a value v
+        with below <= v <= key instead.  One matrix-vector product gives each
+        point x the filter value
 
             f = fl(fl(x.(-2c) + s_x) + fl(s_c - F)),   s_p = fl((1 - tol) n_p),
 
@@ -257,8 +264,8 @@ class PointSet:
         D <= _GRAM_MAX_DIM the second-order terms stay below 5uS and
         (4D+2)w below F/2, so f < K': the filter keeps every point whose
         key could fall below its threshold, and a kept f never exceeds the
-        key it stands for.  There |coordinate| <= 1e150 also keeps every
-        intermediate below 1e307, so nothing overflows.
+        key it stands for.  No intermediate overflows: each is at most
+        2S <= 4D max|x|^2, finite under ``from_coords``' magnitude rule.
         """
         i = _count(i, "point index", 0, self.n - 1)
         if below is not None and found is None:
@@ -306,22 +313,22 @@ class PointSet:
         or None where it does not run.  Built on first use and cached in the
         instance dict, outside the fields, so equality, repr and
         content_hash ignore it."""
-        if (
-            self.mode == "euclidean"
-            and _GRAM_MIN_DIM <= self.dim <= _GRAM_MAX_DIM
-            and max(self.coords.max(), -self.coords.min()) <= _GRAM_MAX_COORD
-        ):
+        if self.mode == "euclidean" and _GRAM_MIN_DIM <= self.dim <= _GRAM_MAX_DIM:
             scale = 1.0 - (4 * self.dim + 16) * 2.0**-53
             return euclidean_dists(self.coords, np.zeros(self.dim), root=False) * scale
         return None
+
+    def _block(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        # The |r| x |c| distance block between checked indices, uncounted.
+        if self.mode == "matrix":
+            return self.dmat[np.ix_(r, c)]  # fancy indexing already copies
+        return euclidean_dists(self.coords[r][:, None, :], self.coords[c])
 
     def cross_dists(self, rows: Iterable[int], cols: Iterable[int]) -> np.ndarray:
         """|rows| x |cols| distance block."""
         r, c = _point_indices(rows, self.n), _point_indices(cols, self.n)
         self.stats.evals += r.size * c.size
-        if self.mode == "matrix":
-            return self.dmat[np.ix_(r, c)]  # fancy indexing already copies
-        return euclidean_dists(self.coords[r][:, None, :], self.coords[c])
+        return self._block(r, c)
 
     def nearest_dists(self, rows: Iterable[int], cols: Iterable[int]) -> np.ndarray:
         """Distance from each row point to its nearest col point: the row
@@ -330,21 +337,9 @@ class PointSet:
         r, c = _point_indices(rows, self.n), _point_indices(cols, self.n)
         self.stats.evals += r.size * c.size
         out = np.empty(r.size)
-        if self.mode == "matrix":
-            step = max(1, (1 << 17) // c.size)
-            for s in range(0, r.size, step):
-                self.dmat[np.ix_(r[s : s + step], c)].min(axis=1, out=out[s : s + step])
-            return out
-        # Each block is one chunk of euclidean_dists, written into one buffer
-        # for the whole call: a fresh 1 MiB block per chunk has the allocator
-        # map and fault in new pages each time.
-        a, b = self.coords[r][:, None, :], self.coords[c]
-        step = max(1, (1 << 17) // (self.dim * c.size))
-        block = np.empty((min(step, r.size), c.size))
+        step = max(1, (1 << 17) // ((self.dim or 1) * c.size))
         for s in range(0, r.size, step):
-            rows_in = min(step, r.size - s)
-            _dists_into(a[s : s + rows_in], b, block[:rows_in])
-            block[:rows_in].min(axis=1, out=out[s : s + rows_in])
+            self._block(r[s : s + step], c).min(axis=1, out=out[s : s + step])
         return out
 
     def subset(self, indices: Iterable[int]) -> "PointSet":

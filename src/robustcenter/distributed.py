@@ -169,9 +169,11 @@ def site_round_one(
     radii: list[float] = []
     coresets: dict[int, WeightedCoreset] = {}
     clamps: dict[int, int] = {}
+    reason = f"shard of {n_i} points holds at most k centers"
+    fallback = _identity_coreset(sub_ps, "site", reason) if n_i <= k else None  # reused at every budget
     for j, q in enumerate(grid):
-        if n_i <= k:
-            cs = _identity_coreset(sub_ps, "site", f"shard of {n_i} points holds at most k centers")
+        if fallback is not None:
+            cs = fallback
         else:
             q_eff = min(q, n_i - k - 1, (n_i - 1) // (6 if doubling_dim is None else 2))
             if q_eff != q:

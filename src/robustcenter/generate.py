@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointSet, _count, euclidean_dists
+from .core import PointSet, _count, _max_coordinate, euclidean_dists
 
 __all__ = [
     "GeneratorSpec",
@@ -129,12 +129,17 @@ def planted_instance(spec: GeneratorSpec, seed: int) -> PlantedInstance:
     its own cluster center, never above ``cluster_radius``; serving every
     cluster from its planted center and excluding the injected points
     achieves it, so the optimum is at most this value.
+
+    A recipe whose inliers or outlier ball could reach past the magnitude
+    rule of ``PointSet.from_coords`` raises ValueError naming its field.
     """
+    limit, separation = _max_coordinate(spec.dim), SEPARATION_FACTOR * spec.cluster_radius
+    if not (spec.clusters - 1) * separation + spec.cluster_radius <= limit:
+        raise ValueError(f"cluster_radius={spec.cluster_radius!r} puts inliers past the limit {limit!r}")
     rng = np.random.default_rng(seed)
     base = spec.n_inliers // spec.clusters
     counts = [base + (1 if j < spec.n_inliers % spec.clusters else 0) for j in range(spec.clusters)]
     lattices = {count: _lattice_offsets(count, spec.grid_dim) for count in set(counts)}
-    separation = SEPARATION_FACTOR * spec.cluster_radius
     coords = np.zeros((spec.n_inliers + spec.outliers, spec.dim), order="F")
     center_indices = []
     analytic = 0.0
@@ -151,6 +156,8 @@ def planted_instance(spec: GeneratorSpec, seed: int) -> PlantedInstance:
         offset += count
     if spec.outliers > 0:
         center, radius = meb_approx(coords[: spec.n_inliers])
+        if not float(np.abs(center).max()) + spec.outlier_scale * radius <= limit:
+            raise ValueError(f"outlier_scale={spec.outlier_scale!r} puts outliers past the limit {limit!r}")
         coords[spec.n_inliers :] = _uniform_ball(rng, spec.outliers, center, spec.outlier_scale * radius)
     ps = PointSet.from_coords(coords)
     return PlantedInstance(

@@ -231,15 +231,10 @@ def two_approx_boosted(ps: PointSet, params: ParamSet, rng: np.random.Generator)
     reps = math.inf if log_floor > math.log(ENUMERATION_GUARD) else boost_repetitions(params)
     if reps * params.k > ENUMERATION_GUARD:
         raise GuardError(f"boosting needs repetitions x k={params.k} tracker passes, more than {ENUMERATION_GUARD}")
-    best: CenterSet | None = None
-    best_cost = math.inf
-    for _ in range(reps):
-        candidate = two_approx(ps, params, rng)
-        cost = clustering_cost(ps, candidate, params.z, params.eps).relaxed
-        if cost < best_cost:
-            best, best_cost = candidate, cost
-    assert best is not None
-    return best
+    return min(  # min keeps the first of equal costs
+        (two_approx(ps, params, rng) for _ in range(reps)),
+        key=lambda candidate: clustering_cost(ps, candidate, params.z, params.eps).relaxed,
+    )
 
 
 def sublinear_bicriteria(

@@ -180,8 +180,8 @@ def charikar_3approx(
     - The kernel adds rounded squares, all non-negative, so its sum is
       never below the sort axis's square fl(d*d), and the rooted distance is never
       below fl(sqrt(fl(d*d))).
-    - fl(sqrt(fl(d*d))) = |d| when d*d neither overflows nor underflows
-      (an overflow gives an infinite distance, above any r).
+    - fl(sqrt(fl(d*d))) = |d| when d*d neither overflows nor underflows, and
+      the magnitude rule of ``PointSet.from_coords`` keeps d*d <= DBL_MAX / D.
     - So the distance is at least |d|, and it remains to show |d| > r.
       The column's value lies beyond fl(x_b - r') or fl(x_b + r') for the
       block's first or last value x_b, and the row's value lies on the

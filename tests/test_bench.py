@@ -274,6 +274,22 @@ def test_cli_rho_overflow_falls_back_and_non_finite_rho_exits_2(tmp_path, capsys
     assert "doubling dimension" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_coordinates_past_the_magnitude_limit_exit_2(tmp_path, capsys):
+    # Squared differences of such coordinates overflow: without the limit,
+    # two_approx and brute_force exited 1 and charikar and coreset_auto
+    # reported infinite radii.
+    recipe = ["--k", "3", "--z", "1", "--seed", "7", "--generate", "n=8,clusters=3,dim=5,grid=2,radius=1e+300,outliers=0"]
+    for algo in ("two_approx", "brute_force", "charikar", "coreset_auto"):
+        assert main(["--algo", algo, *recipe, "--out", str(tmp_path / algo)]) == 2
+        assert "cluster_radius" in capsys.readouterr().err
+    points = tmp_path / "points.csv"
+    points.write_text("1e200,-1e200\n-1e200,1e200\n0,0\n1,1\n")
+    assert main(["--algo", "brute_force", "--k", "1", "--z", "1", "--input", str(points), "--out", str(tmp_path / "csv")]) == 2
+    assert "magnitude" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.jsonl"))
+
+
 def test_cli_boosted_two_approx_guard_exit_code(tmp_path, capsys):
     gen = "n=400,clusters=2,dim=2,grid=2,radius=1.0,outliers=2"
     for k, eps in (("10", "0.1"), ("200", "0.001")):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -44,6 +45,40 @@ def test_from_coords_promotes_and_validates():
         PointSet.from_coords(np.array([[0.0], [np.nan]]))
     with pytest.raises(ValueError):
         PointSet.from_coords(np.array([[np.inf, 0.0]]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 137])
+def test_from_coords_admits_magnitudes_up_to_the_limit(dim):
+    top = core._max_coordinate(dim)
+    coords = np.zeros((2, dim))
+    coords[0, -1] = -top
+    assert PointSet.from_coords(coords).coords[0, -1] == -top
+    coords[1, 0] = np.nextafter(top, np.inf)
+    with pytest.raises(ValueError, match="magnitude") as exc:
+        PointSet.from_coords(coords)
+    assert repr(top) in str(exc.value) and f"D={dim}" in str(exc.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [4, 5, 8, 33, 200])
+def test_corners_at_the_coordinate_limit_keep_every_key_finite(dim):
+    # Corners of [-M, M]^D with M the limit: point 1 is point 0's antipode,
+    # whose key, 4D M^2, is the largest any admitted pair can have; the
+    # repeated corners tie, and the nudged ones are near-duplicates.
+    top = core._max_coordinate(dim)
+    rng = np.random.default_rng(dim)
+    coords = top * rng.choice([-1.0, 1.0], (300, dim))
+    coords[1] = -coords[0]
+    coords[2:40] = np.nextafter(coords[2:40], 0)
+    ps = PointSet.from_coords(coords)
+    keys = ps.dists_from(0, root=False)
+    assert np.isfinite(keys).all() and 0.99999 * sys.float_info.max < keys[1] < sys.float_info.max
+    centers = rng.permutation(ps.n)[:60].tolist()
+    tracker = NearestTracker(ps)
+    for c in centers:
+        tracker.add_center(c)
+    assert np.isfinite(tracker.mindist).all()
+    _assert_matches_whole_rows(ps, tracker, centers)
 
 
 def test_distance_matrix_validation():
@@ -622,14 +657,11 @@ def _assert_matches_whole_rows(ps, tracker, centers):
     assert tracker.keys.tobytes() == keys.tobytes()
 
 
-_CUTOFF = core._GRAM_MAX_COORD
-
-
 def _pinned(top):
-    # Uniform coordinates whose largest magnitude is exactly ``top``.
+    # Uniform coordinates whose largest magnitude is exactly ``top(d)``.
     def make(rng, n, d):
-        x = top * rng.uniform(-1, 1, (n, d))
-        x[0, 0] = top
+        x = top(d) * rng.uniform(-1, 1, (n, d))
+        x[0, 0] = top(d)
         return x
 
     return make
@@ -643,8 +675,8 @@ _FILTER_CASES = {
     "grid ties": lambda rng, n, d: rng.integers(-2, 3, (n, d)).astype(float),
     # Every point is a candidate, so each insert takes the whole row.
     "offset 1e8": lambda rng, n, d: 1e8 + rng.standard_normal((n, d)),
-    "at the cutoff": _pinned(_CUTOFF),
-    "just above the cutoff": _pinned(np.nextafter(_CUTOFF, np.inf)),
+    "at the coordinate limit": _pinned(core._max_coordinate),
+    "at 1e150": _pinned(lambda d: 1e150),
     # Magnitudes of 1e-162 to 1e-161, whose squares are subnormal.  Alone,
     # every such point is a candidate through the floor; beside unit-scale
     # points, the filter drops some of them.
@@ -674,11 +706,12 @@ def test_filtered_tracker_is_bit_equal_to_whole_rows(case, dim, n, seed, data):
 
 @pytest.mark.parametrize(
     ("dim", "scale", "filtered"),
-    [(core._GRAM_MIN_DIM - 1, 1.0, False), (core._GRAM_MIN_DIM, 1.0, True), (8, _CUTOFF, True), (8, 2 * _CUTOFF, False)],
+    [(core._GRAM_MIN_DIM - 1, 1.0, False), (core._GRAM_MIN_DIM, 1.0, True), (8, 1e150, True), (8, 2e150, True)],
 )
 def test_filter_runs_only_on_enough_axes_below_the_cutoff(monkeypatch, dim, scale, filtered):
     # Whole-row inserts go through the kernel; filtered ones only gather
-    # their candidates.  The largest |coordinate| is exactly ``scale``.
+    # their candidates.  The largest |coordinate| is exactly ``scale``; the
+    # filter runs at every magnitude from_coords admits.
     rng = np.random.default_rng(5)
     coords = rng.standard_normal((2000, dim)) * (scale / 16)
     coords[0, 0] = scale

@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 from types import SimpleNamespace
 
@@ -258,6 +259,20 @@ def test_assembled_coreset_reports_a_site_fallback(planted_120):
     assert [cs.meta["fallback"] for cs in sent] == [True, False]
     assert result.coreset.meta["fallback"] is True
     assert result.coreset.total_weight() == ps.n
+
+
+def test_a_small_shard_builds_and_warns_its_fallback_once(planted_120, caplog):
+    # Every grid budget of a shard of at most k points reuses one fallback.
+    ps = planted_120
+    params = ParamSet(k=2, z=8, n=ps.n, seed=3)
+    inst = ShardedInstance(ps, (np.arange(2), np.arange(2, ps.n)))
+    with caplog.at_level(logging.WARNING, logger="robustcenter.coreset"):
+        result = run_protocol(ps, params, instance=inst)
+    assert [r.getMessage() for r in caplog.records] == [
+        "site: falling back to unit weights (shard of 2 points holds at most k centers)"
+    ]
+    assert len(result.profiles[0].grid) == 4
+    assert len({id(cs) for cs in result.profiles[0].coresets.values()}) == 1
 
 
 def test_protocol_matrix_mode_charges_two_floats():

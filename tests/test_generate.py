@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from robustcenter.core import PointSet
+from robustcenter.core import PointSet, _max_coordinate
 from robustcenter.generate import (
     MEB_ITERATIONS,
     GeneratorSpec,
@@ -112,6 +112,29 @@ def test_planted_hash_depends_only_on_outlier_draws():
     assert digest(spec, 0) != digest(spec, 1)
     clean = GeneratorSpec(n_inliers=30, clusters=2, dim=2, grid_dim=2, cluster_radius=1.0)
     assert digest(clean, 0) == digest(clean, 7)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    ("radius", "scale", "field"),
+    [(1e300, 3.0, "cluster_radius"), (1e152, 3.0, "cluster_radius"), (1.0, 1e160, "outlier_scale")],
+)
+def test_recipes_past_the_coordinate_limit_name_their_field(radius, scale, field):
+    spec = GeneratorSpec(
+        n_inliers=8, clusters=3, dim=5, grid_dim=2, cluster_radius=radius, outliers=2, outlier_scale=scale
+    )
+    with pytest.raises(ValueError, match=field) as exc:
+        planted_instance(spec, 7)
+    assert repr(_max_coordinate(5)) in str(exc.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_recipe_spanning_up_to_the_coordinate_limit_plants():
+    # Three clusters 20 radii apart span 41 radii along axis 0.
+    limit = _max_coordinate(5)
+    spec = GeneratorSpec(n_inliers=9, clusters=3, dim=5, grid_dim=2, cluster_radius=limit / 41)
+    coords = planted_instance(spec, 0).ps.coords
+    assert np.abs(coords).max() <= limit
 
 
 def test_spec_validation():
