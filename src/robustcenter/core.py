@@ -338,8 +338,19 @@ class PointSet:
         self.stats.evals += r.size * c.size
         out = np.empty(r.size)
         step = max(1, (1 << 17) // ((self.dim or 1) * c.size))
+        if self.mode == "matrix":
+            for s in range(0, r.size, step):
+                self._block(r[s : s + step], c).min(axis=1, out=out[s : s + step])
+            return out
+        # One chunk of euclidean_dists per block, written into one buffer for
+        # the whole call: a fresh block per chunk ran about 10% slower on the
+        # sample-only greedy's 20k x 1k calls at D=2 (2-core Xeon).
+        a, b = self.coords[r][:, None, :], self.coords[c]
+        block = np.empty((min(step, r.size), c.size))
         for s in range(0, r.size, step):
-            self._block(r[s : s + step], c).min(axis=1, out=out[s : s + step])
+            part = block[: min(step, r.size - s)]
+            _dists_into(a[s : s + step], b, part)
+            part.min(axis=1, out=out[s : s + step])
         return out
 
     def subset(self, indices: Iterable[int]) -> "PointSet":

@@ -55,6 +55,12 @@ def _uniform_ball(rng: np.random.Generator, count: int, center: np.ndarray, radi
     return center + dirs / norms[:, None] * radii[:, None]
 
 
+def _planting_limit(dim: int) -> float:
+    # from_coords' limit less (dim + 16) ulps: a planted coordinate is a rounded
+    # sum whose unit direction's norm errs by about dim ulps, each other step by one.
+    return _max_coordinate(dim) * (1.0 - (dim + 16) * 2.0**-52)
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Recipe for a planted instance.  Counts are stored as Python ints, so
@@ -76,6 +82,9 @@ class GeneratorSpec:
         object.__setattr__(self, "dim", dim)
         if not 0 < self.cluster_radius < np.inf:
             raise ValueError(f"cluster_radius must be positive and finite, got {self.cluster_radius!r}")
+        limit = _planting_limit(dim)
+        if not ((self.clusters - 1) * SEPARATION_FACTOR + 1) * float(self.cluster_radius) <= limit:
+            raise ValueError(f"cluster_radius={self.cluster_radius!r} puts inliers past the limit {limit!r}")
         if not 0 <= self.outlier_scale < np.inf:
             raise ValueError(f"outlier_scale must be non-negative and finite, got {self.outlier_scale!r}")
 
@@ -130,16 +139,15 @@ def planted_instance(spec: GeneratorSpec, seed: int) -> PlantedInstance:
     cluster from its planted center and excluding the injected points
     achieves it, so the optimum is at most this value.
 
-    A recipe whose inliers or outlier ball could reach past the magnitude
-    rule of ``PointSet.from_coords`` raises ValueError naming its field.
+    A recipe whose outlier ball could reach past the magnitude rule of
+    ``PointSet.from_coords`` raises ValueError naming ``outlier_scale``;
+    ``GeneratorSpec`` already bounds the inliers.
     """
-    limit, separation = _max_coordinate(spec.dim), SEPARATION_FACTOR * spec.cluster_radius
-    if not (spec.clusters - 1) * separation + spec.cluster_radius <= limit:
-        raise ValueError(f"cluster_radius={spec.cluster_radius!r} puts inliers past the limit {limit!r}")
     rng = np.random.default_rng(seed)
     base = spec.n_inliers // spec.clusters
     counts = [base + (1 if j < spec.n_inliers % spec.clusters else 0) for j in range(spec.clusters)]
     lattices = {count: _lattice_offsets(count, spec.grid_dim) for count in set(counts)}
+    separation = SEPARATION_FACTOR * spec.cluster_radius
     coords = np.zeros((spec.n_inliers + spec.outliers, spec.dim), order="F")
     center_indices = []
     analytic = 0.0
@@ -156,7 +164,8 @@ def planted_instance(spec: GeneratorSpec, seed: int) -> PlantedInstance:
         offset += count
     if spec.outliers > 0:
         center, radius = meb_approx(coords[: spec.n_inliers])
-        if not float(np.abs(center).max()) + spec.outlier_scale * radius <= limit:
+        limit = _planting_limit(spec.dim)
+        if not float(np.abs(center).max()) + float(spec.outlier_scale) * radius <= limit:
             raise ValueError(f"outlier_scale={spec.outlier_scale!r} puts outliers past the limit {limit!r}")
         coords[spec.n_inliers :] = _uniform_ball(rng, spec.outliers, center, spec.outlier_scale * radius)
     ps = PointSet.from_coords(coords)

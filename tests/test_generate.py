@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,10 @@ import oracles
 from robustcenter.core import PointSet, _max_coordinate
 from robustcenter.generate import (
     MEB_ITERATIONS,
+    SEPARATION_FACTOR,
     GeneratorSpec,
     _lattice_offsets,
+    _planting_limit,
     meb_approx,
     planted_instance,
 )
@@ -115,26 +118,47 @@ def test_planted_hash_depends_only_on_outlier_draws():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize(
-    ("radius", "scale", "field"),
-    [(1e300, 3.0, "cluster_radius"), (1e152, 3.0, "cluster_radius"), (1.0, 1e160, "outlier_scale")],
-)
-def test_recipes_past_the_coordinate_limit_name_their_field(radius, scale, field):
-    spec = GeneratorSpec(
-        n_inliers=8, clusters=3, dim=5, grid_dim=2, cluster_radius=radius, outliers=2, outlier_scale=scale
-    )
-    with pytest.raises(ValueError, match=field) as exc:
-        planted_instance(spec, 7)
-    assert repr(_max_coordinate(5)) in str(exc.value)
+@pytest.mark.parametrize("radius", [1e300, 1e152])
+def test_a_spec_past_the_coordinate_limit_names_cluster_radius(radius):
+    with pytest.raises(ValueError, match="cluster_radius") as exc:
+        GeneratorSpec(n_inliers=8, clusters=3, dim=5, grid_dim=2, cluster_radius=radius, outliers=2)
+    assert repr(_planting_limit(5)) in str(exc.value)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_recipe_spanning_up_to_the_coordinate_limit_plants():
-    # Three clusters 20 radii apart span 41 radii along axis 0.
-    limit = _max_coordinate(5)
-    spec = GeneratorSpec(n_inliers=9, clusters=3, dim=5, grid_dim=2, cluster_radius=limit / 41)
-    coords = planted_instance(spec, 0).ps.coords
-    assert np.abs(coords).max() <= limit
+def test_an_outlier_ball_past_the_coordinate_limit_names_outlier_scale():
+    spec = GeneratorSpec(
+        n_inliers=8, clusters=3, dim=5, grid_dim=2, cluster_radius=1.0, outliers=2, outlier_scale=1e160
+    )
+    with pytest.raises(ValueError, match="outlier_scale") as exc:
+        planted_instance(spec, 7)
+    assert repr(_planting_limit(5)) in str(exc.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(("dim", "clusters", "n_inliers"), [(1, 28, 84), (5, 3, 9), (64, 3, 300)])
+def test_recipes_at_the_planting_limit_plant_within_the_coordinate_limit(dim, clusters, n_inliers):
+    # The largest cluster radius the spec admits plants, and the next one is
+    # refused.  At D=1 with 28 clusters, the largest radius whose exact span
+    # is within the coordinate limit itself plants a coordinate one ulp past it.
+    limit, grid, span = _planting_limit(dim), min(2, dim), (clusters - 1) * SEPARATION_FACTOR + 1
+    radius = limit / span
+    while span * np.nextafter(radius, np.inf) <= limit:
+        radius = np.nextafter(radius, np.inf)
+    spec = GeneratorSpec(n_inliers=n_inliers, clusters=clusters, dim=dim, grid_dim=grid, cluster_radius=float(radius))
+    assert np.abs(planted_instance(spec, 0).ps.coords).max() <= _max_coordinate(dim)
+    with pytest.raises(ValueError, match="cluster_radius"):
+        dataclasses.replace(spec, cluster_radius=float(np.nextafter(radius, np.inf)))
+    # The widest outlier ball the check admits around unit clusters.
+    unit = GeneratorSpec(n_inliers=n_inliers, clusters=clusters, dim=dim, grid_dim=grid, cluster_radius=1.0)
+    center, meb_radius = meb_approx(planted_instance(unit, 0).ps.coords)
+    top = float(np.abs(center).max())
+    scale = (limit - top) / meb_radius
+    while top + scale * meb_radius > limit:
+        scale = float(np.nextafter(scale, 0))
+    wide = dataclasses.replace(unit, outliers=n_inliers - 1, outlier_scale=scale)
+    for seed in range(5):
+        assert np.abs(planted_instance(wide, seed).ps.coords).max() <= _max_coordinate(dim)
 
 
 def test_spec_validation():
