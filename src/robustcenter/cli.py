@@ -86,7 +86,7 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"guard tripped: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for agg in aggregates:

@@ -125,8 +125,10 @@ def _summed_squares(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.
     return _sum_axes(sq, 0, a.shape[-1])
 
 
-def _dists_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    np.sqrt(_summed_squares(a, b, out.shape), out=out)
+def _rows_per_chunk(width: int) -> int:
+    """The one chunk rule: rows of ``width`` doubles per kernel chunk, so each
+    temporary holds about 2**17 doubles (1 MB) and stays in cache between passes."""
+    return max(1, (1 << 17) // max(1, width))
 
 
 def euclidean_dists(a: np.ndarray, b: np.ndarray, root: bool = True) -> np.ndarray:
@@ -141,15 +143,14 @@ def euclidean_dists(a: np.ndarray, b: np.ndarray, root: bool = True) -> np.ndarr
     if b.ndim >= a.ndim:
         raise ValueError("b must have fewer axes than a, whose first axis indexes the rows")
     shape = np.broadcast(a, b).shape
-    # Row chunks keep each (D x chunk) temporary near 1 MB, small enough to
-    # stay in cache between the passes over it.
-    step = max(1, (1 << 17) // max(1, shape[-1] * math.prod(shape[1:-1])))
-    if not root and step >= shape[0]:
-        return _summed_squares(a, b, shape[:-1])  # one chunk: its sum slab is the result
+    step = _rows_per_chunk(shape[-1] * math.prod(shape[1:-1]))
+    if step >= shape[0]:  # one chunk: its sum slab is the result
+        sq = _summed_squares(a, b, shape[:-1])
+        return np.sqrt(sq, out=sq) if root else sq
     out = np.empty(shape[:-1])
     for s in range(0, shape[0], step):
         if root:
-            _dists_into(a[s : s + step], b, out[s : s + step])
+            np.sqrt(_summed_squares(a[s : s + step], b, out[s : s + step].shape), out=out[s : s + step])
         else:
             out[s : s + step] = _summed_squares(a[s : s + step], b, out[s : s + step].shape)
     return out
@@ -216,9 +217,7 @@ class PointSet:
     def dist(self, i: int, j: int) -> float:
         i, j = _count(i, "point index", 0, self.n - 1), _count(j, "point index", 0, self.n - 1)
         self.stats.evals += 1
-        if self.mode == "matrix":
-            return float(self.dmat[i, j])
-        return float(euclidean_dists(self.coords[i : i + 1], self.coords[j])[0])
+        return float(self._block(np.array([i]), np.array([j]))[0, 0])
 
     def dists_from(
         self, i: int, root: bool = True, below: np.ndarray | None = None, found: list | None = None
@@ -290,7 +289,7 @@ class PointSet:
                 # x.T is the coordinate-major store seen as D contiguous axes,
                 # so one take gathers a chunk's columns as the kernel's slabs.
                 xt, c = x.T, c[:, None]
-                step = max(1, (1 << 17) // self.dim)
+                step = _rows_per_chunk(self.dim)
                 for s in range(0, cand.size, step):
                     rows = cand[s : s + step]
                     sq = np.take(xt, rows, axis=1)
@@ -322,7 +321,9 @@ class PointSet:
         # The |r| x |c| distance block between checked indices, uncounted.
         if self.mode == "matrix":
             return self.dmat[np.ix_(r, c)]  # fancy indexing already copies
-        return euclidean_dists(self.coords[r][:, None, :], self.coords[c])
+        # One take gathers the cols coordinate-major, as the filter's gather
+        # does: cheaper than row indexing, and each axis the kernel reads is contiguous.
+        return euclidean_dists(self.coords[r][:, None, :], np.take(self.coords.T, c, axis=1).T)
 
     def cross_dists(self, rows: Iterable[int], cols: Iterable[int]) -> np.ndarray:
         """|rows| x |cols| distance block."""
@@ -337,20 +338,10 @@ class PointSet:
         r, c = _point_indices(rows, self.n), _point_indices(cols, self.n)
         self.stats.evals += r.size * c.size
         out = np.empty(r.size)
-        step = max(1, (1 << 17) // ((self.dim or 1) * c.size))
-        if self.mode == "matrix":
-            for s in range(0, r.size, step):
-                self._block(r[s : s + step], c).min(axis=1, out=out[s : s + step])
-            return out
-        # One chunk of euclidean_dists per block, written into one buffer for
-        # the whole call: a fresh block per chunk ran about 10% slower on the
-        # sample-only greedy's 20k x 1k calls at D=2 (2-core Xeon).
-        a, b = self.coords[r][:, None, :], self.coords[c]
-        block = np.empty((min(step, r.size), c.size))
+        # The kernel's chunk rule: a coordinate block is one chunk's slab, rooted in place.
+        step = _rows_per_chunk((self.dim or 1) * c.size)
         for s in range(0, r.size, step):
-            part = block[: min(step, r.size - s)]
-            _dists_into(a[s : s + step], b, part)
-            part.min(axis=1, out=out[s : s + step])
+            self._block(r[s : s + step], c).min(axis=1, out=out[s : s + step])
         return out
 
     def subset(self, indices: Iterable[int]) -> "PointSet":

@@ -200,6 +200,13 @@ def site_round_one(
     )
 
 
+def _check_rank(s: int, z: int) -> None:
+    """The rank rule: s sites hold s(z+1) pairs over budgets 0..z, fewer than
+    the threshold's rank 2z+1 only when one site meets z >= 1."""
+    if 2 * z + 1 > s * (z + 1):
+        raise ValueError(f"site count {s} at z={z}: rank 2z+1 exceeds the s(z+1) ranked pairs; use two or more sites")
+
+
 def coordinator_threshold(profiles, z: int) -> ThresholdDecision:
     """Pick the (2z+1)-th largest (h(q), site id) pair over budgets q = 0..z.
 
@@ -215,8 +222,7 @@ def coordinator_threshold(profiles, z: int) -> ThresholdDecision:
     z = _count(z, "z", 0)
     if len({p.site_id for p in profiles}) != s:
         raise ValueError("site ids must be distinct")
-    if 2 * z + 1 > s * (z + 1):
-        raise ValueError("rank 2z+1 exceeds the s(z+1) available pairs")
+    _check_rank(s, z)
     runs = [
         (r, p.site_id, min(nxt, z + 1) - q)
         for p in profiles
@@ -285,6 +291,7 @@ def run_protocol(
         raise ValueError("instance must shard the same point set")
     _check_n(ps, params.n)
     sites = _count(s, "site count", 1, ps.n) if instance is None else instance.s
+    _check_rank(sites, params.z)
     children = np.random.SeedSequence(params.seed).spawn(sites + 1)
     if instance is None:
         instance = ShardedInstance.balanced(ps, sites, np.random.default_rng(children[-1]))

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from robustcenter import bench
+from robustcenter import bench, cli, distributed
 from robustcenter.bench import ExperimentSpec, run_experiment
 from robustcenter.cli import main, parse_generator
 from robustcenter.core import CenterSet, ParamSet
@@ -29,6 +29,38 @@ def test_run_records_and_aggregates():
     a, b = aggregates
     assert a["count"] == b["count"] == 1
     assert a["instance_hash"] == b["instance_hash"] is not None
+
+
+def test_every_algorithm_runs_through_the_harness():
+    gen = GeneratorSpec(n_inliers=40, clusters=2, dim=2, grid_dim=2, cluster_radius=1.0, outliers=2)
+    spec = ExperimentSpec(algos=bench.ALGORITHMS, k=2, z=2, seeds=(0, 1), source=gen, doubling_dim=1.0, sites=3)
+    records, aggregates = run_experiment(spec)
+    assert [a["algo"] for a in aggregates] == list(bench.ALGORITHMS)
+    assert all(a["count"] == 2 for a in aggregates)
+    by_run = {(r["algo"], r["seed"]): r for r in records}
+    assert len(by_run) == len(records) == 2 * len(bench.ALGORITHMS)
+    for r in records:
+        assert r["n"] == 42
+        if "cost_strict" in r:
+            assert r["cost_relaxed"] <= r["cost_strict"]
+        if "composed_radius" in r:
+            assert r["coreset_size"] <= r["n"] and isinstance(r["fallback"], bool)
+            if not r["fallback"]:
+                assert r["weight_total"] == r["n"]
+    for seed in spec.seeds:
+        # The exhaustive optimum is the strict cost of its own centers and
+        # no k-center set does better.
+        r_opt = by_run["brute_force", seed]["r_opt"]
+        assert r_opt == by_run["brute_force", seed]["cost_strict"]
+        for algo in ("two_approx", "gonzalez", "charikar"):
+            assert by_run[algo, seed]["centers_count"] == 2 and r_opt <= by_run[algo, seed]["cost_strict"]
+        dist = by_run["distributed", seed]
+        assert len(dist["budgets"]) == 3 and dist["budget_total"] <= 2 * 2
+    again, _ = run_experiment(spec)
+    for a, b in zip(records, again):
+        a, b = dict(a), dict(b)
+        del a["wall_time_s"], b["wall_time_s"]
+        assert a == b
 
 
 def test_full_tracker_records_equal_tracker_scoring(monkeypatch):
@@ -296,6 +328,28 @@ def test_cli_boosted_two_approx_guard_exit_code(tmp_path, capsys):
         args = ["--algo", "two_approx", "--k", k, "--z", "2", "--eps", eps, "--generate", gen]
         assert main([*args, "--out", str(tmp_path / "r")]) == 3
     assert "guard" in capsys.readouterr().err
+
+
+def test_cli_lets_an_internal_key_error_propagate(tmp_path, monkeypatch):
+    # No input path raises KeyError, so one is a fault, not a bad spec.
+    def broken(spec):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    gen = "n=40,clusters=2,dim=2,grid=2,radius=1.0,outliers=2"
+    with pytest.raises(KeyError, match="internal"):
+        main(["--algo", "bicriteria", "--k", "2", "--z", "2", "--generate", gen, "--out", str(tmp_path / "r")])
+
+
+def test_cli_single_site_with_outliers_exits_2_before_any_build(tmp_path, capsys, monkeypatch):
+    builds = []
+    monkeypatch.setattr(distributed, "site_round_one", lambda *a, **k: builds.append(a))
+    gen = "n=60,clusters=2,dim=2,grid=2,radius=1.0,outliers=3"
+    argv = ["--algo", "distributed", "--sites", "1", "--z", "3", "--k", "2", "--generate", gen]
+    assert main([*argv, "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "site count 1" in err and "z=3" in err
+    assert not builds and not (tmp_path / "r.jsonl").exists()
 
 
 def test_cli_deterministic_outputs(tmp_path, capsys):

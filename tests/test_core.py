@@ -144,6 +144,17 @@ def test_coordinate_major_kernel_is_bit_equal_to_row_wise_sum(dim):
     assert ps.content_hash() == h.hexdigest()
 
 
+def test_matrix_dist_is_bit_equal_to_its_cross_block():
+    # The matrix-mode half of the bit-equality test above.
+    coords = PointSet.from_coords(np.random.default_rng(5).normal(scale=37.5, size=(60, 3)))
+    ps = PointSet.from_distance_matrix(coords.cross_dists(np.arange(60), np.arange(60)))
+    for i, j in ((0, 1), (17, 42), (59, 3), (8, 8)):
+        before = ps.stats.evals
+        got = ps.dist(i, j)
+        assert ps.stats.evals - before == 1 and type(got) is float
+        assert got == ps.cross_dists([i], [j])[0, 0] == coords.dist(i, j)
+
+
 @pytest.mark.parametrize(("dim", "n"), [(2, 1_000), (2, 70_000), (8, 20_000)])
 def test_unrooted_dists_from_roots_to_the_default_row(dim, n):
     # Kernel chunks hold 2**17 entries: 70,000 x 2 and 20,000 x 8 span two.

@@ -305,6 +305,23 @@ def test_protocol_rejects_bad_site_count(planted_120, s):
         run_protocol(ps, ParamSet(k=2, z=4, n=ps.n), s=s)
 
 
+def test_protocol_rejects_one_site_with_outliers_before_any_build(planted_120, monkeypatch):
+    # One site holds z+1 ranked pairs, fewer than the threshold's rank 2z+1
+    # once z >= 1: the protocol says so before it subsets or builds a shard.
+    ps, made = planted_120, []
+    evals = ps.stats.evals
+    monkeypatch.setattr(PointSet, "subset", lambda self, idx: made.append(idx))
+    params = ParamSet(k=2, z=1, n=ps.n)
+    one_shard = ShardedInstance(ps, (np.arange(ps.n),))
+    for kwargs in ({"s": 1}, {"instance": one_shard}):
+        with pytest.raises(ValueError, match=r"site count 1 at z=1"):
+            run_protocol(ps, params, **kwargs)
+    assert not made and ps.stats.evals == evals
+    monkeypatch.undo()
+    result = run_protocol(ps, ParamSet(k=2, z=0, n=ps.n), s=1)
+    assert result.decision.budgets == (0,) and result.coreset.total_weight() == ps.n
+
+
 def test_protocol_deterministic_for_seed(planted_120):
     ps = planted_120
     params = ParamSet(k=2, z=4, n=ps.n, seed=21)
