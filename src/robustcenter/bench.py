@@ -72,9 +72,9 @@ class ExperimentSpec:
     seeds: tuple[int, ...]
     source: str | GeneratorSpec
     out: str | None = None
-    eps: float = 1.0
-    mu: float = 0.5
-    eta: float = 0.25
+    eps: float = ParamSet.eps
+    mu: float = ParamSet.mu
+    eta: float = ParamSet.eta
     sites: int = 0
     doubling_dim: float | None = None
     shards_path: str | None = None

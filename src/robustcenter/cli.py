@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .bench import ALGORITHMS, ExperimentSpec, _output_paths, run_experiment
-from .core import GuardError
+from .core import GuardError, ParamSet
 from .generate import GeneratorSpec
 
 _GENERATE_KEYS = {
@@ -49,9 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--algo", required=True, help=f"comma-separated list from {ALGORITHMS}")
     parser.add_argument("--k", required=True, type=int, help="number of centers")
     parser.add_argument("--z", required=True, type=int, help="outlier budget")
-    parser.add_argument("--eps", type=float, default=1.0, help="exclusion relaxation (default 1.0)")
-    parser.add_argument("--mu", type=float, default=0.5, help="coreset accuracy (default 0.5)")
-    parser.add_argument("--eta", type=float, default=0.25, help="per-round failure rate (default 0.25)")
+    parser.add_argument("--eps", type=float, default=ParamSet.eps, help="exclusion relaxation (default %(default)s)")
+    parser.add_argument("--mu", type=float, default=ParamSet.mu, help="coreset accuracy (default %(default)s)")
+    parser.add_argument("--eta", type=float, default=ParamSet.eta, help="per-round failure rate (default %(default)s)")
     parser.add_argument("--seed", type=int, default=0, help="first seed (default 0)")
     parser.add_argument("--seeds", type=int, default=1, help="number of consecutive seeds (default 1)")
     parser.add_argument("--sites", type=int, default=0, help="site count for distributed runs")

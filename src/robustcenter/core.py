@@ -488,11 +488,10 @@ class NearestTracker:
         if has_root:
             self.keys[idx] = near
             np.sqrt(near, out=near)
-        # Distinct keys can share a root; then the earlier center keeps it.
-        better = near < self.mindist[idx]
-        idx = idx[better]
-        self.owner[idx] = c
-        self.mindist[idx] = near[better]
+        # A key that fell never has a larger root, but distinct keys can
+        # share a root; then the earlier center keeps the point.
+        self.owner[idx[near < self.mindist[idx]]] = c
+        self.mindist[idx] = near
 
 
 def farthest_m(mindist: np.ndarray, m: int) -> np.ndarray:

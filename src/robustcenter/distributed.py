@@ -39,12 +39,7 @@ log = logging.getLogger(__name__)
 def outlier_budget_grid(z: int) -> list[int]:
     """Budget grid {0, z} plus every power of two up to z."""
     z = _count(z, "z", 0)
-    labels = {0, z}
-    p = 2
-    while p <= z:
-        labels.add(p)
-        p *= 2
-    return sorted(labels)
+    return sorted({0, z, *(1 << i for i in range(1, z.bit_length()))})
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,6 +157,9 @@ def site_round_one(
     build still reports under its original grid label, which only raises the
     reported radius and stays safe for the coordinator's rank argument.  A
     budget whose radius would rise reuses the previous coreset and radius.
+    A unit-weight fallback, for a shard of at most k points or a
+    fixed-dimension round budget (which ignores the outlier budget) past the
+    shard, is built once and reused at every later budget.
     """
     n_i = sub_ps.n
     k = params.k
@@ -169,21 +167,21 @@ def site_round_one(
     radii: list[float] = []
     coresets: dict[int, WeightedCoreset] = {}
     clamps: dict[int, int] = {}
+    small = n_i <= k
     reason = f"shard of {n_i} points holds at most k centers"
-    fallback = _identity_coreset(sub_ps, "site", reason) if n_i <= k else None  # reused at every budget
+    fallback = _identity_coreset(sub_ps, "site", reason) if small else None
     for j, q in enumerate(grid):
+        q_eff = q if small else min(q, n_i - k - 1, (n_i - 1) // (6 if doubling_dim is None else 2))
+        if q_eff != q:
+            clamps[q] = q_eff
+            log.info("site %d: budget %d clamped to %d (shard size %d)", site_id, q, q_eff, n_i)
         if fallback is not None:
             cs = fallback
+        elif doubling_dim is None:
+            cs = build_coreset_auto(sub_ps, replace(params, z=q_eff, n=n_i), rng)
         else:
-            q_eff = min(q, n_i - k - 1, (n_i - 1) // (6 if doubling_dim is None else 2))
-            if q_eff != q:
-                clamps[q] = q_eff
-                log.info("site %d: budget %d clamped to %d (shard size %d)", site_id, q, q_eff, n_i)
-            site_params = replace(params, z=q_eff, n=n_i)
-            if doubling_dim is None:
-                cs = build_coreset_auto(sub_ps, site_params, rng)
-            else:
-                cs = build_coreset(sub_ps, site_params, doubling_dim, rng)
+            cs = build_coreset(sub_ps, replace(params, z=q_eff, n=n_i), doubling_dim, rng)
+            fallback = cs if cs.meta["fallback"] else None
         r = float(cs.meta["map_radius"])
         if j and r > radii[-1]:
             cs, r = coresets[grid[j - 1]], radii[-1]

@@ -1,12 +1,18 @@
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robustcenter
 from robustcenter import bench, cli, distributed
 from robustcenter.bench import ExperimentSpec, run_experiment
-from robustcenter.cli import main, parse_generator
+from robustcenter.cli import build_parser, main, parse_generator
 from robustcenter.core import CenterSet, ParamSet
 from robustcenter.generate import GeneratorSpec
 from robustcenter.greedy import boost_repetitions
@@ -15,6 +21,14 @@ SMALL = GeneratorSpec(
     n_inliers=56, clusters=2, dim=2, grid_dim=2, cluster_radius=1.0, outliers=4
 )
 CLEAN = GeneratorSpec(n_inliers=40, clusters=2, dim=2, grid_dim=2, cluster_radius=1.0)
+GEN = "n=40,clusters=2,dim=2,grid=2,radius=1.0,outliers=2"
+
+
+def _written(out, kind):
+    """The records of one type ("run" or "aggregate") a CLI run wrote to
+    ``<out>.jsonl``."""
+    lines = map(json.loads, out.with_suffix(".jsonl").read_text().splitlines())
+    return [r for r in lines if r["type"] == kind]
 
 
 def test_run_records_and_aggregates():
@@ -31,10 +45,11 @@ def test_run_records_and_aggregates():
     assert a["instance_hash"] == b["instance_hash"] is not None
 
 
-def test_every_algorithm_runs_through_the_harness():
-    gen = GeneratorSpec(n_inliers=40, clusters=2, dim=2, grid_dim=2, cluster_radius=1.0, outliers=2)
-    spec = ExperimentSpec(algos=bench.ALGORITHMS, k=2, z=2, seeds=(0, 1), source=gen, doubling_dim=1.0, sites=3)
-    records, aggregates = run_experiment(spec)
+def test_every_algorithm_runs_through_the_harness(tmp_path, capsys):
+    argv = ["--algo", ",".join(bench.ALGORITHMS), "--k", "2", "--z", "2", "--rho", "1", "--sites", "3"]
+    argv += ["--seeds", "2", "--generate", GEN]
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+    records, aggregates = _written(tmp_path / "a", "run"), _written(tmp_path / "a", "aggregate")
     assert [a["algo"] for a in aggregates] == list(bench.ALGORITHMS)
     assert all(a["count"] == 2 for a in aggregates)
     by_run = {(r["algo"], r["seed"]): r for r in records}
@@ -47,7 +62,7 @@ def test_every_algorithm_runs_through_the_harness():
             assert r["coreset_size"] <= r["n"] and isinstance(r["fallback"], bool)
             if not r["fallback"]:
                 assert r["weight_total"] == r["n"]
-    for seed in spec.seeds:
+    for seed in (0, 1):
         # The exhaustive optimum is the strict cost of its own centers and
         # no k-center set does better.
         r_opt = by_run["brute_force", seed]["r_opt"]
@@ -56,9 +71,11 @@ def test_every_algorithm_runs_through_the_harness():
             assert by_run[algo, seed]["centers_count"] == 2 and r_opt <= by_run[algo, seed]["cost_strict"]
         dist = by_run["distributed", seed]
         assert len(dist["budgets"]) == 3 and dist["budget_total"] <= 2 * 2
-    again, _ = run_experiment(spec)
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    again = _written(tmp_path / "b", "run")
+    assert len(again) == len(records)
     for a, b in zip(records, again):
-        a, b = dict(a), dict(b)
         del a["wall_time_s"], b["wall_time_s"]
         assert a == b
 
@@ -79,6 +96,10 @@ def test_full_tracker_records_equal_tracker_scoring(monkeypatch):
         a, b = dict(a), dict(b)
         del a["wall_time_s"], b["wall_time_s"]
         assert {"cost_strict", "cost_relaxed", "outlier_recall"} <= a.keys()
+        assert a["cost_relaxed"] <= a["cost_strict"]
+        if a["algo"] == "gonzalez":
+            # One tracker pass per center, the greedy loop's only work.
+            assert a["dist_evals"] == a["centers_count"] * a["n"]
         if a["algo"] == "two_approx":
             reps = boost_repetitions(ParamSet(k=2, z=4, n=a["n"], seed=a["seed"]))
             assert a.pop("dist_evals") == reps * 2 * a["n"]
@@ -182,6 +203,14 @@ def test_parse_generator_round_trip():
         parse_generator("n")
 
 
+def test_cli_and_spec_take_their_parameter_defaults_from_paramset():
+    args = build_parser().parse_args(["--algo", "gonzalez", "--k", "2", "--z", "1", "--generate", GEN])
+    spec = {f.name: f.default for f in dataclasses.fields(ExperimentSpec)}
+    params = {f.name: f.default for f in dataclasses.fields(ParamSet)}
+    for name in ("eps", "mu", "eta"):
+        assert getattr(args, name) == spec[name] == params[name]
+
+
 def test_cli_end_to_end(tmp_path, capsys):
     out = tmp_path / "res"
     code = main(
@@ -221,7 +250,23 @@ def test_cli_reads_point_csv(tmp_path, capsys):
         ["--algo", "charikar", "--k", "2", "--z", "1", "--input", str(src), "--out", str(tmp_path / "r")]
     )
     assert code == 0
+    # Two tight clusters 50 apart plus two far points, in two explicit shards.
+    rows = [f"{c + 0.1 * i},{0.05 * i}" for c in (0.0, 50.0) for i in range(10)]
+    pts = tmp_path / "clusters.csv"
+    pts.write_text("\n".join([*rows, "500.0,500.0", "-400.0,90.0"]) + "\n")
+    shards = tmp_path / "shards.json"
+    shards.write_text(json.dumps({"shards": [list(range(0, 22, 2)), list(range(1, 22, 2))]}))
+    out = tmp_path / "file"
+    argv = ["--algo", "distributed,charikar", "--k", "2", "--z", "2", "--input", str(pts), "--shards", str(shards)]
+    assert main([*argv, "--out", str(out)]) == 0
     capsys.readouterr()
+    runs = {r["algo"]: r for r in _written(out, "run")}
+    assert sorted(runs) == ["charikar", "distributed"]
+    assert all(r["n"] == 22 and r["dim"] == 2 for r in runs.values())
+    dist = runs["distributed"]
+    assert dist["weight_total"] == 22 and len(dist["budgets"]) == 2 and dist["budget_total"] <= 4
+    # Both radii stay far below the 50-unit gap between the two clusters.
+    assert runs["charikar"]["cost_strict"] < 5.0 and dist["composed_radius"] < 5.0
 
 
 def test_cli_rejects_bad_specs(tmp_path, capsys):
@@ -237,6 +282,8 @@ def test_cli_rejects_bad_specs(tmp_path, capsys):
     assert not (tmp_path / "r.jsonl").exists()
     err = capsys.readouterr().err
     assert "error:" in err and "repeated algorithms: ['gonzalez']" in err and "output base path is empty" in err
+    assert main(["--algo", "bicriteria", "--generate", gen.replace("radius=1.0", "radius=nan"), *base]) == 2
+    assert "cluster_radius" in capsys.readouterr().err
 
 
 def test_cli_count_message_stays_short(tmp_path, capsys):
@@ -301,9 +348,22 @@ def test_cli_rho_overflow_falls_back_and_non_finite_rho_exits_2(tmp_path, capsys
         "--out", str(tmp_path / "r"),
     ]
     assert main(["--algo", "coreset", "--rho", "600", *base]) == 0
-    assert main(["--algo", "distributed", "--sites", "2", "--rho", "600", *base]) == 0
+    for sites in ("2", "3"):
+        assert main(["--algo", "distributed", "--sites", sites, "--rho", "600", *base]) == 0
+        (rec,) = _written(tmp_path / "r", "run")
+        # Every site sends its whole shard with unit weights.
+        assert rec["algo"] == "distributed" and rec["fallback"] is True
+        assert rec["coreset_size"] == rec["weight_total"] == rec["n"] == 42
     assert main(["--algo", "coreset", "--rho", "inf", *base]) == 2
     assert "doubling dimension" in capsys.readouterr().err
+    # At rho=1 the round budget fits, so both builders weigh real coresets.
+    gen = "n=396,clusters=2,dim=2,grid=2,radius=1.0,outliers=4"
+    argv = ["--algo", "coreset,distributed", "--k", "2", "--z", "4", "--rho", "1", "--sites", "3", "--seeds", "2"]
+    assert main([*argv, "--generate", gen, "--out", str(tmp_path / "one")]) == 0
+    capsys.readouterr()
+    runs = _written(tmp_path / "one", "run")
+    assert [(r["algo"], r["seed"]) for r in runs] == [("coreset", 0), ("coreset", 1), ("distributed", 0), ("distributed", 1)]
+    assert all(r["fallback"] is False and r["weight_total"] == r["n"] == 400 for r in runs)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -350,6 +410,63 @@ def test_cli_single_site_with_outliers_exits_2_before_any_build(tmp_path, capsys
     err = capsys.readouterr().err
     assert "site count 1" in err and "z=3" in err
     assert not builds and not (tmp_path / "r.jsonl").exists()
+
+
+def test_cli_plants_a_twenty_axis_lattice(tmp_path, capsys):
+    gen = "n=40,clusters=2,dim=20,grid=20,radius=1.0,outliers=2"
+    assert main(["--algo", "bicriteria", "--k", "2", "--z", "2", "--generate", gen, "--out", str(tmp_path / "r")]) == 0
+    capsys.readouterr()
+    (rec,) = _written(tmp_path / "r", "run")
+    assert rec["n"] == 42 and rec["dim"] == 20
+
+
+def test_cli_host_runs_at_4000_points_and_trips_its_guard_at_4001(tmp_path, capsys):
+    argv = ["--algo", "charikar", "--k", "3", "--out", str(tmp_path / "host")]
+    assert main([*argv, "--z", "10", "--generate", "n=3990,clusters=3,dim=2,grid=2,radius=1.0,outliers=10"]) == 0
+    capsys.readouterr()
+    (rec,) = _written(tmp_path / "host", "run")
+    # The banded probes keep the unbanded search's counts and picks: n(n+1)/2
+    # pairs plus the mirrored half of each 256-row strip's leading square,
+    # and the same strict radius.
+    assert rec["n"] == 4000 and rec["dist_evals"] == 8_504_320
+    assert rec["cost_strict"].hex() == "0x1.0000000000005p+0"
+    assert main([*argv, "--z", "11", "--generate", "n=3990,clusters=3,dim=2,grid=2,radius=1.0,outliers=11"]) == 3
+    # Unit weights: 4001**2 pairs at 8 + 4 bytes each.
+    err = capsys.readouterr().err
+    assert "guard tripped" in err and "192096012 bytes" in err
+
+
+def test_cli_filter_at_d8_leaves_one_tracker_pass_per_gonzalez_center(tmp_path, capsys):
+    gen = "n=4000,clusters=4,dim=8,grid=2,radius=1.0,outliers=20"
+    argv = ["--algo", "bicriteria,gonzalez", "--k", "4", "--z", "20", "--seeds", "2", "--generate", gen]
+    assert main([*argv, "--out", str(tmp_path / "r")]) == 0
+    capsys.readouterr()
+    runs = _written(tmp_path / "r", "run")
+    assert [r["algo"] for r in runs] == ["bicriteria"] * 2 + ["gonzalez"] * 2
+    for r in runs:
+        assert r["n"] == 4020 and r["dim"] == 8 and r["cost_relaxed"] <= r["cost_strict"]
+        if r["algo"] == "gonzalez":
+            # Each insert counts n evaluations, filtered or not.
+            assert r["dist_evals"] == r["centers_count"] * r["n"]
+
+
+def test_cli_sample_only_greedy_scores_its_sample_in_bounded_row_blocks(tmp_path):
+    # One draw x centers block of 20,000 x ~1,300 doubles peaked at 226 MiB;
+    # row blocks of at most 2**17 distances keep the run near 40 MiB.  Linux
+    # hands a process's peak RSS on through fork and exec, so the run is
+    # the child of a small Python that reads the peak of its children
+    # (kilobytes), not of this test process.
+    argv = ["--algo", "sublinear", "--k", "5", "--z", "10", "--eps", "0.1"]
+    argv += ["--generate", "n=20000,clusters=5,dim=2,grid=2,radius=1.0,outliers=10", "--out", str(tmp_path / "r")]
+    meter = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'robustcenter.cli', *sys.argv[1:]], check=True, stdout=subprocess.DEVNULL)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    src = str(Path(robustcenter.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", meter, *argv], env=env, capture_output=True, text=True, check=True)
+    assert int(done.stdout) / 1024 < 120
 
 
 def test_cli_deterministic_outputs(tmp_path, capsys):

@@ -45,6 +45,9 @@ def test_from_coords_promotes_and_validates():
         PointSet.from_coords(np.array([[0.0], [np.nan]]))
     with pytest.raises(ValueError):
         PointSet.from_coords(np.array([[np.inf, 0.0]]))
+    for shapeless in (np.zeros((2, 2, 2)), []):
+        with pytest.raises(ValueError, match="non-empty 2-D"):
+            PointSet.from_coords(shapeless)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8, 137])
@@ -92,6 +95,8 @@ def test_distance_matrix_validation():
         PointSet.from_distance_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         PointSet.from_distance_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        PointSet.from_distance_matrix(np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
 
 def test_distance_counter_is_exact():
@@ -247,6 +252,8 @@ def test_centerset_validation():
         CenterSet((1, 1), (1, 2))
     with pytest.raises(ValueError):
         CenterSet((1, 2), (2, 1))
+    with pytest.raises(ValueError, match="equal length"):
+        CenterSet((0, 1), (1,))
     # as_array() would truncate or wrap each of these.
     for indices, rounds in (((1.5,), (1,)), ((True,), (1,)), ((-1,), (1,)), ((1,), (1.0,)), ((1,), (False,))):
         with pytest.raises(ValueError, match="integers"):
@@ -262,6 +269,8 @@ def test_relaxed_exclusion_counts():
     assert ceil_count(2.0) == 2
     with pytest.raises(ValueError):
         ceil_count(float("nan"))
+    with pytest.raises(ValueError, match="non-negative"):
+        relaxed_exclusions(1, -0.5)
 
 
 def test_cost_matches_naive_oracle():
@@ -860,6 +869,14 @@ def test_csv_loaders(tmp_path):
     nan.write_text("0.0,nan\n1.0,2.0\n")
     with pytest.raises(ValueError):
         load_points_csv(nan)
+    word = tmp_path / "word.csv"
+    word.write_text("0.0,1.0\n2.0,abc\n")
+    with pytest.raises(ValueError, match="line 2"):
+        load_points_csv(word)
+    blank = tmp_path / "blank.csv"
+    blank.write_text("\n \n")
+    with pytest.raises(ValueError, match="no points"):
+        load_points_csv(blank)
 
 
 def test_content_hash_tracks_values_and_mode():

@@ -96,6 +96,8 @@ def test_coordinator_and_profile_reject_malformed_input():
         coordinator_threshold(twins, z=1)
     with pytest.raises(ValueError, match=">= 0"):
         coordinator_threshold([profile(0, (0, 1), (5.0, 3.0))], z=-1)
+    with pytest.raises(ValueError, match="at least one site"):
+        coordinator_threshold([], 0)
     malformed = [
         ((), ()),
         ((0, 1), (1.0,)),
@@ -273,6 +275,21 @@ def test_a_small_shard_builds_and_warns_its_fallback_once(planted_120, caplog):
     ]
     assert len(result.profiles[0].grid) == 4
     assert len({id(cs) for cs in result.profiles[0].coresets.values()}) == 1
+
+
+def test_a_fixed_dim_site_builds_and_warns_its_fallback_once(caplog):
+    # The round budget, 41 at rho=1, exceeds every 14-point shard at every
+    # grid budget, as it does not depend on the outlier budget.
+    gen = GeneratorSpec(n_inliers=40, clusters=2, dim=2, grid_dim=2, cluster_radius=1.0, outliers=2)
+    ps = planted_instance(gen, 0).ps
+    params = ParamSet(k=2, z=8, n=ps.n, seed=0)
+    with caplog.at_level(logging.WARNING, logger="robustcenter.coreset"):
+        result = run_protocol(ps, params, s=3, doubling_dim=1.0)
+    warning = "fixed_dim: falling back to unit weights (round budget 41 exceeds n=14)"
+    assert [r.getMessage() for r in caplog.records] == [warning] * 3
+    for p in result.profiles:
+        assert len(p.grid) == 4 and len({id(cs) for cs in p.coresets.values()}) == 1
+    assert result.coreset.meta["fallback"] is True
 
 
 def test_protocol_matrix_mode_charges_two_floats():

@@ -12,6 +12,7 @@ from robustcenter.generate import (
     GeneratorSpec,
     _lattice_offsets,
     _planting_limit,
+    _uniform_ball,
     meb_approx,
     planted_instance,
 )
@@ -70,6 +71,21 @@ def test_inject_outliers_containment():
     assert gaps.max() <= 1.1 * radius + 1e-9
 
 
+def test_uniform_ball_points_a_zero_gaussian_row_along_the_first_axis():
+    class ZeroFirstRow:
+        def standard_normal(self, shape):
+            dirs = np.ones(shape)
+            dirs[0] = 0.0
+            return dirs
+
+        def random(self, count):
+            return np.full(count, 0.5)
+
+    pts = _uniform_ball(ZeroFirstRow(), 2, np.zeros(3), 2.0)
+    assert np.isfinite(pts).all()
+    assert pts[0].tolist() == [2.0 * 0.5 ** (1 / 3), 0.0, 0.0]
+
+
 def test_inject_outliers_zero_scale_collapses_to_center():
     spec = GeneratorSpec(
         n_inliers=2, clusters=2, dim=1, grid_dim=1, cluster_radius=1.0, outliers=1,
@@ -94,6 +110,22 @@ def test_planted_radius_is_exact():
         np.linalg.norm(inliers[:, None, :] - centers[None, :, :], axis=2), axis=1
     )
     assert nearest.max() <= inst.analytic_radius + 1e-9
+
+
+@pytest.mark.parametrize(
+    "n_inliers, clusters, dim, grid_dim, radius",
+    [(6, 3, 1, 1, 0.3), (28, 2, 2, 2, 1.0), (16, 4, 2, 2, 0.7), (12, 3, 5, 5, 0.3), (38, 3, 8, 2, 0.3)],
+)
+def test_analytic_radius_is_the_largest_distance_to_an_own_center(n_inliers, clusters, dim, grid_dim, radius):
+    # The separation offset along axis 0 rounds, so each of these realizes
+    # a radius a few ulps above cluster_radius.
+    spec = GeneratorSpec(
+        n_inliers=n_inliers, clusters=clusters, dim=dim, grid_dim=grid_dim, cluster_radius=radius, outliers=2
+    )
+    inst = planted_instance(spec, 0)
+    starts = [*inst.center_indices.tolist(), n_inliers]
+    realized = max(inst.ps.cross_dists(range(a, b), [a]).max() for a, b in zip(starts, starts[1:]))
+    assert inst.analytic_radius == realized > radius
 
 
 def test_planted_singleton_clusters():
