@@ -1,9 +1,9 @@
 """Experiment harness: one record per (seed, algorithm) plus aggregates.
 
-Each run owns its point set, RNG, and distance counter (a CSV input is parsed
-once per experiment and its read-only arrays are shared); records are sorted
-before writing.  Output is JSON lines (runs then aggregates) and a CSV
-summary of the aggregates.
+Each run owns its RNG and distance counter.  A generated instance is planted
+once per seed and a CSV input parsed once per experiment, and the runs share
+their read-only arrays; records are sorted before writing.  Output is JSON
+lines (runs then aggregates) and a CSV summary of the aggregates.
 """
 
 from __future__ import annotations
@@ -100,17 +100,8 @@ class ExperimentSpec:
             raise ValueError(f"input file not found: {self.source}")
 
 
-def _fresh_instance(spec: ExperimentSpec, seed: int, loaded: PointSet | None):
-    """Per-run point set with its own distance counter; ``loaded`` is the
-    parsed CSV input, or None for a generated source."""
-    if isinstance(spec.source, GeneratorSpec):
-        inst = planted_instance(spec.source, seed)
-        return inst.ps, inst.outlier_indices
-    return replace(loaded, stats=DistanceStats()), None
-
-
-def _run_one(spec: ExperimentSpec, algo: str, seed: int, loaded: PointSet | None) -> dict:
-    ps, injected = _fresh_instance(spec, seed, loaded)
+def _run_one(spec: ExperimentSpec, algo: str, seed: int, shared: PointSet, injected: np.ndarray | None) -> dict:
+    ps = replace(shared, stats=DistanceStats())  # the shared arrays, with this run's own counter
     params = ParamSet(k=spec.k, z=spec.z, n=ps.n, eps=spec.eps, eta=spec.eta, mu=spec.mu, seed=seed)
     rng = np.random.default_rng(seed)
     rec = {
@@ -234,11 +225,17 @@ def _write_outputs(out: str, records: list[dict], aggregates: list[dict]) -> Non
 
 
 def run_experiment(spec: ExperimentSpec):
-    """Run every (algorithm, seed) pair; returns (records, aggregates) and
-    writes them when the spec names an output base path."""
-    jobs = [(algo, seed) for algo in spec.algos for seed in spec.seeds]
+    """Run every (algorithm, seed) pair, seed by seed; returns (records,
+    aggregates) and writes them when the spec names an output base path."""
     loaded = None if isinstance(spec.source, GeneratorSpec) else load_points_csv(spec.source)
-    records = [_run_one(spec, algo, seed, loaded) for algo, seed in jobs]
+    records = []
+    for seed in spec.seeds:
+        if loaded is None:
+            inst = planted_instance(spec.source, seed)
+            shared, injected = inst.ps, inst.outlier_indices
+        else:
+            shared, injected = loaded, None
+        records += [_run_one(spec, algo, seed, shared, injected) for algo in spec.algos]
     order = {algo: i for i, algo in enumerate(spec.algos)}
     records.sort(key=lambda r: (order[r["algo"]], r["seed"]))
     aggregates = _aggregate(spec, records)

@@ -47,11 +47,13 @@ __all__ = [
 # 11.000000000000002 in doubles and must count as 11, not 12.
 _CEIL_SLACK = 1e-9
 
-# The candidate filter of ``PointSet.dists_from(..., below=)`` runs on
-# coordinates of _GRAM_MIN_DIM to _GRAM_MAX_DIM axes.  Below the minimum its
-# matrix-vector product costs about as much as the slab passes it saves; the
-# maximum keeps the proof's second-order terms small.  _GRAM_FLOOR lowers
-# every filter value by more than all underflow losses together.
+# The Gram bounds (``_gram_bound``: the candidate filter of
+# ``PointSet.dists_from(..., below=)`` and the farthest-point search of
+# ``generate.meb_approx``) run on coordinates of _GRAM_MIN_DIM to
+# _GRAM_MAX_DIM axes.  Below the minimum their matrix-vector product costs
+# about as much as the slab passes it saves; the maximum keeps the proof's
+# second-order terms small.  _GRAM_FLOOR moves every bound by more than all
+# underflow losses together.
 _GRAM_MIN_DIM = 4
 _GRAM_MAX_DIM = 1 << 20
 _GRAM_FLOOR = 1e-300
@@ -65,6 +67,21 @@ def _max_coordinate(dim: int) -> float:
     """The magnitude rule: sqrt(DBL_MAX / 4 dim)(1 - 2**-20) bounds |coordinate|,
     which keeps every summed square, at most 4 dim max|x|^2, finite."""
     return math.sqrt(np.finfo(np.float64).max / (4 * dim)) * (1.0 - 2.0**-20)
+
+
+def _check_coordinates(arr: np.ndarray) -> None:
+    """The coordinate rule of ``PointSet.from_coords`` and ``generate.meb_approx``:
+    a non-empty 2-D array whose every coordinate is finite and within the
+    magnitude rule M(D) = ``_max_coordinate(D)``; otherwise a ValueError."""
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError("coordinates must form a non-empty 2-D array")
+    # Two reductions, as np.abs(arr).max() would copy the array; NaN fails the compare.
+    top, limit = max(arr.max(), -arr.min()), _max_coordinate(arr.shape[1])
+    if not top <= limit:
+        raise ValueError(
+            f"coordinates must be finite (no NaN/Inf) and at most {limit!r} in magnitude for "
+            f"D={arr.shape[1]}, sqrt(DBL_MAX / 4D)(1 - 2**-20); got {float(top)!r}"
+        )
 
 
 def ceil_count(x: float) -> int:
@@ -156,6 +173,84 @@ def euclidean_dists(a: np.ndarray, b: np.ndarray, root: bool = True) -> np.ndarr
     return out
 
 
+def _gram_scale(dim: int, sign: float) -> float | None:
+    """1 + sign (4D + 16)2**-53, exact: the factor on every norm that
+    ``_gram_bound`` reads, for a lower (sign -1) or an upper (sign +1) bound;
+    None outside [_GRAM_MIN_DIM, _GRAM_MAX_DIM] axes, where no bound runs."""
+    return 1.0 + sign * (4 * dim + 16) * 2.0**-53 if _GRAM_MIN_DIM <= dim <= _GRAM_MAX_DIM else None
+
+
+def _bound_norms(x: np.ndarray, sign: float) -> np.ndarray | None:
+    """Each row's summed squares from the distance kernel times
+    ``_gram_scale(D, sign)``: the s_x that ``_gram_bound`` reads, or None
+    outside [_GRAM_MIN_DIM, _GRAM_MAX_DIM] axes, where no bound runs."""
+    scale = _gram_scale(x.shape[1], sign)
+    return None if scale is None else euclidean_dists(x, np.zeros(x.shape[1]), root=False) * scale
+
+
+def _gram_bound(prod: np.ndarray, norms: np.ndarray, norm_c: float, sign: float) -> np.ndarray:
+    """A bound b on the kernel's key K' = euclidean_dists(x, c, False) of
+    every row x, from the matrix-vector product ``prod`` = x.(-2c), which
+    the caller computes and this turns into b in place: b < K' with sign -1
+    (the tracker's filter in ``PointSet.dists_from``), b > K' with sign +1
+    (the farthest-point search of ``generate.meb_approx``).  It is
+
+        b = fl(fl(x.(-2c) + s_x) + fl(s_c + sign F)),   s_p = fl((1 + sign tol) n_p),
+
+    with ``norms`` holding s_x and ``norm_c`` s_c, n_p the sum of p's
+    rounded squares in any order, with or without FMA (the kernel's, for
+    the rows), 1 + sign tol = ``_gram_scale(D, sign)``, tol = (4D + 16)u,
+    u = 2**-53 and F = _GRAM_FLOOR.  Only the signs of tol and F differ.
+
+    Why sign (b - K') > 0.  Let S = |x|^2 + |c|^2, K = |x - c|^2 <= 2S, and
+    w = 2**-1075, the most a product loses to underflow (sums and
+    differences underflow exactly); every other rounding is a factor 1 + d
+    with |d| <= u.  Each step errs by at most the amount below, whichever
+    way it rounds.  To first order in u:
+    - K' adds D rounded squares of rounded differences, all non-negative,
+      so |K' - K| <= (D+2)uK + Dw <= 2(D+2)uS + Dw.
+    - The product, in any order and with or without FMA (-2c is exact),
+      lies within DuS + Dw of -2x.c, as sum 2|x_j||c_j| <= S.
+    - |n_p - |p|^2| <= Du|p|^2 + Dw, so s_x + s_c lies within
+      (D+1)uS + 2(D+1)w of (1 + sign tol)S.
+    - fl(s_c + sign F) lies within u(s_c + F) of s_c + sign F.
+    - The two additions round by at most 2uS and u(3S + F).
+    Together sign (b - K') >= (tol - (4D+11)u)S + F(1-2u) - (4D+2)w.  With
+    D <= _GRAM_MAX_DIM the second-order terms stay below 5uS and (4D+2)w
+    below F/2, so sign (b - K') > F/2, for subnormal keys too.  No
+    intermediate overflows: each is at most 2S <= 4D m^2, m the largest
+    |coordinate| of x and c, finite while m is within ``from_coords``'
+    magnitude rule or past it by less than the rule's 2**-20 slack.
+    """
+    prod += norms
+    prod += norm_c + sign * _GRAM_FLOOR
+    return prod
+
+
+def _keys_at(x: np.ndarray, c: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The kernel's keys from c to the points ``rows`` of the coordinate-major
+    x, bit-equal to euclidean_dists(x, c, False)[rows]: each chunk's
+    coordinate columns are gathered as the kernel's slabs and run through
+    its own subtract, square and axis sum.  Counts nothing."""
+    # x.T is the store seen as D axes.  On the tracker's whole store one take
+    # gathers a chunk's columns: indexing them instead slowed greedy-100k's
+    # solve by about 6% (median 0.0515 -> 0.0546 s, 42 interleaved runs).  On
+    # the strided slice of rows that meb_approx reads, take would first copy
+    # the whole store (495 us against 1.2 us per one-point gather at 95k x 8),
+    # so the columns are indexed there.
+    xt, c = x.T, c[:, None]
+    contiguous = xt.flags.c_contiguous
+    out = np.empty(rows.size)
+    step = _rows_per_chunk(x.shape[1])
+    for s in range(0, rows.size, step):
+        chunk = rows[s : s + step]
+        sq = np.take(xt, chunk, axis=1) if contiguous else xt[:, chunk]
+        sq -= c
+        np.square(sq, out=sq)
+        out[s : s + step] = _sum_axes(sq, 0, x.shape[1])
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class PointSet:
     """Immutable point collection, Euclidean or explicit-metric.
@@ -176,15 +271,7 @@ class PointSet:
         arr = np.array(coords, dtype=np.float64, order="F")
         if arr.ndim == 1:
             arr = arr[:, None]
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("coordinates must form a non-empty 2-D array")
-        # Two reductions, as np.abs(arr).max() would copy the array; NaN fails the compare.
-        top, limit = max(arr.max(), -arr.min()), _max_coordinate(arr.shape[1])
-        if not top <= limit:
-            raise ValueError(
-                f"coordinates must be finite (no NaN/Inf) and at most {limit!r} in magnitude for "
-                f"D={arr.shape[1]}, sqrt(DBL_MAX / 4D)(1 - 2**-20); got {float(top)!r}"
-            )
+        _check_coordinates(arr)
         arr.flags.writeable = False
         return cls(mode="euclidean", coords=arr, dmat=None)
 
@@ -235,36 +322,13 @@ class PointSet:
         With ``root=False`` on coordinates of D in [_GRAM_MIN_DIM,
         _GRAM_MAX_DIM] axes, an entry that does not fall may hold a value v
         with below <= v <= key instead.  One matrix-vector product gives each
-        point x the filter value
-
-            f = fl(fl(x.(-2c) + s_x) + fl(s_c - F)),   s_p = fl((1 - tol) n_p),
-
-        with n_p the kernel's summed squares of p (``_gram_norms``),
-        tol = (4D + 16)u, u = 2**-53 and F = _GRAM_FLOOR.  Points with
-        f < below are the candidates: their coordinate columns are gathered
-        into one (D x chunk) block per kernel chunk and run through the
-        kernel's own subtract, square and axis sum, so each gets its exact
-        key; the rest keep f.  Past n/8 candidates the whole row is computed
-        instead.
-
-        Why f < K', the kernel's rounded key.  Let S = |x|^2 + |c|^2,
-        K = |x - c|^2 <= 2S, and w = 2**-1075, the most a product loses to
-        underflow (sums and differences underflow exactly); every other
-        rounding is a factor 1 + d with |d| <= u.  To first order in u:
-        - K' adds D rounded squares of rounded differences, all
-          non-negative, so K' >= (1-u)^(D+2) K - Dw >= K - 2(D+2)uS - Dw.
-        - The product, in any order and with or without FMA (-2c is exact),
-          lies within DuS + Dw of -2x.c, as sum 2|x_j||c_j| <= S.
-        - n_x <= (1+u)^D |x|^2 + Dw, so s_x <= (1-tol)(1+(D+1)u)|x|^2
-          + (D+1)w, and likewise s_c.
-        - fl(s_c - F) <= s_c(1+u) - F(1-u), whatever the sign of s_c - F.
-        - The two additions round by at most 2uS and u(3S + F).
-        Together f <= K' - (tol - (4D+11)u)S - F(1-2u) + (4D+2)w.  With
-        D <= _GRAM_MAX_DIM the second-order terms stay below 5uS and
-        (4D+2)w below F/2, so f < K': the filter keeps every point whose
-        key could fall below its threshold, and a kept f never exceeds the
-        key it stands for.  No intermediate overflows: each is at most
-        2S <= 4D max|x|^2, finite under ``from_coords``' magnitude rule.
+        point its lower bound f < K' on the kernel's rounded key
+        (``_gram_bound`` with sign -1, which holds the proof).  Points with
+        f < below are the candidates: they get their exact keys
+        (``_keys_at``) and the rest keep f.  So the filter keeps every point
+        whose key could fall below its threshold, and a kept f never
+        exceeds the key it stands for.  Past n/8 candidates the whole row is
+        computed instead.
         """
         i = _count(i, "point index", 0, self.n - 1)
         if below is not None and found is None:
@@ -277,27 +341,17 @@ class PointSet:
             d = euclidean_dists(self.coords, self.coords[i], root)
         else:
             x, c = self.coords, self.coords[i]
-            d = x @ (-2.0 * c)
-            d += norms
-            d += norms[i] - _GRAM_FLOOR
+            d = _gram_bound(x @ (-2.0 * c), norms, norms[i], -1.0)
             cand = d < below
             if 8 * np.count_nonzero(cand) > self.n:
                 del d, cand  # freed before the whole-row pass makes its own row
                 d = euclidean_dists(x, c, False)
             else:
                 cand = cand.nonzero()[0]
-                # x.T is the coordinate-major store seen as D contiguous axes,
-                # so one take gathers a chunk's columns as the kernel's slabs.
-                xt, c = x.T, c[:, None]
-                step = _rows_per_chunk(self.dim)
-                for s in range(0, cand.size, step):
-                    rows = cand[s : s + step]
-                    sq = np.take(xt, rows, axis=1)
-                    sq -= c
-                    np.square(sq, out=sq)
-                    d[rows] = _sum_axes(sq, 0, self.dim)
+                keys = _keys_at(x, c, cand)
+                d[cand] = keys
                 # Only candidates can fall, and at most n/8 of them.
-                found.append(cand[d[cand] < below[cand]])
+                found.append(cand[keys < below[cand]])
                 return d
         if below is not None:
             fell = d < below
@@ -307,15 +361,11 @@ class PointSet:
 
     @functools.cached_property
     def _gram_norms(self) -> np.ndarray | None:
-        """Each point's summed squares from the distance kernel, scaled by
-        1 - (4D + 16)2**-53: the norms the filter of ``dists_from`` reads,
-        or None where it does not run.  Built on first use and cached in the
-        instance dict, outside the fields, so equality, repr and
-        content_hash ignore it."""
-        if self.mode == "euclidean" and _GRAM_MIN_DIM <= self.dim <= _GRAM_MAX_DIM:
-            scale = 1.0 - (4 * self.dim + 16) * 2.0**-53
-            return euclidean_dists(self.coords, np.zeros(self.dim), root=False) * scale
-        return None
+        """``_bound_norms(coords, -1)``: the norms the filter of
+        ``dists_from`` reads, or None where it does not run.  Built on first
+        use and cached in the instance dict, outside the fields, so equality,
+        repr and content_hash ignore it."""
+        return _bound_norms(self.coords, -1.0) if self.mode == "euclidean" else None
 
     def _block(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
         # The |r| x |c| distance block between checked indices, uncounted.
@@ -610,11 +660,18 @@ def peel_weight(d: np.ndarray, w: np.ndarray, z: float) -> tuple[np.ndarray, np.
     peeled whole, per row.
 
     The caller checks 0 <= z < w.sum().  The running sum can round to at most
-    z even so; then the last point in peel order is the straddler.
+    z even so; then the last point in peel order is the straddler.  With
+    every weight 1, floor(z) points go whole and the straddler's distance is
+    the (floor(z)+1)-th largest, whatever the tie order, so one partition
+    replaces the stable sort.
     """
+    n = d.shape[-1]
+    if (w == 1).all():
+        whole = math.floor(z)
+        return np.partition(d, n - 1 - whole, axis=-1)[..., n - 1 - whole], np.full(d.shape[:-1], whole)
     order = np.argsort(-d, axis=-1, kind="stable")
     cumw = np.cumsum(w[order], axis=-1)
-    whole = np.minimum((cumw <= z).sum(axis=-1), d.shape[-1] - 1)
+    whole = np.minimum((cumw <= z).sum(axis=-1), n - 1)  # the rounded running sum can reach z
     pos = np.take_along_axis(order, whole[..., None], axis=-1)
     return np.take_along_axis(d, pos, axis=-1)[..., 0], whole
 

@@ -2,10 +2,10 @@
 
 Everything here avoids numpy on purpose: distances go through math.dist and
 selection is done with sorted() so the two code paths share nothing beyond
-float64 arithmetic.  The greedy references are the one exception: to replay
-a run bit for bit they draw from numpy's random stream and take each center's
-distances from the library's one-point pass.  ``EvalLog`` is a test-side
-recorder of the library's distance counter.
+float64 arithmetic.  The greedy references and ``meb_reference`` are the
+exceptions: to replay a run bit for bit they draw from numpy's random stream
+or take their distances from the library's whole-row kernel.  ``EvalLog`` is
+a test-side recorder of the library's distance counter.
 """
 
 import itertools
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from robustcenter.core import DistanceStats, GuardError
+from robustcenter.core import DistanceStats, GuardError, euclidean_dists
 from robustcenter.distributed import ThresholdDecision
 
 ALLOCATION_GUARD = 2_000_000
@@ -86,6 +86,17 @@ class OneAtATimeTracker:
         for i, d in enumerate(self.ps.dists_from(c).tolist()):
             if d < self.mindist[i]:
                 self.mindist[i], self.owner[i] = d, c
+
+
+def meb_reference(pts, iterations: int):
+    """The enclosing-ball drifts with one whole kernel pass each: start at
+    row 0, step 1/(i+1) toward the first row of largest rooted distance,
+    then the largest distance from the final center."""
+    center = pts[0].astype(float).copy()
+    for i in range(1, iterations + 1):
+        far = pts[euclidean_dists(pts, center).argmax()]
+        center += (far - center) / (i + 1)
+    return center, float(euclidean_dists(pts, center).max())
 
 
 def gonzalez_reference(ps, k: int, rng):

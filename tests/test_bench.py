@@ -172,6 +172,22 @@ def test_csv_input_parsed_once_with_a_counter_per_run(tmp_path, monkeypatch):
     ]
 
 
+def test_each_seed_is_planted_once_for_all_its_runs(monkeypatch):
+    # Three algorithms on two seeds plant twice; every record equals the
+    # record of a run that planted its own instance, apart from wall time.
+    spec = ExperimentSpec(algos=("gonzalez", "bicriteria", "coreset_auto"), k=2, z=4, seeds=(3, 4), source=SMALL)
+    alone = [
+        run_experiment(dataclasses.replace(spec, algos=(a,), seeds=(s,)))[0][0] for a in spec.algos for s in spec.seeds
+    ]
+    plants, real_plant = [], bench.planted_instance
+    monkeypatch.setattr(bench, "planted_instance", lambda gen, seed: plants.append(seed) or real_plant(gen, seed))
+    records, _ = run_experiment(spec)
+    assert plants == [3, 4]
+    for rec in records + alone:
+        assert rec.pop("wall_time_s") >= 0
+    assert records == alone
+
+
 def test_spec_validation(tmp_path):
     with pytest.raises(ValueError):
         ExperimentSpec(algos=("coreset",), k=2, z=1, seeds=(0,), source=SMALL)

@@ -430,6 +430,26 @@ def _rounding_weights():
     return w
 
 
+def test_unit_weight_peel_equals_the_peel_oracle_on_tie_heavy_rows():
+    # Unit weights take a partition, not the stable sort: on batches and
+    # single rows with few distinct distances, integer and fractional z,
+    # the straddler and the count peeled whole match the oracle and the
+    # sorted peel of doubled weights and budget.
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        d = rng.integers(0, 4, (int(rng.integers(1, 6)), n)).astype(float)
+        rows = d if seed % 2 else d[0]
+        z = float(rng.integers(0, n)) + float(rng.choice([0.0, 0.25, 0.5, 0.999]))
+        radius, whole = peel_weight(rows, np.ones(n), z)
+        sorted_radius, sorted_whole = peel_weight(rows, np.full(n, 2.0), 2 * z)
+        assert radius.shape == sorted_radius.shape and whole.shape == sorted_whole.shape
+        assert radius.tobytes() == sorted_radius.tobytes() and whole.tolist() == sorted_whole.tolist()
+        for row, r, w in zip(np.atleast_2d(rows), np.atleast_1d(radius), np.atleast_1d(whole)):
+            want, peeled = oracles.weighted_peel(row.tolist(), [1] * n, z)
+            assert (r, w) == (want, len(peeled))
+
+
 def test_peel_straddler_is_the_last_point_when_the_running_sum_rounds_down():
     # Equal distances make the peel order the index order.
     w = _rounding_weights()

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
-from robustcenter.core import PointSet, _max_coordinate
+import robustcenter.core as core
+import robustcenter.generate as generate
+from robustcenter.core import _GRAM_MIN_DIM, PointSet, _max_coordinate
 from robustcenter.generate import (
     MEB_ITERATIONS,
     SEPARATION_FACTOR,
@@ -55,6 +57,108 @@ def test_meb_is_bit_equal_to_row_wise_norms():
     got_center, got_radius = meb_approx(ps.coords)
     assert np.array_equal(got_center, center)
     assert got_radius == radius
+
+
+def _lattice(rng, n, d):
+    # Integer points of a small cube: many rows share each distance.
+    return rng.integers(-2, 3, (n, d)).astype(float)
+
+
+def _twins(rng, n, d):
+    # Reversed-coordinate twins lie at near-equal distances from most centers.
+    base = rng.normal(scale=12.5, size=(n // 2, d)) + 0.3
+    return np.vstack([np.zeros(d), base, base[:, ::-1]])
+
+
+def _near_limit(rng, n, d):
+    x = 0.99 * _max_coordinate(d) * rng.uniform(-1, 1, (n, d))
+    x[-1, 0] = 0.99 * _max_coordinate(d)
+    return x
+
+
+def _subnormal_keys(rng, n, d):
+    # Coordinates about 1e-160, whose squares and keys are subnormal.
+    return 1e-160 * rng.uniform(-1, 1, (n, d))
+
+
+def _planted(rng, n, d):
+    # The benchmark's shape: lattice clusters 20 radii apart along axis 0.
+    spec = GeneratorSpec(n_inliers=n, clusters=min(n, 3), dim=d, grid_dim=min(d, 2), cluster_radius=1.0)
+    return planted_instance(spec, int(rng.integers(100))).ps.coords
+
+
+_MEB_CLOUDS = {
+    "normal": lambda rng, n, d: rng.standard_normal((n, d)),
+    "lattice": _lattice,
+    "twins": _twins,
+    "at 0.99 M(D)": _near_limit,
+    "subnormal keys": _subnormal_keys,
+    "planted": _planted,
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 33])
+@pytest.mark.parametrize("cloud", sorted(_MEB_CLOUDS))
+@pytest.mark.parametrize("n", [1, 2, 40, 700])
+def test_meb_is_bit_equal_to_the_whole_pass_reference(dim, cloud, n):
+    rng = np.random.default_rng(1000 * dim + n)
+    coords = _MEB_CLOUDS[cloud](rng, n, dim)
+    # A slice of an F-order store, as planted_instance passes its inliers.
+    store = np.zeros((coords.shape[0] + 5, dim), order="F")
+    store[: coords.shape[0]] = coords
+    pts = store[: coords.shape[0]]
+    center, radius = meb_approx(pts)
+    want_center, want_radius = oracles.meb_reference(np.ascontiguousarray(pts), MEB_ITERATIONS)
+    assert center.tobytes() == want_center.tobytes()
+    assert radius.hex() == want_radius.hex()
+
+
+def _cube(dim):
+    grids = np.meshgrid(*[np.arange(-1.0, 2.0)] * dim, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16, 33])
+def test_meb_on_tie_heavy_lattices_is_bit_equal_to_the_reference(dim):
+    # A whole cube {-1, 0, 1}^D (up to 2,000 rows): from any center most
+    # rows share their distance with many others.
+    rng = np.random.default_rng(dim)
+    pts = rng.integers(-1, 2, (2000, dim)).astype(float) if 3**dim > 2000 else _cube(dim)
+    for start in (pts, pts[::-1], np.vstack([np.zeros(dim), pts])):
+        center, radius = meb_approx(start)
+        want_center, want_radius = oracles.meb_reference(start, MEB_ITERATIONS)
+        assert center.tobytes() == want_center.tobytes()
+        assert radius.hex() == want_radius.hex()
+
+
+@pytest.mark.parametrize(("dim", "passes"), [(_GRAM_MIN_DIM - 1, MEB_ITERATIONS + 1), (_GRAM_MIN_DIM, 1), (8, 1)])
+def test_meb_makes_whole_passes_only_below_the_gram_dimension(monkeypatch, dim, passes):
+    # From D = _GRAM_MIN_DIM on, the one whole pass builds the norms and
+    # every drift gathers only its candidates.
+    pts = planted_instance(GeneratorSpec(n_inliers=3000, clusters=3, dim=dim, grid_dim=2, cluster_radius=1.0), 0).ps.coords
+    calls, kernel = [], generate.euclidean_dists
+    for module in (generate, core):
+        monkeypatch.setattr(module, "euclidean_dists", lambda *a, **k: calls.append(a) or kernel(*a, **k))
+    meb_approx(pts)
+    assert len(calls) == passes
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_meb_applies_the_coordinate_rule_of_from_coords(dim):
+    for bad in (np.empty((0, dim)), np.empty((3, 0)), np.zeros(dim), np.zeros((2, 2, dim))):
+        with pytest.raises(ValueError, match="non-empty 2-D"):
+            meb_approx(bad)
+    for value in (np.nextafter(_max_coordinate(dim), np.inf), -2 * _max_coordinate(dim), np.inf, np.nan):
+        pts = np.ones((5, dim))
+        pts[3, dim - 1] = value
+        with pytest.raises(ValueError, match="magnitude") as got:
+            meb_approx(pts)
+        with pytest.raises(ValueError) as want:
+            PointSet.from_coords(pts)
+        assert str(got.value) == str(want.value)
+    pts = np.ones((5, dim))
+    pts[3, 0] = _max_coordinate(dim)
+    assert meb_approx(pts)[1] > 0
 
 
 def test_inject_outliers_containment():

@@ -480,6 +480,20 @@ def test_brute_force_unit_weights_equal_no_weights(matrix):
         assert unit.opt_excluded == plain.opt_excluded
 
 
+def test_brute_force_unit_weights_equal_the_sorted_peel():
+    # No weights take the partition peel; weight 2 with budget 2z peels the
+    # same points through the stable sort.
+    rng = np.random.default_rng(53)
+    for matrix in [False, True] * 100:
+        ps, k = _tie_heavy_instance(rng, matrix)
+        z = float(rng.integers(0, ps.n - k)) + float(rng.choice([0.0, 0.5]))
+        plain = brute_force_opt(ps, k, z)
+        doubled = brute_force_opt(ps, k, 2 * z, np.full(ps.n, 2.0))
+        assert plain.r_opt.hex() == doubled.r_opt.hex()
+        assert plain.opt_centers == doubled.opt_centers
+        assert plain.opt_excluded == doubled.opt_excluded
+
+
 def test_brute_force_weights_equal_expansion():
     # giving a point weight w is the same as placing w copies of it
     rng = np.random.default_rng(47)
