@@ -1,8 +1,9 @@
 """Experiment harness: one record per (seed, algorithm) plus aggregates.
 
 Each run owns its RNG and distance counter.  A generated instance is planted
-once per seed and a CSV input parsed once per experiment, and the runs share
-their read-only arrays; records are sorted before writing.  Output is JSON
+and hashed once per seed, and a CSV input and a shard file are read once per
+experiment; the runs share their read-only arrays, and records are sorted
+before writing.  Output is JSON
 lines (runs then aggregates) and a CSV summary of the aggregates.
 """
 
@@ -100,17 +101,19 @@ class ExperimentSpec:
             raise ValueError(f"input file not found: {self.source}")
 
 
-def _run_one(spec: ExperimentSpec, algo: str, seed: int, shared: PointSet, injected: np.ndarray | None) -> dict:
+def _run_one(
+    spec: ExperimentSpec, algo: str, params: ParamSet, shared: PointSet, instance_hash: str,
+    injected: np.ndarray | None, shards: dict | None
+) -> dict:
     ps = replace(shared, stats=DistanceStats())  # the shared arrays, with this run's own counter
-    params = ParamSet(k=spec.k, z=spec.z, n=ps.n, eps=spec.eps, eta=spec.eta, mu=spec.mu, seed=seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(params.seed)
     rec = {
         "type": "run",
         "algo": algo,
-        "seed": int(seed),
+        "seed": params.seed,
         "n": ps.n,
         "dim": ps.dim,
-        "instance_hash": ps.content_hash(),
+        "instance_hash": instance_hash,
         "k": spec.k,
         "z": spec.z,
         "eps": spec.eps,
@@ -139,9 +142,8 @@ def _run_one(spec: ExperimentSpec, algo: str, seed: int, shared: PointSet, injec
     elif algo == "coreset_auto":
         coreset = build_coreset_auto(ps, params, rng)
     elif algo == "distributed":
-        if spec.shards_path is not None:
-            blob = json.loads(Path(spec.shards_path).read_text())
-            instance = ShardedInstance.from_json(ps, blob)
+        if shards is not None:
+            instance = ShardedInstance.from_json(ps, shards)
             protocol = run_protocol(ps, params, instance=instance, doubling_dim=spec.doubling_dim)
         else:
             protocol = run_protocol(ps, params, s=spec.sites, doubling_dim=spec.doubling_dim)
@@ -226,16 +228,24 @@ def _write_outputs(out: str, records: list[dict], aggregates: list[dict]) -> Non
 
 def run_experiment(spec: ExperimentSpec):
     """Run every (algorithm, seed) pair, seed by seed; returns (records,
-    aggregates) and writes them when the spec names an output base path."""
+    aggregates) and writes them when the spec names an output base path.
+
+    Every seed's parameters are checked, and the shard file read, before
+    any instance is planted."""
     loaded = None if isinstance(spec.source, GeneratorSpec) else load_points_csv(spec.source)
+    n = spec.source.n_inliers + spec.source.outliers if loaded is None else loaded.n
+    params = ParamSet(k=spec.k, z=spec.z, n=n, eps=spec.eps, eta=spec.eta, mu=spec.mu)
+    per_seed = [replace(params, seed=seed) for seed in spec.seeds]
+    shards = None if spec.shards_path is None else json.loads(Path(spec.shards_path).read_text())
     records = []
-    for seed in spec.seeds:
+    for seed_params in per_seed:
         if loaded is None:
-            inst = planted_instance(spec.source, seed)
+            inst = planted_instance(spec.source, seed_params.seed)
             shared, injected = inst.ps, inst.outlier_indices
         else:
             shared, injected = loaded, None
-        records += [_run_one(spec, algo, seed, shared, injected) for algo in spec.algos]
+        digest = shared.content_hash()
+        records += [_run_one(spec, algo, seed_params, shared, digest, injected, shards) for algo in spec.algos]
     order = {algo: i for i, algo in enumerate(spec.algos)}
     records.sort(key=lambda r: (order[r["algo"]], r["seed"]))
     aggregates = _aggregate(spec, records)

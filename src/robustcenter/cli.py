@@ -36,6 +36,8 @@ def parse_generator(text: str) -> GeneratorSpec:
         if key not in _GENERATE_KEYS:
             raise ValueError(f"unknown generator key {key!r}; choose from {sorted(_GENERATE_KEYS)}")
         name, cast = _GENERATE_KEYS[key]
+        if name in kwargs:
+            raise ValueError(f"repeated generator key {key!r}; give each key once")
         kwargs[name] = cast(raw)
     return GeneratorSpec(**kwargs)
 

@@ -144,7 +144,9 @@ def _summed_squares(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.
 
 def _rows_per_chunk(width: int) -> int:
     """The one chunk rule: rows of ``width`` doubles per kernel chunk, so each
-    temporary holds about 2**17 doubles (1 MB) and stays in cache between passes."""
+    temporary holds about 2**17 doubles (1 MB) and stays in cache between passes.
+    Its users: ``euclidean_dists``, the filter's gather ``_keys_at``,
+    ``PointSet.nearest_dists`` and ``solvers.brute_force_opt``'s combo batches."""
     return max(1, (1 << 17) // max(1, width))
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CenterSet, GuardError, PointSet, _checked_weights, _count, clustering_cost, peel_weight
+from .core import CenterSet, GuardError, PointSet, _checked_weights, _count, _rows_per_chunk
+from .core import clustering_cost, peel_weight
 
 __all__ = [
     "OracleResult",
@@ -24,8 +25,7 @@ __all__ = [
 
 ENUMERATION_GUARD = 2_000_000
 _MATRIX_GUARD = 4_000  # full pairwise block above this is not desk-scale
-_STRIP_ROWS = 256
-_BAND_ROWS = 128  # host rows per coverage window (charikar_3approx)
+_BAND_ROWS = 128  # host rows per block build and per coverage window (charikar_3approx)
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,16 @@ class OracleResult:
 
 def _pairwise_block(ps: PointSet, order: np.ndarray | None = None) -> np.ndarray:
     # The n x n distance block between the points taken in ``order`` (input
-    # order by default), each unordered pair evaluated once: strips of up to
-    # 256 rows of the upper triangle, diagonal included, mirrored below it.
-    # Distances are exactly symmetric, so the block equals
-    # ps.cross_dists(order, order) bit for bit.
+    # order by default): strips of up to _BAND_ROWS rows of the upper
+    # triangle, diagonal included, mirrored below it.  That makes n(n+1)/2
+    # evaluations plus r(r-1)/2 per strip of r rows, whatever D, so a matrix
+    # twin counts the same.  Distances are exactly symmetric, so the block
+    # equals ps.cross_dists(order, order) bit for bit.
     n = ps.n
     idx = np.arange(n) if order is None else order
     dmat = np.empty((n, n))
-    for s in range(0, n, _STRIP_ROWS):
-        e = min(s + _STRIP_ROWS, n)
+    for s in range(0, n, _BAND_ROWS):
+        e = min(s + _BAND_ROWS, n)
         strip = ps.cross_dists(idx[s:e], idx[s:])
         dmat[s:e, s:] = strip
         dmat[e:, s:e] = strip[:, e - s :].T
@@ -153,7 +154,8 @@ def charikar_3approx(
     Binary-searches the sorted pairwise distances for the smallest radius
     guess whose coverage greedy leaves at most z weight uncovered, and returns
     the picks of that guess.  Intended for coreset-scale inputs (up to 4,000
-    points): each unordered pair is evaluated once, and the host holds
+    points): the block evaluates n(n+1)/2 pairs plus r(r-1)/2 for each
+    strip of r <= _BAND_ROWS rows (``_pairwise_block``), and the host holds
     8 + 4 bytes per pair (the float64 pairwise block and a float32 coverage
     matrix), or 8 + 8 when a weight is not an integer or the total reaches
     2**24.  With integer weights the picks equal those of the pure-Python
@@ -252,7 +254,7 @@ def brute_force_opt(
         raise GuardError(f"enumeration budget exceeded: C({n},{k}) > {ENUMERATION_GUARD}")
     dmat = _pairwise_block(ps)
     best_r, best_combo, best_whole = math.inf, None, 0
-    for combos in _combo_batches(n, k, max(64, (1 << 21) // max(1, k * n))):
+    for combos in _combo_batches(n, k, _rows_per_chunk(k * n)):
         radii, whole = peel_weight(dmat[combos].min(axis=1), w, z)
         pos = int(np.argmin(radii))
         if radii[pos] < best_r:  # in-order fold keeps the lexicographic tie rule

@@ -108,13 +108,40 @@ def test_full_tracker_records_equal_tracker_scoring(monkeypatch):
 
 
 def test_charikar_record_counts_each_pair_once():
-    # 600 points: strips of 256, 256 and 88 rows over the upper triangle,
-    # 256*600 + 256*344 + 88*88 evaluations, against 600**2 for the full block.
+    # 600 points: strips of 128 rows (four) and 88 rows over the upper
+    # triangle, 600*601/2 pairs plus each strip's mirrored leading half,
+    # 4*128*127/2 + 88*87/2, against 600**2 for the full block.
     source = GeneratorSpec(n_inliers=590, clusters=3, dim=2, grid_dim=2, cluster_radius=1.0, outliers=10)
     spec = ExperimentSpec(algos=("charikar",), k=3, z=10, seeds=(0,), source=source)
     (rec,), _ = run_experiment(spec)
     assert rec["n"] == 600
-    assert rec["dist_evals"] == 249_408
+    assert rec["dist_evals"] == 216_640
+
+
+# The cost model's totals: every algorithm's dist_evals on 56 + 4 planted
+# points, k=2, z=4, seed 3, three sites and rho=0.25 (small enough that the
+# sites' fixed-dimension builds run).  The kernel counts each pair it
+# evaluates whatever the path, so D=2 and D=8 read the same.  A change that
+# moves an entry updates it here and gives the old value in CHANGES.md.
+_DIST_EVALS = {
+    "bicriteria": 1920,
+    "two_approx": 600,
+    "sublinear": 5640,
+    "gonzalez": 120,
+    "charikar": 3600,
+    "brute_force": 3720,
+    "coreset": 2820,
+    "coreset_auto": 2280,
+    "distributed": 3400,
+}
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_dist_evals_of_every_algorithm_are_pinned(dim):
+    source = GeneratorSpec(n_inliers=56, clusters=3, dim=dim, grid_dim=2, cluster_radius=1.0, outliers=4)
+    spec = ExperimentSpec(algos=bench.ALGORITHMS, k=2, z=4, seeds=(3,), source=source, sites=3, doubling_dim=0.25)
+    records, _ = run_experiment(spec)
+    assert {r["algo"]: r["dist_evals"] for r in records} == _DIST_EVALS
 
 
 def test_aggregate_hash_none_when_instances_differ():
@@ -300,6 +327,31 @@ def test_cli_rejects_bad_specs(tmp_path, capsys):
     assert "error:" in err and "repeated algorithms: ['gonzalez']" in err and "output base path is empty" in err
     assert main(["--algo", "bicriteria", "--generate", gen.replace("radius=1.0", "radius=nan"), *base]) == 2
     assert "cluster_radius" in capsys.readouterr().err
+    assert main(["--algo", "bicriteria", "--generate", gen + ",outliers=0", *base]) == 2
+    assert "repeated generator key 'outliers'" in capsys.readouterr().err
+
+
+def test_experiment_is_checked_before_any_instance_is_planted(tmp_path, capsys, monkeypatch):
+    plants, hashes = [], []
+    planted, content_hash = bench.planted_instance, bench.PointSet.content_hash
+    monkeypatch.setattr(bench, "planted_instance", lambda source, seed: plants.append(seed) or planted(source, seed))
+    monkeypatch.setattr(bench.PointSet, "content_hash", lambda ps: hashes.append(1) or content_hash(ps))
+    base = ["--algo", "bicriteria,distributed", "--sites", "2", "--out", str(tmp_path / "r")]
+    gen = "n=40,clusters=2,dim=2,grid=2,radius=1.0,outliers=2"
+    assert main([*base, "--k", "2", "--z", "2", "--eta", "0.7", "--generate", gen]) == 2
+    # k + z = 4 reaches n = 3 + 1 points.
+    assert main([*base, "--k", "2", "--z", "2", "--generate", "n=3,clusters=1,dim=2,grid=2,radius=1.0,outliers=1"]) == 2
+    bad_shards = tmp_path / "bad.json"
+    bad_shards.write_text("{not json")
+    shard_argv = ["--algo", "distributed", "--k", "2", "--z", "2", "--shards", str(bad_shards), "--generate", gen]
+    assert main([*shard_argv, "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "eta must lie in (0, 1/2)" in err and "k + z must be < n" in err
+    assert plants == [] and hashes == []
+    # A valid recipe plants and hashes each seed once for all its algorithms.
+    assert main([*base, "--k", "2", "--z", "2", "--seed", "4", "--seeds", "3", "--generate", gen]) == 0
+    assert plants == [4, 5, 6] and len(hashes) == 3
+    assert [r["seed"] for r in _written(tmp_path / "r", "run")] == [4, 5, 6] * 2
 
 
 def test_cli_count_message_stays_short(tmp_path, capsys):
@@ -442,9 +494,9 @@ def test_cli_host_runs_at_4000_points_and_trips_its_guard_at_4001(tmp_path, caps
     capsys.readouterr()
     (rec,) = _written(tmp_path / "host", "run")
     # The banded probes keep the unbanded search's counts and picks: n(n+1)/2
-    # pairs plus the mirrored half of each 256-row strip's leading square,
+    # pairs plus the mirrored half of each 128-row strip's leading square,
     # and the same strict radius.
-    assert rec["n"] == 4000 and rec["dist_evals"] == 8_504_320
+    assert rec["n"] == 4000 and rec["dist_evals"] == 8_254_464
     assert rec["cost_strict"].hex() == "0x1.0000000000005p+0"
     assert main([*argv, "--z", "11", "--generate", "n=3990,clusters=3,dim=2,grid=2,radius=1.0,outliers=11"]) == 3
     # Unit weights: 4001**2 pairs at 8 + 4 bytes each.

@@ -255,7 +255,7 @@ def test_charikar_matches_reference_search_seeded():
 
 
 @pytest.mark.parametrize("matrix", [False, True])
-@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 255, 256, 257, 600])
 def test_pairwise_block_evaluates_each_pair_once(n, matrix, monkeypatch):
     rng = np.random.default_rng(n)
     ps = PointSet.from_coords(rng.normal(scale=5.0, size=(n, 3)))
@@ -276,7 +276,8 @@ def test_pairwise_block_evaluates_each_pair_once(n, matrix, monkeypatch):
     assert got.dtype == np.float64 and got.shape == (n, n)
     assert np.array_equal(got.view(np.uint64), full.view(np.uint64))
     assert np.array_equal(got.view(np.uint64), got.T.view(np.uint64))
-    assert len(shapes) == -(-n // 256)
+    # Strips of _BAND_ROWS rows whatever D is, the last one shorter.
+    assert [r for r, _ in shapes] == [min(_BAND_ROWS, n - s) for s in range(0, n, _BAND_ROWS)]
     evals = ps.stats.evals - before
     assert evals == sum(r * c for r, c in shapes)
     # Each unordered pair once, plus the mirrored half of each strip's
@@ -285,7 +286,7 @@ def test_pairwise_block_evaluates_each_pair_once(n, matrix, monkeypatch):
 
 
 @pytest.mark.parametrize("matrix", [False, True])
-@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 255, 256, 257, 600])
 def test_pairwise_block_in_a_given_order_equals_cross_dists(n, matrix, monkeypatch):
     rng = np.random.default_rng(n + 1)
     ps = PointSet.from_coords(rng.normal(scale=5.0, size=(n, 3)))
@@ -300,7 +301,7 @@ def test_pairwise_block_in_a_given_order_equals_cross_dists(n, matrix, monkeypat
     got = _pairwise_block(ps, order)
     assert np.array_equal(got.view(np.uint64), full.view(np.uint64))
     assert np.array_equal(got.view(np.uint64), got.T.view(np.uint64))
-    assert len(calls) == -(-n // 256)
+    assert len(calls) == -(-n // _BAND_ROWS)
     before_default = ps.stats.evals
     _pairwise_block(ps)
     assert before_default - before == ps.stats.evals - before_default
