@@ -25,7 +25,7 @@ from .core import (
     load_points_csv,
 )
 from .coreset import build_coreset, build_coreset_auto, compose_with_host
-from .distributed import ShardedInstance, run_protocol
+from .distributed import ShardedInstance, _shards_from_json, run_protocol
 from .generate import GeneratorSpec, planted_instance
 from .greedy import (
     bicriteria,
@@ -103,7 +103,7 @@ class ExperimentSpec:
 
 def _run_one(
     spec: ExperimentSpec, algo: str, params: ParamSet, shared: PointSet, instance_hash: str,
-    injected: np.ndarray | None, shards: dict | None
+    injected: np.ndarray | None, shards: tuple[np.ndarray, ...] | None
 ) -> dict:
     ps = replace(shared, stats=DistanceStats())  # the shared arrays, with this run's own counter
     rng = np.random.default_rng(params.seed)
@@ -143,7 +143,7 @@ def _run_one(
         coreset = build_coreset_auto(ps, params, rng)
     elif algo == "distributed":
         if shards is not None:
-            instance = ShardedInstance.from_json(ps, shards)
+            instance = ShardedInstance(ps=ps, shards=shards)
             protocol = run_protocol(ps, params, instance=instance, doubling_dim=spec.doubling_dim)
         else:
             protocol = run_protocol(ps, params, s=spec.sites, doubling_dim=spec.doubling_dim)
@@ -230,13 +230,13 @@ def run_experiment(spec: ExperimentSpec):
     """Run every (algorithm, seed) pair, seed by seed; returns (records,
     aggregates) and writes them when the spec names an output base path.
 
-    Every seed's parameters are checked, and the shard file read, before
-    any instance is planted."""
+    Every seed's parameters are checked, and the shard file read and
+    checked against n, before any instance is planted."""
     loaded = None if isinstance(spec.source, GeneratorSpec) else load_points_csv(spec.source)
     n = spec.source.n_inliers + spec.source.outliers if loaded is None else loaded.n
     params = ParamSet(k=spec.k, z=spec.z, n=n, eps=spec.eps, eta=spec.eta, mu=spec.mu)
     per_seed = [replace(params, seed=seed) for seed in spec.seeds]
-    shards = None if spec.shards_path is None else json.loads(Path(spec.shards_path).read_text())
+    shards = None if spec.shards_path is None else _shards_from_json(json.loads(Path(spec.shards_path).read_text()), n)
     records = []
     for seed_params in per_seed:
         if loaded is None:

@@ -57,6 +57,12 @@ _CEIL_SLACK = 1e-9
 _GRAM_MIN_DIM = 4
 _GRAM_MAX_DIM = 1 << 20
 _GRAM_FLOOR = 1e-300
+# ``NearestTracker.add_centers`` makes the filter products of at most
+# _GRAM_ROWS picks with one matrix product.  It streams the coordinates once for all its rows, so a
+# row's cost falls with the row count and flattens past 3-4 rows (100k x 8,
+# one BLAS thread: 300, 188, 138 and 115 us per row at 1, 2, 4 and 8 rows),
+# while the block holds one n-length row per pick.
+_GRAM_ROWS = 4
 
 
 class GuardError(RuntimeError):
@@ -192,10 +198,12 @@ def _bound_norms(x: np.ndarray, sign: float) -> np.ndarray | None:
 
 def _gram_bound(prod: np.ndarray, norms: np.ndarray, norm_c: float, sign: float) -> np.ndarray:
     """A bound b on the kernel's key K' = euclidean_dists(x, c, False) of
-    every row x, from the matrix-vector product ``prod`` = x.(-2c), which
-    the caller computes and this turns into b in place: b < K' with sign -1
-    (the tracker's filter in ``PointSet.dists_from``), b > K' with sign +1
-    (the farthest-point search of ``generate.meb_approx``).  It is
+    every row x, from the dot products ``prod`` = x.(-2c), which the caller
+    computes and this turns into b in place: b < K' with sign -1 (the
+    tracker's filter in ``PointSet.dists_from``), b > K' with sign +1 (the
+    farthest-point search of ``generate.meb_approx``).  ``prod`` comes from
+    a matrix-vector product, or is c's row of one matrix product made for
+    several c at once (``NearestTracker.add_centers``).  It is
 
         b = fl(fl(x.(-2c) + s_x) + fl(s_c + sign F)),   s_p = fl((1 + sign tol) n_p),
 
@@ -212,7 +220,12 @@ def _gram_bound(prod: np.ndarray, norms: np.ndarray, norm_c: float, sign: float)
     - K' adds D rounded squares of rounded differences, all non-negative,
       so |K' - K| <= (D+2)uK + Dw <= 2(D+2)uS + Dw.
     - The product, in any order and with or without FMA (-2c is exact),
-      lies within DuS + Dw of -2x.c, as sum 2|x_j||c_j| <= S.
+      lies within DuS + Dw of -2x.c, as sum 2|x_j||c_j| <= S.  This covers
+      a matrix-vector product and each entry of a matrix product (GEMM)
+      alike, however the BLAS blocks, vectorizes or splits it across
+      threads, on one assumption: each entry is a plain D-term dot product,
+      the D rounded products of x_j and -2c_j summed in some order, not a
+      fast (Strassen-like) scheme that mixes entries.
     - |n_p - |p|^2| <= Du|p|^2 + Dw, so s_x + s_c lies within
       (D+1)uS + 2(D+1)w of (1 + sign tol)S.
     - fl(s_c + sign F) lies within u(s_c + F) of s_c + sign F.
@@ -309,7 +322,13 @@ class PointSet:
         return float(self._block(np.array([i]), np.array([j]))[0, 0])
 
     def dists_from(
-        self, i: int, root: bool = True, below: np.ndarray | None = None, found: list | None = None
+        self,
+        i: int,
+        root: bool = True,
+        below: np.ndarray | None = None,
+        found: list | None = None,
+        *,
+        product: np.ndarray | None = None,
     ) -> np.ndarray:
         """Distances from point i to every point, counted as n evaluations.
         With ``root=False``, coordinates give the kernel's summed squares
@@ -323,27 +342,33 @@ class PointSet:
 
         With ``root=False`` on coordinates of D in [_GRAM_MIN_DIM,
         _GRAM_MAX_DIM] axes, an entry that does not fall may hold a value v
-        with below <= v <= key instead.  One matrix-vector product gives each
-        point its lower bound f < K' on the kernel's rounded key
-        (``_gram_bound`` with sign -1, which holds the proof).  Points with
-        f < below are the candidates: they get their exact keys
-        (``_keys_at``) and the rest keep f.  So the filter keeps every point
-        whose key could fall below its threshold, and a kept f never
-        exceeds the key it stands for.  Past n/8 candidates the whole row is
-        computed instead.
+        with below <= v <= key instead.  One matrix-vector product x.(-2c)
+        plus per-point norms gives each point its lower bound f < K' on the
+        kernel's rounded key (``_gram_bound`` with sign -1, which holds the
+        proof).  A round insert (``NearestTracker.add_centers``) hands over
+        i's row of one matrix product made for all its picks as ``product``;
+        the filter turns that row into f in place and returns it, with no
+        product of its own.  Points with f < below are the candidates: they
+        get their exact keys (``_keys_at``) and the rest keep f.  So the
+        filter keeps every point whose key could fall below its threshold,
+        and a kept f never exceeds the key it stands for.  Past n/8
+        candidates the whole row is computed instead.  ``product`` where no
+        filter runs raises ValueError.
         """
         i = _count(i, "point index", 0, self.n - 1)
         if below is not None and found is None:
             raise ValueError("below needs a found list to receive the points that fell")
-        self.stats.evals += self.n
         norms = None if below is None or root else self._gram_norms
+        if product is not None and norms is None:
+            raise ValueError("product is read only by the candidate filter (root=False, below, coordinates of 4+ axes)")
+        self.stats.evals += self.n
         if self.mode == "matrix":
             d = self.dmat[i].copy()
         elif norms is None:
             d = euclidean_dists(self.coords, self.coords[i], root)
         else:
             x, c = self.coords, self.coords[i]
-            d = _gram_bound(x @ (-2.0 * c), norms, norms[i], -1.0)
+            d = _gram_bound(x @ (-2.0 * c) if product is None else product, norms, norms[i], -1.0)
             cand = d < below
             if 8 * np.count_nonzero(cand) > self.n:
                 del d, cand  # freed before the whole-row pass makes its own row
@@ -512,6 +537,10 @@ class NearestTracker:
     filter's product.  ``keys``, ``mindist`` and ``owner`` equal the
     whole-row result bit for bit.  The norms the filter reads are built with
     the first tracker on a point set, not inside an insert.
+
+    ``add_centers`` inserts a round's picks: one matrix product gives the
+    filter's products for up to _GRAM_ROWS picks at once, and each pick's
+    insert reads its own row.
     """
 
     def __init__(self, ps: PointSet):
@@ -522,9 +551,12 @@ class NearestTracker:
         self.held = False  # whether a center was inserted
         ps._gram_norms  # built here, not inside an insert
 
-    def add_center(self, c: int) -> None:
-        fell = []
-        d = self.ps.dists_from(c, root=False, below=self.keys if self.held else None, found=fell)
+    def add_center(self, c: int, *, product: np.ndarray | None = None) -> None:
+        fell, below = [], self.keys if self.held else None
+        if product is None:  # so a wrapper of dists_from's four parameters still serves single inserts
+            d = self.ps.dists_from(c, root=False, below=below, found=fell)
+        else:
+            d = self.ps.dists_from(c, root=False, below=below, found=fell, product=product)
         self.held = True
         has_root = self.keys is not self.mindist
         if not fell:
@@ -544,6 +576,31 @@ class NearestTracker:
         # share a root; then the earlier center keeps the point.
         self.owner[idx[near < self.mindist[idx]]] = c
         self.mindist[idx] = near
+
+    def add_centers(self, centers: Iterable[int]) -> None:
+        """add_center on each of ``centers`` in order, with the same keys,
+        mindist and owner bit for bit.  Where the filter runs, and once the
+        tracker holds a center (the first insert takes its whole row with no
+        product), each group of 2 to _GRAM_ROWS picks takes the products
+        x.(-2c) of its filters from one (m x D) by (D x n) matrix product,
+        which streams the coordinates once for all of them.  Each pick's
+        filter turns its own row into bounds and compares them with the keys
+        as the earlier picks left them: the products do not depend on the
+        keys, so this is the single insert's filter."""
+        centers = list(centers)
+        if self.ps._gram_norms is None:  # no filter, so no product to share
+            for c in centers:
+                self.add_center(c)
+            return
+        if centers and not self.held:
+            self.add_center(centers.pop(0))
+        x = self.ps.coords
+        for s in range(0, len(centers), _GRAM_ROWS):
+            group = centers[s : s + _GRAM_ROWS]
+            # A lone pick makes its own product, which dists_from frees before a whole-row pass.
+            rows = [None] if len(group) == 1 else np.matmul(-2.0 * x[_point_indices(group, self.ps.n)], x.T)
+            for c, row in zip(group, rows):
+                self.add_center(c, product=row)
 
 
 def farthest_m(mindist: np.ndarray, m: int) -> np.ndarray:
@@ -628,8 +685,7 @@ def clustering_cost(ps: PointSet, centers, z: int, eps: float = 0.0) -> Clusteri
     if isinstance(centers, CenterSet) and centers._source is ps:
         return _evaluate(centers._mindist, strict, m)
     tracker = NearestTracker(ps)
-    for c in idx.tolist():
-        tracker.add_center(c)
+    tracker.add_centers(idx.tolist())
     return _evaluate(tracker.mindist, strict, m)
 
 

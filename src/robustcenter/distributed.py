@@ -42,6 +42,31 @@ def outlier_budget_grid(z: int) -> list[int]:
     return sorted({0, z, *(1 << i for i in range(1, z.bit_length()))})
 
 
+def _partition(shards, n: int) -> tuple[np.ndarray, ...]:
+    """``shards`` as sorted read-only index vectors under the index rule; a
+    ValueError unless they partition range(n)."""
+    cleaned = [np.sort(_point_indices(shard, n)) for shard in shards]
+    for idx in cleaned:
+        idx.flags.writeable = False
+    if sum(idx.size for idx in cleaned) != n or np.unique(np.concatenate(cleaned)).size != n:
+        raise ValueError("shards must partition the point set")
+    return tuple(cleaned)
+
+
+def _shards_from_json(blob, n: int) -> tuple[np.ndarray, ...]:
+    """The shards of ``{"shards": [[index, ...], ...]}`` over n points; every
+    index must be a JSON integer (no float, string or boolean) and the
+    shards must partition range(n).  It needs only n, so a shard file is
+    checked before any instance is planted."""
+    shards = blob.get("shards") if isinstance(blob, dict) else None
+    if not isinstance(shards, list):
+        raise ValueError('shards must be given as {"shards": [[index, ...], ...]}')
+    for i, shard in enumerate(shards):
+        if not isinstance(shard, list) or any(type(v) is not int for v in shard):
+            raise ValueError(f"shard {i} must be a list of integer indices")
+    return _partition(shards, n)
+
+
 @dataclass(frozen=True, eq=False)
 class ShardedInstance:
     """Disjoint shards covering every index of one point set."""
@@ -50,12 +75,7 @@ class ShardedInstance:
     shards: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        cleaned = [np.sort(_point_indices(shard, self.ps.n)) for shard in self.shards]
-        for idx in cleaned:
-            idx.flags.writeable = False
-        if sum(idx.size for idx in cleaned) != self.ps.n or np.unique(np.concatenate(cleaned)).size != self.ps.n:
-            raise ValueError("shards must partition the point set")
-        object.__setattr__(self, "shards", tuple(cleaned))
+        object.__setattr__(self, "shards", _partition(self.shards, self.ps.n))
 
     @property
     def s(self) -> int:
@@ -69,15 +89,8 @@ class ShardedInstance:
 
     @classmethod
     def from_json(cls, ps: PointSet, blob: dict) -> "ShardedInstance":
-        """Shards from ``{"shards": [[index, ...], ...]}``; every index must
-        be a JSON integer (no float, string or boolean)."""
-        shards = blob.get("shards") if isinstance(blob, dict) else None
-        if not isinstance(shards, list):
-            raise ValueError('shards must be given as {"shards": [[index, ...], ...]}')
-        for i, shard in enumerate(shards):
-            if not isinstance(shard, list) or any(type(v) is not int for v in shard):
-                raise ValueError(f"shard {i} must be a list of integer indices")
-        return cls(ps=ps, shards=tuple(shards))
+        """Shards from ``{"shards": [[index, ...], ...]}`` (``_shards_from_json``)."""
+        return cls(ps=ps, shards=_shards_from_json(blob, ps.n))
 
 
 @dataclass(frozen=True)

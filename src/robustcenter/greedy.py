@@ -146,8 +146,7 @@ class GreedyRun:
         self._add(rng.choice(ps.n, size=min(init_sample, ps.n), replace=False))
 
     def _add(self, picks: np.ndarray) -> None:
-        for c in _add_new(self.chosen, picks, self.round_no):
-            self.tracker.add_center(c)
+        self.tracker.add_centers(_add_new(self.chosen, picks, self.round_no))
 
     def grow(
         self,

@@ -347,6 +347,14 @@ def test_experiment_is_checked_before_any_instance_is_planted(tmp_path, capsys, 
     assert main([*shard_argv, "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
     assert "eta must lie in (0, 1/2)" in err and "k + z must be < n" in err
+    # A float entry, and integer shards that miss points of the 42, exit
+    # before bicriteria, listed first, plants its seed.
+    shard_argv = ["--algo", "bicriteria,distributed", "--k", "2", "--z", "2", "--shards", str(bad_shards)]
+    for blob, message in (([[0, 1, 2], [3, 4, 5.0]], "shard 1 must be a list of integer indices"),
+                          ([[0, 1, 2], [3, 4, 5]], "shards must partition the point set")):
+        bad_shards.write_text(json.dumps({"shards": blob}))
+        assert main([*shard_argv, "--generate", gen, "--out", str(tmp_path / "r")]) == 2
+        assert message in capsys.readouterr().err
     assert plants == [] and hashes == []
     # A valid recipe plants and hashes each seed once for all its algorithms.
     assert main([*base, "--k", "2", "--z", "2", "--seed", "4", "--seeds", "3", "--generate", gen]) == 0
@@ -535,6 +543,36 @@ def test_cli_sample_only_greedy_scores_its_sample_in_bounded_row_blocks(tmp_path
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", meter, *argv], env=env, capture_output=True, text=True, check=True)
     assert int(done.stdout) / 1024 < 120
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    # A round's filter bounds come from one matrix product, whose bits may
+    # change with the BLAS kernel and its thread count; the outputs must not.
+    # 20,000 points at D=8: each product of 2 to 4 rows is past OpenBLAS's
+    # 2**18 multiply-adds for splitting a product across threads.  A
+    # bicriteria run (rounds of 3 picks) and the scoring of its centers as a
+    # plain list (rounds of 4) run in one child process per thread count.
+    probe = (
+        "import json, numpy as np\n"
+        "from robustcenter.core import ParamSet, clustering_cost\n"
+        "from robustcenter.generate import GeneratorSpec, planted_instance\n"
+        "from robustcenter.greedy import bicriteria, greedy_config\n"
+        "ps = planted_instance(GeneratorSpec(19_000, 5, 8, 2, 1.0, 1_000), 0).ps\n"
+        "params = ParamSet(k=5, z=1_000, n=ps.n, eps=1.0)\n"
+        "centers = bicriteria(ps, greedy_config(params), np.random.default_rng(0))\n"
+        "cost = clustering_cost(ps, list(centers), params.z, params.eps)\n"
+        "print(json.dumps([centers.indices, centers.round_of, cost.radius.hex(), cost.relaxed.hex()]))\n"
+    )
+    src = str(Path(robustcenter.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        outputs.append(json.loads(done.stdout))
+    assert outputs[0] == outputs[1]
+    indices, round_of = outputs[0][:2]
+    assert len(indices) > max(round_of) >= 2
 
 
 def test_cli_deterministic_outputs(tmp_path, capsys):

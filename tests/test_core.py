@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import sys
@@ -803,6 +804,107 @@ def test_first_insert_skips_the_filter(monkeypatch, dim):
         tracker.add_center(c)
     assert seen[0] is None and all(b is tracker.keys for b in seen[1:]) and len(seen) == 4
     _assert_matches_whole_rows(ps, tracker, centers)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _RecordingPointSet(PointSet):
+    # Records each filtered pass handed a product: its pick and the row it returned.
+    passes: list = dataclasses.field(default_factory=list)
+
+    def dists_from(self, i, root=True, below=None, found=None, **kw):
+        d = super().dists_from(i, root, below, found, **kw)
+        if "product" in kw:
+            self.passes.append((i, d.copy()))
+        return d
+
+
+def _check_round_inserts(coords, rounds):
+    # Each round through add_centers leaves keys, mindist and owner equal to
+    # one add_center per pick, and to whole rows.  Every row a pass returns
+    # from a handed product lies at or below the pick's keys, and within
+    # 3 tol S + 2F of them: it holds the exact key or the bound f, whose
+    # error the _gram_bound proof puts below (10D + 31)u S + F(1 + 2u).
+    # Returns which passes ran: the whole row (True) or the filter (False).
+    ps, rec = PointSet.from_coords(coords), _RecordingPointSet.from_coords(coords)
+    batched, single = NearestTracker(rec), NearestTracker(ps)
+    for picks in rounds:
+        batched.add_centers(picks)
+        for c in picks:
+            single.add_center(c)
+        for name in ("keys", "mindist", "owner"):
+            assert np.array_equal(getattr(batched, name), getattr(single, name))
+    assert rec.stats.evals == ps.stats.evals == sum(map(len, rounds)) * ps.n
+    _assert_matches_whole_rows(ps, batched, [c for picks in rounds for c in picks])
+    norms, tol = euclidean_dists(ps.coords, np.zeros(ps.dim), False), (4 * ps.dim + 16) * 2.0**-53
+    whole_row = set()
+    for c, d in rec.passes:
+        key = ps.dists_from(c, root=False)
+        assert (d <= key).all() and (d >= key - 3 * tol * (norms + norms[c]) - 2 * core._GRAM_FLOOR).all()
+        whole_row.add(np.array_equal(d, key))  # the filter keeps some f < K' unless every point was a candidate
+    return whole_row
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.sampled_from([4, 5, 8, 9, 16]),
+    # At 2**-540 every summed square is 0 or subnormal, so the floor decides the bounds.
+    scale=st.sampled_from([1.0, 2.0**-540]),
+    n=st.integers(2, 160),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_round_inserts_are_bit_equal_to_single_inserts(dim, scale, n, seed, data):
+    # Grid points drawn with repeats from half as many, the origin among them:
+    # tied keys, duplicate points and keys of exactly 0.
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-2, 3, (max(1, n // 2), dim))
+    base[0] = 0
+    picks = st.lists(st.integers(0, n - 1), min_size=1, max_size=core._GRAM_ROWS + 1)
+    _check_round_inserts(scale * base[rng.integers(0, base.shape[0], n)], data.draw(st.lists(picks, min_size=1, max_size=8)))
+
+
+@pytest.mark.parametrize("dim", [4, 5, 8, 9, 16])
+def test_round_inserts_take_both_sides_of_the_switch(dim):
+    # The first round starts an empty tracker; candidates pass n/8 in the
+    # early rounds and stay below it later.
+    rng = np.random.default_rng(dim)
+    coords = rng.integers(-2, 3, (300, dim))[rng.integers(0, 300, 600)]
+    centers = rng.permutation(600)[: 12 * (core._GRAM_ROWS + 1)].tolist()
+    rounds = [centers[s : s + core._GRAM_ROWS + 1] for s in range(0, len(centers), core._GRAM_ROWS + 1)]
+    assert _check_round_inserts(coords, rounds) == {True, False}
+
+
+def test_round_inserts_peak_within_the_single_bound_plus_one_block():
+    # A round holds one block of at most _GRAM_ROWS product rows beside what a
+    # single insert holds, also through a whole-row pass.
+    ps = PointSet.from_coords(np.random.default_rng(0).standard_normal((100_000, 8)))
+    tracker = NearestTracker(ps)
+    rounds = [range(s, s + core._GRAM_ROWS + 1) for s in range(0, 65, core._GRAM_ROWS + 1)]
+    tracemalloc.start()
+    try:
+        for picks in rounds:
+            tracker.add_centers(picks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (core._GRAM_ROWS + 1) * ps.n * 8 + (1 << 20) + (1 << 17)
+    assert ps.stats.evals == 65 * ps.n and set(tracker.owner.tolist()) <= set(range(65))
+
+
+def test_round_inserts_check_their_picks():
+    # A group that shares a product is checked before the product; a lone
+    # pick, as dists_from checks it.
+    ps = PointSet.from_coords(np.random.default_rng(3).standard_normal((50, 8)))
+    tracker = NearestTracker(ps)
+    tracker.add_centers([])
+    assert not tracker.held
+    tracker.add_centers([0])
+    for bad in ([1, 50], [1, -1], [1, 1.0], [50], [True]):
+        with pytest.raises(ValueError, match="point ind"):
+            tracker.add_centers(bad)
+    assert ps.stats.evals == ps.n
+    with pytest.raises(ValueError, match="product"):
+        ps.dists_from(0, product=np.zeros(ps.n))
 
 
 
