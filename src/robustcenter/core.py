@@ -47,12 +47,12 @@ __all__ = [
 # 11.000000000000002 in doubles and must count as 11, not 12.
 _CEIL_SLACK = 1e-9
 
-# The Gram bounds (``_gram_bound``: the candidate filter of
-# ``PointSet.dists_from(..., below=)`` and the farthest-point search of
-# ``generate.meb_approx``) run on coordinates of _GRAM_MIN_DIM to
-# _GRAM_MAX_DIM axes.  Below the minimum their matrix-vector product costs
-# about as much as the slab passes it saves; the maximum keeps the proof's
-# second-order terms small.  _GRAM_FLOOR moves every bound by more than all
+# The Gram bounds (``_gap_filter``, the candidate filter of
+# ``PointSet.dists_from(..., below=)``, and ``_gram_bound``, the
+# farthest-point search of ``generate.meb_approx``) run on coordinates of
+# _GRAM_MIN_DIM to _GRAM_MAX_DIM axes.  Below the minimum their
+# matrix-vector product costs about as much as the slab passes it saves; the
+# maximum keeps the proof's second-order terms small.  _GRAM_FLOOR moves every bound by more than all
 # underflow losses together.
 _GRAM_MIN_DIM = 4
 _GRAM_MAX_DIM = 1 << 20
@@ -199,11 +199,12 @@ def _bound_norms(x: np.ndarray, sign: float) -> np.ndarray | None:
 def _gram_bound(prod: np.ndarray, norms: np.ndarray, norm_c: float, sign: float) -> np.ndarray:
     """A bound b on the kernel's key K' = euclidean_dists(x, c, False) of
     every row x, from the dot products ``prod`` = x.(-2c), which the caller
-    computes and this turns into b in place: b < K' with sign -1 (the
-    tracker's filter in ``PointSet.dists_from``), b > K' with sign +1 (the
-    farthest-point search of ``generate.meb_approx``).  ``prod`` comes from
-    a matrix-vector product, or is c's row of one matrix product made for
-    several c at once (``NearestTracker.add_centers``).  It is
+    computes and this turns into b in place: b < K' with sign -1, b > K'
+    with sign +1 (the farthest-point search of ``generate.meb_approx``).
+    The tracker's filter (``_gap_filter``) rests on the sign -1 accounting
+    below, with ``prod`` from a matrix-vector product or c's row of one
+    matrix product made for several c at once (``NearestTracker.add_centers``).
+    It is
 
         b = fl(fl(x.(-2c) + s_x) + fl(s_c + sign F)),   s_p = fl((1 + sign tol) n_p),
 
@@ -240,6 +241,44 @@ def _gram_bound(prod: np.ndarray, norms: np.ndarray, norm_c: float, sign: float)
     prod += norms
     prod += norm_c + sign * _GRAM_FLOOR
     return prod
+
+
+def _gap_filter(prod: np.ndarray, norm_c: float, gap: np.ndarray) -> np.ndarray:
+    """The candidate test of the tracker's filter in ``PointSet.dists_from``:
+    turns the dot products ``prod`` = x.(-2c) into q = fl(p + t) in place,
+    t = fl(s_c - F), and returns the mask q < ``gap``, where gap =
+    fl(T - s_x) holds each row's threshold T (the tracker's key) less its
+    norm.  s_x and s_c = ``norm_c`` are ``_bound_norms(x, -1)``'s; tol, u,
+    w, F, S, the exact K = |x - c|^2 and the kernel's key K' =
+    euclidean_dists(x, c, False) are ``_gram_bound``'s.  Every row whose key
+    falls is a candidate: K' < T implies q < gap.  An infinite T gives an
+    infinite gap, so every row is a candidate.
+
+    Why.  Take ``_gram_bound``'s accounting for sign -1 without its two
+    additions.  The exact sum A = p + s_x + t then has K' - A >=
+    (tol - (4D+6)u)S + F(1-u) - (4D+2)w, and tol - (4D+6)u = 10u, so
+
+        T - A >= (T - K') + 10uS + F(1-u) - (4D+2)w.
+
+    gap - q differs from T - A by the two roundings, at most
+    u(|p + t| + |T - s_x|) <= u(3S + T + F), as |p| <= S(1 + Du) + Dw,
+    |t| <= (s_c + F)(1 + u) and 0 <= s_x <= S, to first order.
+    - T <= 4S + F: the roundings are at most 7uS + 2uF, so gap - q >=
+      (T - K') + 3uS + F(1-3u) - (4D+2)w.  With D <= _GRAM_MAX_DIM the
+      second-order terms stay below 3uS and (4D+2)w below F/2, so
+      gap - q > (T - K') + F/4, which is positive whenever K' <= T.
+    - T > 4S + F: K' <= (1 + (D+2)u)K + Dw <= 2S(1 + (D+2)u) + Dw <
+      (T - F)/1.99 + Dw < 0.51T, so T - K' > 0.49T, while the roundings stay
+      below 2.75uT and the second-order terms are of order D u^2 T.  So
+      gap - q > 0.4T + F/4.
+    K' <= 2S(1 + (D+2)u) + Dw <= 4S + F puts T = K' in the first case, so
+    q < fl(K' - s_x) for every row: a row that is not a candidate holds
+    gap <= q < fl(K' - s_x) <= K'.  No intermediate overflows: |T - s_x| <=
+    max(T, s_x) for finite T >= 0, and |p + t| <= 2S + F, both finite under
+    ``from_coords``' magnitude rule.
+    """
+    prod += norm_c - _GRAM_FLOOR
+    return prod < gap
 
 
 def _keys_at(x: np.ndarray, c: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -329,6 +368,7 @@ class PointSet:
         found: list | None = None,
         *,
         product: np.ndarray | None = None,
+        gap: np.ndarray | None = None,
     ) -> np.ndarray:
         """Distances from point i to every point, counted as n evaluations.
         With ``root=False``, coordinates give the kernel's summed squares
@@ -336,31 +376,32 @@ class PointSet:
         bit for bit; a distance matrix gives its distances either way.
 
         ``below`` (n thresholds) needs ``found``, a list.  When at most n/8
-        entries of the returned row d fall below their threshold, ``found``
-        receives those points, np.flatnonzero(d < below); otherwise nothing
-        is appended.  The points that fell always hold their exact value.
+        points' values fall below their threshold, ``found`` receives those
+        points, np.flatnonzero(row < below) of the whole row; otherwise
+        nothing is appended.  The points that fell always hold their exact
+        value in the returned row.
 
         With ``root=False`` on coordinates of D in [_GRAM_MIN_DIM,
-        _GRAM_MAX_DIM] axes, an entry that does not fall may hold a value v
-        with below <= v <= key instead.  One matrix-vector product x.(-2c)
-        plus per-point norms gives each point its lower bound f < K' on the
-        kernel's rounded key (``_gram_bound`` with sign -1, which holds the
-        proof).  A round insert (``NearestTracker.add_centers``) hands over
-        i's row of one matrix product made for all its picks as ``product``;
-        the filter turns that row into f in place and returns it, with no
-        product of its own.  Points with f < below are the candidates: they
-        get their exact keys (``_keys_at``) and the rest keep f.  So the
-        filter keeps every point whose key could fall below its threshold,
-        and a kept f never exceeds the key it stands for.  Past n/8
-        candidates the whole row is computed instead.  ``product`` where no
-        filter runs raises ValueError.
+        _GRAM_MAX_DIM] axes, a candidate filter runs (``_gap_filter``, which
+        holds the proof).  It reads ``gap`` = fl(below - s_x), s_x the
+        point set's ``_gram_norms``; a call without it forms it from
+        ``below``.  One matrix-vector product x.(-2c) plus the scalar
+        fl(s_c - F) gives each point its q = fl(p + t), and the points with
+        q < gap are the candidates: every point whose key falls is one.
+        They get their exact keys (``_keys_at``); every other entry of the
+        returned row holds q, with gap <= q < fl(key - s_x).  A round insert
+        (``NearestTracker.add_centers``) hands over i's row of one matrix
+        product made for all its picks as ``product``; the filter turns
+        that row into q in place and returns it, with no product of its
+        own.  Past n/8 candidates the whole row is computed instead.
+        ``product`` or ``gap`` where no filter runs raises ValueError.
         """
         i = _count(i, "point index", 0, self.n - 1)
         if below is not None and found is None:
             raise ValueError("below needs a found list to receive the points that fell")
         norms = None if below is None or root else self._gram_norms
-        if product is not None and norms is None:
-            raise ValueError("product is read only by the candidate filter (root=False, below, coordinates of 4+ axes)")
+        if (product is not None or gap is not None) and norms is None:
+            raise ValueError("product and gap are read only by the candidate filter (root=False, below, coordinates of 4+ axes)")
         self.stats.evals += self.n
         if self.mode == "matrix":
             d = self.dmat[i].copy()
@@ -368,8 +409,8 @@ class PointSet:
             d = euclidean_dists(self.coords, self.coords[i], root)
         else:
             x, c = self.coords, self.coords[i]
-            d = _gram_bound(x @ (-2.0 * c) if product is None else product, norms, norms[i], -1.0)
-            cand = d < below
+            d = x @ (-2.0 * c) if product is None else product
+            cand = _gap_filter(d, norms[i], below - norms if gap is None else gap)
             if 8 * np.count_nonzero(cand) > self.n:
                 del d, cand  # freed before the whole-row pass makes its own row
                 d = euclidean_dists(x, c, False)
@@ -538,6 +579,11 @@ class NearestTracker:
     whole-row result bit for bit.  The norms the filter reads are built with
     the first tracker on a point set, not inside an insert.
 
+    Where the filter runs, ``gap`` holds fl(keys - s_x), s_x the point set's
+    ``_gram_norms``, which ``dists_from`` compares against; an insert keeps
+    it current at the points that fell, or with one subtract after a
+    whole-row update.  Elsewhere it is None.
+
     ``add_centers`` inserts a round's picks: one matrix product gives the
     filter's products for up to _GRAM_ROWS picks at once, and each pick's
     insert reads its own row.
@@ -549,19 +595,22 @@ class NearestTracker:
         self.keys = np.full(ps.n, np.inf) if ps.mode == "euclidean" else self.mindist
         self.owner = np.full(ps.n, -1, dtype=np.intp)
         self.held = False  # whether a center was inserted
-        ps._gram_norms  # built here, not inside an insert
+        # The norms are built here, not inside an insert.
+        self.gap = None if ps._gram_norms is None else np.full(ps.n, np.inf)
 
     def add_center(self, c: int, *, product: np.ndarray | None = None) -> None:
         fell, below = [], self.keys if self.held else None
-        if product is None:  # so a wrapper of dists_from's four parameters still serves single inserts
+        if product is None and (below is None or self.gap is None):  # no filter: dists_from's four parameters
             d = self.ps.dists_from(c, root=False, below=below, found=fell)
         else:
-            d = self.ps.dists_from(c, root=False, below=below, found=fell, product=product)
+            d = self.ps.dists_from(c, root=False, below=below, found=fell, product=product, gap=self.gap)
         self.held = True
         has_root = self.keys is not self.mindist
         if not fell:
             if has_root:
                 np.minimum(self.keys, d, out=self.keys)
+                if self.gap is not None:
+                    np.subtract(self.keys, self.ps._gram_norms, out=self.gap)
                 np.sqrt(d, out=d)
             better = d < self.mindist
             self.owner[better] = c
@@ -571,6 +620,8 @@ class NearestTracker:
         near = d[idx]
         if has_root:
             self.keys[idx] = near
+            if self.gap is not None:
+                self.gap[idx] = near - self.ps._gram_norms[idx]
             np.sqrt(near, out=near)
         # A key that fell never has a larger root, but distinct keys can
         # share a root; then the earlier center keeps the point.
@@ -584,9 +635,9 @@ class NearestTracker:
         product), each group of 2 to _GRAM_ROWS picks takes the products
         x.(-2c) of its filters from one (m x D) by (D x n) matrix product,
         which streams the coordinates once for all of them.  Each pick's
-        filter turns its own row into bounds and compares them with the keys
-        as the earlier picks left them: the products do not depend on the
-        keys, so this is the single insert's filter."""
+        filter turns its own row into its q and compares it with the gap as
+        the earlier picks left it: the products do not depend on the keys,
+        so this is the single insert's filter."""
         centers = list(centers)
         if self.ps._gram_norms is None:  # no filter, so no product to share
             for c in centers:
@@ -657,9 +708,17 @@ def _point_indices(indices, n: int, distinct: bool = False) -> np.ndarray:
         raise ValueError(f"center and point indices must be a vector of integers, got {idx.ndim}-D {idx.dtype}")
     if idx.min() < 0 or idx.max() >= n:
         raise ValueError(f"center and point indices must lie in [0, {n})")
-    if distinct and np.unique(idx).size != idx.size:
+    if distinct and not _all_distinct(idx):
         raise ValueError("center and point indices must be distinct")
     return idx.astype(np.intp, copy=False)
+
+
+def _all_distinct(idx: np.ndarray) -> bool:
+    """Whether the integer vector ``idx`` holds no repeats: one sort and one
+    compare of neighbours.  numpy 2's hash-based np.unique is 15-20x slower
+    on intp (5.6 ms against 0.25 ms at 40,000 indices, numpy 2.4)."""
+    s = np.sort(idx)
+    return not (s[1:] == s[:-1]).any()
 
 
 @dataclass(frozen=True)

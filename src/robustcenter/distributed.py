@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ParamSet, PointSet, _check_n, _count, _point_indices
+from .core import ParamSet, PointSet, _all_distinct, _check_n, _count, _point_indices
 from .coreset import WeightedCoreset, _identity_coreset, build_coreset, build_coreset_auto
 
 __all__ = [
@@ -48,7 +48,7 @@ def _partition(shards, n: int) -> tuple[np.ndarray, ...]:
     cleaned = [np.sort(_point_indices(shard, n)) for shard in shards]
     for idx in cleaned:
         idx.flags.writeable = False
-    if sum(idx.size for idx in cleaned) != n or np.unique(np.concatenate(cleaned)).size != n:
+    if sum(idx.size for idx in cleaned) != n or not _all_distinct(np.concatenate(cleaned)):
         raise ValueError("shards must partition the point set")
     return tuple(cleaned)
 

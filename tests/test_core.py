@@ -26,7 +26,7 @@ from robustcenter.core import (
     NearestTracker,
 )
 from robustcenter.coreset import WeightedCoreset, compose_with_host
-from robustcenter.distributed import ShardedInstance
+from robustcenter.distributed import ShardedInstance, _partition
 
 import oracles
 
@@ -794,9 +794,9 @@ def test_first_insert_skips_the_filter(monkeypatch, dim):
     ps = PointSet.from_coords(np.random.default_rng(dim).standard_normal((500, dim)))
     tracker, seen, dists_from = NearestTracker(ps), [], PointSet.dists_from
 
-    def recording(self, i, root=True, below=None, found=None):
+    def recording(self, i, root=True, below=None, found=None, **kw):
         seen.append(below)
-        return dists_from(self, i, root, below, found)
+        return dists_from(self, i, root, below, found, **kw)
 
     monkeypatch.setattr(PointSet, "dists_from", recording)
     centers = [3, 70, 141, 212]
@@ -808,23 +808,55 @@ def test_first_insert_skips_the_filter(monkeypatch, dim):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class _RecordingPointSet(PointSet):
-    # Records each filtered pass handed a product: its pick and the row it returned.
+    # Records each filtered pass (one handed a gap): its pick, the thresholds
+    # and gap it was handed, what it put in found, and the row it returned.
     passes: list = dataclasses.field(default_factory=list)
 
     def dists_from(self, i, root=True, below=None, found=None, **kw):
+        handed = None if kw.get("gap") is None else (below.copy(), kw["gap"].copy())
         d = super().dists_from(i, root, below, found, **kw)
-        if "product" in kw:
-            self.passes.append((i, d.copy()))
+        if handed is not None:
+            self.passes.append((i, *handed, list(found), d.copy()))
         return d
+
+
+def _check_row(ps, c, below, d):
+    # The row a pass from c returns against thresholds ``below``: each entry
+    # holds its exact key K', or, where the filter runs, its q = fl(p + t)
+    # with fl(below - s_x) <= q < fl(K' - s_x), and within 3 tol S + 2F of
+    # fl(K' - s_x), where the _gap_filter proof puts q within
+    # (8D + 28)u S + F(1 + 2u).  Returns whether every entry is exact.
+    key = ps.dists_from(c, root=False)
+    rest = d != key
+    if rest.any():
+        s_x = ps._gram_norms
+        assert s_x is not None  # only the filter leaves entries that are not keys
+        norms, tol = euclidean_dists(ps.coords, np.zeros(ps.dim), False), (4 * ps.dim + 16) * 2.0**-53
+        q, top = d[rest], (key - s_x)[rest]
+        assert ((below - s_x)[rest] <= q).all() and (q < top).all()
+        assert (q >= top - 3 * tol * (norms + norms[c])[rest] - 2 * core._GRAM_FLOOR).all()
+    return not rest.any()
+
+
+def _check_passes(ps, passes):
+    # Each recorded pass was handed gap = fl(keys - s_x) bit for bit, put in
+    # found exactly the points whose keys fell when at most n/8 did, and
+    # returned a row as _check_row states.  Returns which passes returned the
+    # whole row (True) or kept some q (False).
+    whole_row = set()
+    for c, below, gap, found, d in passes:
+        assert gap.tobytes() == (below - ps._gram_norms).tobytes()
+        fell = np.flatnonzero(ps.dists_from(c, root=False) < below)
+        assert [f.tolist() for f in found] == ([fell.tolist()] if 8 * fell.size <= ps.n else [])
+        whole_row.add(_check_row(ps, c, below, d))
+    return whole_row
 
 
 def _check_round_inserts(coords, rounds):
     # Each round through add_centers leaves keys, mindist and owner equal to
-    # one add_center per pick, and to whole rows.  Every row a pass returns
-    # from a handed product lies at or below the pick's keys, and within
-    # 3 tol S + 2F of them: it holds the exact key or the bound f, whose
-    # error the _gram_bound proof puts below (10D + 31)u S + F(1 + 2u).
-    # Returns which passes ran: the whole row (True) or the filter (False).
+    # one add_center per pick, and to whole rows, and every filtered pass
+    # meets _check_passes.  Returns which passes ran: the whole row (True)
+    # or the filter (False).
     ps, rec = PointSet.from_coords(coords), _RecordingPointSet.from_coords(coords)
     batched, single = NearestTracker(rec), NearestTracker(ps)
     for picks in rounds:
@@ -835,13 +867,7 @@ def _check_round_inserts(coords, rounds):
             assert np.array_equal(getattr(batched, name), getattr(single, name))
     assert rec.stats.evals == ps.stats.evals == sum(map(len, rounds)) * ps.n
     _assert_matches_whole_rows(ps, batched, [c for picks in rounds for c in picks])
-    norms, tol = euclidean_dists(ps.coords, np.zeros(ps.dim), False), (4 * ps.dim + 16) * 2.0**-53
-    whole_row = set()
-    for c, d in rec.passes:
-        key = ps.dists_from(c, root=False)
-        assert (d <= key).all() and (d >= key - 3 * tol * (norms + norms[c]) - 2 * core._GRAM_FLOOR).all()
-        whole_row.add(np.array_equal(d, key))  # the filter keeps some f < K' unless every point was a candidate
-    return whole_row
+    return _check_passes(ps, rec.passes)
 
 
 @settings(max_examples=80, deadline=None)
@@ -872,6 +898,59 @@ def test_round_inserts_take_both_sides_of_the_switch(dim):
     centers = rng.permutation(600)[: 12 * (core._GRAM_ROWS + 1)].tolist()
     rounds = [centers[s : s + core._GRAM_ROWS + 1] for s in range(0, len(centers), core._GRAM_ROWS + 1)]
     assert _check_round_inserts(coords, rounds) == {True, False}
+
+
+def _far_first(rng, n, d):
+    # Unit-scale points and point 0 a million away, inserted first: every key
+    # starts far above the S of the picks that follow.
+    x = rng.uniform(-1, 1, (n, d))
+    x[0] = 1e6
+    return x
+
+
+def _grid_repeats(rng, n, d):
+    # Grid points drawn with repeats from half as many: tied keys and duplicates.
+    base = rng.integers(-2, 3, (max(1, n // 2), d))
+    return base[rng.integers(0, base.shape[0], n)].astype(float)
+
+
+_GAP_CASES = {
+    "keys far above S": _far_first,
+    "at the coordinate limit": _pinned(core._max_coordinate),
+    # A tenth of the points on a grid at 2**-540, whose summed squares are 0
+    # or subnormal, so the floor decides their test; the rest at unit scale,
+    # so the filter drops some points on every insert.
+    "grid at 2**-540 beside 1": lambda rng, n, d: np.where(
+        rng.random((n, 1)) < 0.1, 2.0**-540 * rng.integers(-40, 41, (n, d)), rng.uniform(-3, 3, (n, d))
+    ),
+    "grid with repeats": _grid_repeats,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from(sorted(_GAP_CASES)),
+    dim=st.sampled_from([4, 5, 8, 16]),
+    n=st.integers(2, 120),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_gap_filter_is_exact_at_its_edges(case, dim, n, seed, data):
+    # Single picks and rounds from point 0 on: after every round the gap is
+    # fl(keys - s_x) bit for bit; at the end keys, mindist and owner equal
+    # whole rows, and every filtered pass found exactly the points that fell.
+    rng = np.random.default_rng(seed)
+    ps = _RecordingPointSet.from_coords(_GAP_CASES[case](rng, n, dim))
+    centers = [0, *rng.permutation(np.arange(1, n))[: data.draw(st.integers(0, n - 1))].tolist()]
+    tracker = NearestTracker(ps)
+    s = 0
+    while s < len(centers):
+        size = data.draw(st.integers(1, core._GRAM_ROWS + 1))
+        tracker.add_centers(centers[s : s + size])
+        s += size
+        assert tracker.gap.tobytes() == (tracker.keys - ps._gram_norms).tobytes()
+    _assert_matches_whole_rows(ps, tracker, centers)
+    _check_passes(ps, ps.passes)
 
 
 def test_round_inserts_peak_within_the_single_bound_plus_one_block():
@@ -937,10 +1016,9 @@ def test_found_holds_exactly_the_points_that_fell(mode, dim, grid, n, seed, data
         assert len(found) == 1 and found[0].tolist() == fell.tolist()
     else:
         assert found == []
-    assert np.flatnonzero(got < below).tolist() == fell.tolist()
+    assert np.flatnonzero((got == whole) & (got < below)).tolist() == fell.tolist()
     assert got[fell].tobytes() == whole[fell].tobytes()
-    rest = np.setdiff1d(np.arange(n), fell)
-    assert (below[rest] <= got[rest]).all() and (got[rest] <= whole[rest]).all()
+    _check_row(ps, c, below, got)
 
 
 @pytest.mark.parametrize("mode", ["euclidean", "matrix"])
@@ -967,6 +1045,31 @@ def test_norms_are_built_once_per_point_set(monkeypatch):
     assert len(calls) == 3
     assert first.keys.tobytes() == second.keys.tobytes()
     assert "_gram_norms" not in repr(ps) and ps.content_hash() == PointSet.from_coords(ps.coords).content_hash()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 60), unique=st.booleans(), full=st.booleans(), data=st.data())
+def test_distinct_checks_agree_with_np_unique(n, unique, full, data):
+    # Index vectors drawn with and without repeats: the sort-based check of
+    # the index rule and of the shard partition agrees with np.unique.
+    size = n if full else data.draw(st.integers(1, n))
+    values = data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=unique))
+    idx = np.asarray(values, dtype=np.intp)
+    distinct = np.unique(idx).size == idx.size
+    assert core._all_distinct(idx) is distinct
+    if distinct:
+        assert core._point_indices(idx, n, distinct=True).tolist() == values
+    else:
+        with pytest.raises(ValueError, match="must be distinct"):
+            core._point_indices(idx, n, distinct=True)
+    if size == n:
+        cut = data.draw(st.integers(1, n))
+        shards = [values[:cut], values[cut:]] if cut < n else [values]
+        if distinct:
+            assert [s.tolist() for s in _partition(shards, n)] == [sorted(s) for s in shards]
+        else:
+            with pytest.raises(ValueError, match="shards must partition"):
+                _partition(shards, n)
 
 
 @pytest.mark.parametrize("values", [[2.0], [3.0, 1.0, 3.0, 0.5], [1.0, 1.0, 1.0], [0.0, 4.0]])

@@ -183,6 +183,28 @@ def test_bicriteria_deterministic(small_instance):
     assert a.indices == b.indices and a.round_of == b.round_of
 
 
+@pytest.mark.parametrize("dim", [2, 8])
+def test_a_pass_through_wrapper_of_dists_from_sees_every_evaluation(monkeypatch, dim):
+    # A plain *args, **kwargs wrapper that sums each returned row's size, as
+    # perfbench's spans count evaluations, sees every evaluation of bicriteria
+    # and of clustering_cost on a fresh tracker: at D=8 the filter's keywords
+    # pass through it, at D=2 every insert takes four parameters.
+    spec = GeneratorSpec(n_inliers=2_970, clusters=4, dim=dim, grid_dim=dim, cluster_radius=1.0, outliers=30)
+    ps, seen, dists_from = planted_instance(spec, 0).ps, [], PointSet.dists_from
+
+    def wrapper(*args, **kwargs):
+        result = dists_from(*args, **kwargs)
+        seen.append((result.size, "gap" in kwargs))
+        return result
+
+    monkeypatch.setattr(PointSet, "dists_from", wrapper)
+    p = params_for(4, 30, ps.n)
+    cs = bicriteria(ps, greedy_config(p), np.random.default_rng(0))
+    clustering_cost(ps, list(cs.indices), p.z, p.eps)
+    assert sum(size for size, _ in seen) == ps.stats.evals == 2 * len(cs) * ps.n
+    assert any(gap for _, gap in seen) == (dim == 8)
+
+
 def test_bicriteria_center_budget(small_instance):
     ps, _ = small_instance
     cfg = greedy_config(params_for(2, 2, ps.n))

@@ -1,12 +1,15 @@
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import robustcenter
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def test_public_surface_matches_the_module_lists():
@@ -34,3 +37,26 @@ def test_readme_example_runs(capsys):
         exec(compile(block, str(README), "exec"), {"__name__": "readme"})
     printed = capsys.readouterr().out.split()
     assert printed and float(printed[-1]) > 0
+
+
+def test_a_failing_hypothesis_test_reports_its_assertion(tmp_path):
+    # A deliberately failing @given test, run by a child pytest under the
+    # project's settings, shows its assertion and falsifying example, not an
+    # INTERNALERROR from a warning that its failure report raises.
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers(0, 10))\n"
+        "def test_fails(x):\n"
+        "    assert x < 5, 'deliberately failing'\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT), "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "AssertionError: deliberately failing" in out and "Falsifying example: test_fails(" in out
+    assert "INTERNALERROR" not in out
