@@ -25,7 +25,7 @@ from .core import (
     load_points_csv,
 )
 from .coreset import build_coreset, build_coreset_auto, compose_with_host
-from .distributed import ShardedInstance, _shards_from_json, run_protocol
+from .distributed import _shards_from_json, run_protocol
 from .generate import GeneratorSpec, planted_instance
 from .greedy import (
     bicriteria,
@@ -88,6 +88,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown algorithms: {unknown}; choose from {ALGORITHMS}")
         if self.out == "":
             raise ValueError("the output base path is empty")
+        if self.out is not None and not (out_dir := _output_paths(self.out)[0].parent).is_dir():
+            raise ValueError(f"output directory not found: {out_dir}")
         repeated = sorted({a for a in self.algos if self.algos.count(a) > 1})
         if repeated:
             raise ValueError(f"repeated algorithms: {repeated}; name each once")
@@ -142,11 +144,8 @@ def _run_one(
     elif algo == "coreset_auto":
         coreset = build_coreset_auto(ps, params, rng)
     elif algo == "distributed":
-        if shards is not None:
-            instance = ShardedInstance(ps=ps, shards=shards)
-            protocol = run_protocol(ps, params, instance=instance, doubling_dim=spec.doubling_dim)
-        else:
-            protocol = run_protocol(ps, params, s=spec.sites, doubling_dim=spec.doubling_dim)
+        sites = None if shards is not None else spec.sites
+        protocol = run_protocol(ps, params, s=sites, shards=shards, doubling_dim=spec.doubling_dim)
         coreset = protocol.coreset
     else:
         raise ValueError(f"unknown algorithm {algo!r}")

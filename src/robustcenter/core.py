@@ -182,29 +182,31 @@ def euclidean_dists(a: np.ndarray, b: np.ndarray, root: bool = True) -> np.ndarr
 
 
 def _gram_scale(dim: int, sign: float) -> float | None:
-    """1 + sign (4D + 16)2**-53, exact: the factor on every norm that
-    ``_gram_bound`` reads, for a lower (sign -1) or an upper (sign +1) bound;
-    None outside [_GRAM_MIN_DIM, _GRAM_MAX_DIM] axes, where no bound runs."""
+    """1 + sign (4D + 16)2**-53, exact: the factor on every norm that a
+    Gram bound reads, sign -1 for the tracker's filter (``_gap_filter``) and
+    +1 for ``_gram_bound``'s upper bound; None outside [_GRAM_MIN_DIM,
+    _GRAM_MAX_DIM] axes, where no bound runs."""
     return 1.0 + sign * (4 * dim + 16) * 2.0**-53 if _GRAM_MIN_DIM <= dim <= _GRAM_MAX_DIM else None
 
 
 def _bound_norms(x: np.ndarray, sign: float) -> np.ndarray | None:
     """Each row's summed squares from the distance kernel times
-    ``_gram_scale(D, sign)``: the s_x that ``_gram_bound`` reads, or None
+    ``_gram_scale(D, sign)``: the s_x that a Gram bound reads, or None
     outside [_GRAM_MIN_DIM, _GRAM_MAX_DIM] axes, where no bound runs."""
     scale = _gram_scale(x.shape[1], sign)
     return None if scale is None else euclidean_dists(x, np.zeros(x.shape[1]), root=False) * scale
 
 
-def _gram_bound(prod: np.ndarray, norms: np.ndarray, norm_c: float, sign: float) -> np.ndarray:
-    """A bound b on the kernel's key K' = euclidean_dists(x, c, False) of
-    every row x, from the dot products ``prod`` = x.(-2c), which the caller
-    computes and this turns into b in place: b < K' with sign -1, b > K'
-    with sign +1 (the farthest-point search of ``generate.meb_approx``).
-    The tracker's filter (``_gap_filter``) rests on the sign -1 accounting
-    below, with ``prod`` from a matrix-vector product or c's row of one
+def _gram_bound(prod: np.ndarray, norms: np.ndarray, norm_c: float) -> np.ndarray:
+    """An upper bound b > K' on the kernel's key K' = euclidean_dists(x, c,
+    False) of every row x, from the dot products ``prod`` = x.(-2c), which
+    the caller computes and this turns into b in place (the farthest-point
+    search of ``generate.meb_approx``, with ``_bound_norms(x, 1)``).  The
+    accounting below covers both signs: sign +1 is this bound, and the
+    tracker's filter (``_gap_filter``) rests on the sign -1 form, a lower
+    bound, with ``prod`` from a matrix-vector product or c's row of one
     matrix product made for several c at once (``NearestTracker.add_centers``).
-    It is
+    For either sign the bound is
 
         b = fl(fl(x.(-2c) + s_x) + fl(s_c + sign F)),   s_p = fl((1 + sign tol) n_p),
 
@@ -239,7 +241,7 @@ def _gram_bound(prod: np.ndarray, norms: np.ndarray, norm_c: float, sign: float)
     magnitude rule or past it by less than the rule's 2**-20 slack.
     """
     prod += norms
-    prod += norm_c + sign * _GRAM_FLOOR
+    prod += norm_c + _GRAM_FLOOR
     return prod
 
 

@@ -22,7 +22,6 @@ from .coreset import WeightedCoreset, _identity_coreset, build_coreset, build_co
 
 __all__ = [
     "outlier_budget_grid",
-    "ShardedInstance",
     "SiteProfile",
     "CommLedger",
     "ThresholdDecision",
@@ -65,32 +64,6 @@ def _shards_from_json(blob, n: int) -> tuple[np.ndarray, ...]:
         if not isinstance(shard, list) or any(type(v) is not int for v in shard):
             raise ValueError(f"shard {i} must be a list of integer indices")
     return _partition(shards, n)
-
-
-@dataclass(frozen=True, eq=False)
-class ShardedInstance:
-    """Disjoint shards covering every index of one point set."""
-
-    ps: PointSet
-    shards: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shards", _partition(self.shards, self.ps.n))
-
-    @property
-    def s(self) -> int:
-        return len(self.shards)
-
-    @classmethod
-    def balanced(cls, ps: PointSet, s: int, rng: np.random.Generator) -> "ShardedInstance":
-        s = _count(s, "site count", 1, ps.n)
-        perm = rng.permutation(ps.n)
-        return cls(ps=ps, shards=tuple(np.array_split(perm, s)))
-
-    @classmethod
-    def from_json(cls, ps: PointSet, blob: dict) -> "ShardedInstance":
-        """Shards from ``{"shards": [[index, ...], ...]}`` (``_shards_from_json``)."""
-        return cls(ps=ps, shards=_shards_from_json(blob, ps.n))
 
 
 @dataclass(frozen=True)
@@ -256,21 +229,21 @@ def coordinator_threshold(profiles, z: int) -> ThresholdDecision:
 
 
 def assemble(
-    instance: ShardedInstance,
+    shards: tuple[np.ndarray, ...],
+    n: int,
     site_coresets,
     decision: ThresholdDecision,
 ) -> WeightedCoreset:
-    """Map each site coreset back to global indices and concatenate.  The
-    result is a fallback when any site sent its unit-weight fallback."""
-    indices = np.concatenate(
-        [shard[cs.indices] for shard, cs in zip(instance.shards, site_coresets)]
-    )
+    """Map each site coreset back to global indices through its shard of the
+    n points and concatenate.  The result is a fallback when any site sent
+    its unit-weight fallback."""
+    indices = np.concatenate([shard[cs.indices] for shard, cs in zip(shards, site_coresets)])
     weights = np.concatenate([cs.weights for cs in site_coresets])
     far_total = sum(int(cs.meta["far_count"]) for cs in site_coresets)
     return WeightedCoreset(
         indices=indices,
         weights=weights,
-        source_n=instance.ps.n,
+        source_n=n,
         meta={
             "builder": "two_round_protocol",
             "fallback": any(cs.meta["fallback"] for cs in site_coresets),
@@ -287,25 +260,29 @@ def run_protocol(
     ps: PointSet,
     params: ParamSet,
     s: int | None = None,
-    instance: ShardedInstance | None = None,
+    shards=None,
     doubling_dim: float | None = None,
 ) -> ProtocolResult:
     """Drive both rounds end to end and account every transfer.
 
-    Exactly two site-to-coordinator phases and one broadcast are recorded.
-    Site randomness is spawned per site from the instance seed, so results
-    are reproducible for a fixed (seed, s) regardless of scheduling.
+    The sites hold either ``s`` balanced shards, a seeded split of a random
+    permutation, or the given ``shards``: index vectors under the index rule
+    that partition range(n).  Exactly two site-to-coordinator phases and one
+    broadcast are recorded.  Site randomness is spawned per site from the
+    instance seed, so results are reproducible for a fixed (seed, s)
+    regardless of scheduling.
     """
-    if (s is None) == (instance is None):
-        raise ValueError("pass exactly one of s or instance")
-    if instance is not None and instance.ps is not ps:
-        raise ValueError("instance must shard the same point set")
+    if (s is None) == (shards is None):
+        raise ValueError("pass exactly one of s or shards")
     _check_n(ps, params.n)
-    sites = _count(s, "site count", 1, ps.n) if instance is None else instance.s
+    if shards is not None:
+        shards = _partition(shards, ps.n)
+    sites = _count(s, "site count", 1, ps.n) if shards is None else len(shards)
     _check_rank(sites, params.z)
     children = np.random.SeedSequence(params.seed).spawn(sites + 1)
-    if instance is None:
-        instance = ShardedInstance.balanced(ps, sites, np.random.default_rng(children[-1]))
+    if shards is None:
+        rng = np.random.default_rng(children[-1])
+        shards = _partition(np.array_split(rng.permutation(ps.n), sites), ps.n)
     grid = outlier_budget_grid(params.z)
     ledger = CommLedger()
     profiles = tuple(
@@ -317,17 +294,17 @@ def run_protocol(
             site_id=i,
             doubling_dim=doubling_dim,
         )
-        for i, shard in enumerate(instance.shards)
+        for i, shard in enumerate(shards)
     )
     ledger.add(
         "sites_to_coordinator",
-        2 * len(grid) * instance.s,
+        2 * len(grid) * sites,
         note="(budget, radius) pairs from every site",
     )
     decision = coordinator_threshold(profiles, params.z)
     if sum(decision.budgets) > 2 * params.z:
         raise RuntimeError("derived budgets exceed 2z")
-    ledger.add("broadcast", 2 * instance.s, note="threshold value and owning site to every site")
+    ledger.add("broadcast", 2 * sites, note="threshold value and owning site to every site")
     round_two = [p.coresets[b] for p, b in zip(profiles, decision.budgets)]
     per_point = (ps.dim + 1) if ps.dim is not None else 2
     ledger.add(
@@ -335,7 +312,7 @@ def run_protocol(
         sum(len(cs) for cs in round_two) * per_point,
         note="coreset points with weights",
     )
-    coreset = assemble(instance, round_two, decision)
+    coreset = assemble(shards, ps.n, round_two, decision)
     return ProtocolResult(
         coreset=coreset,
         decision=decision,

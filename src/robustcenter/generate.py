@@ -68,7 +68,7 @@ def _farthest(pts: np.ndarray, center: np.ndarray, norms: np.ndarray | None, sca
     With ``norms`` (``_bound_norms(pts, 1)``, and ``scale`` its factor
     ``_gram_scale(D, 1)`` for the center's norm), one matrix-vector
     product gives every row its upper bound g on the kernel's key k, with
-    g > k + F/2 and F = _GRAM_FLOOR (``_gram_bound`` with sign +1; a
+    g > k + F/2 and F = _GRAM_FLOOR (``_gram_bound``'s upper bound; a
     drifted center is a rounded convex combination of rows, within a few
     hundred ulps of their largest magnitude, so nothing overflows).  The key L of the row with the largest g is computed
     exactly, and only the rows with g >= T = fl(L(1 - 8u)), u = 2**-53, get
@@ -92,7 +92,7 @@ def _farthest(pts: np.ndarray, center: np.ndarray, norms: np.ndarray | None, sca
     # einsum, not a BLAS product: as a process's first two-thread BLAS call,
     # x @ c stalled about 0.8 s in 3 of 8 fresh processes planting 95k x 8
     # inliers; einsum runs in one thread and reads the strided slice in place.
-    g = _gram_bound(np.einsum("ij,j->i", pts, -2.0 * center), norms, (center @ center) * scale, 1.0)
+    g = _gram_bound(np.einsum("ij,j->i", pts, -2.0 * center), norms, (center @ center) * scale)
     top = _keys_at(pts, center, g.argmax(keepdims=True))[0]
     cand = np.flatnonzero(g >= top * (1.0 - 2.0**-50))
     d = np.sqrt(_keys_at(pts, center, cand))

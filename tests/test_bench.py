@@ -355,6 +355,10 @@ def test_experiment_is_checked_before_any_instance_is_planted(tmp_path, capsys, 
         bad_shards.write_text(json.dumps({"shards": blob}))
         assert main([*shard_argv, "--generate", gen, "--out", str(tmp_path / "r")]) == 2
         assert message in capsys.readouterr().err
+    # An output directory that does not exist.
+    missing = tmp_path / "missing"
+    assert main([*base[:-1], str(missing / "r"), "--k", "2", "--z", "2", "--generate", gen]) == 2
+    assert f"output directory not found: {missing}" in capsys.readouterr().err
     assert plants == [] and hashes == []
     # A valid recipe plants and hashes each seed once for all its algorithms.
     assert main([*base, "--k", "2", "--z", "2", "--seed", "4", "--seeds", "3", "--generate", gen]) == 0

@@ -26,7 +26,7 @@ from robustcenter.core import (
     NearestTracker,
 )
 from robustcenter.coreset import WeightedCoreset, compose_with_host
-from robustcenter.distributed import ShardedInstance, _partition
+from robustcenter.distributed import _partition, run_protocol
 
 import oracles
 
@@ -343,7 +343,7 @@ def _shards_around(ps, idx):
     # The other shard holds every point that idx, cast to intp, would miss,
     # so only the index rule objects.
     rest = np.setdiff1d(np.arange(ps.n), np.asarray(idx).astype(np.intp).ravel() % ps.n)
-    return ShardedInstance(ps, (idx, rest) if rest.size else (idx,))
+    return run_protocol(ps, ParamSet(k=1, z=0, n=ps.n), shards=(idx, rest) if rest.size else (idx,))
 
 
 def _host_returns(ps, idx):

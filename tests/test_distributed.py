@@ -8,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import robustcenter.distributed as distributed
 from robustcenter.core import ParamSet, PointSet
+from robustcenter.coreset import WeightedCoreset
 from robustcenter.distributed import (
-    ShardedInstance,
     SiteProfile,
+    ThresholdDecision,
+    _shards_from_json,
+    assemble,
     coordinator_threshold,
     outlier_budget_grid,
     run_protocol,
@@ -168,23 +171,27 @@ def test_coordinator_memory_is_bounded_by_the_grid():
 
 
 def test_sharded_instance_validation():
+    # The file format through the shard file reader, the partition of
+    # range(n) through the protocol, which checks its shards before any build.
     ps = PointSet.from_coords(np.arange(6.0).reshape(-1, 1))
-    good = ShardedInstance.from_json(ps, {"shards": [[2, 0, 1], [3, 4, 5]]})
-    assert good.s == 2
-    assert [s.tolist() for s in good.shards] == [[0, 1, 2], [3, 4, 5]]
+    good = _shards_from_json({"shards": [[2, 0, 1], [3, 4, 5]]}, ps.n)
+    assert len(good) == 2
+    assert [s.tolist() for s in good] == [[0, 1, 2], [3, 4, 5]]
     with pytest.raises(ValueError, match="shard 0"):
-        ShardedInstance.from_json(ps, {"shards": [0, [1, 2, 3, 4, 5]]})
+        _shards_from_json({"shards": [0, [1, 2, 3, 4, 5]]}, ps.n)
     for blob in ({"shards": 5}, [[0, 1, 2], [3, 4, 5]], {}):
         with pytest.raises(ValueError, match="shards must be given as"):
-            ShardedInstance.from_json(ps, blob)
-    with pytest.raises(ValueError):
-        ShardedInstance(ps=ps, shards=(np.array([0, 1, 2]), np.array([2, 3, 4, 5])))
-    with pytest.raises(ValueError):
-        ShardedInstance(ps=ps, shards=(np.array([0, 1, 2]),))
-    with pytest.raises(ValueError):
-        ShardedInstance(ps=ps, shards=(np.array([0, 1, 2]), np.array([3, 4, 9])))
-    with pytest.raises(ValueError):
-        ShardedInstance(ps=ps, shards=(np.arange(6), np.array([], dtype=np.intp)))
+            _shards_from_json(blob, ps.n)
+    params = ParamSet(k=1, z=0, n=ps.n)
+    for shards in (
+        (np.array([0, 1, 2]), np.array([2, 3, 4, 5])),
+        (np.array([0, 1, 2]),),
+        (np.array([0, 1, 2]), np.array([3, 4, 9])),
+        (np.arange(6), np.array([], dtype=np.intp)),
+    ):
+        with pytest.raises(ValueError):
+            run_protocol(ps, params, shards=shards)
+    assert run_protocol(ps, params, shards=[[2, 0, 1], [3, 4, 5]]).coreset.total_weight() == ps.n
 
 
 @pytest.mark.parametrize("entry", [1.9, 1.0, "1", True])
@@ -193,7 +200,7 @@ def test_sharded_instance_rejects_non_integer_entries(entry):
     ps = PointSet.from_coords(np.arange(6.0).reshape(-1, 1))
     blob = {"shards": [[3, 4, 5], [0, entry, 2]]}
     with pytest.raises(ValueError, match="shard 1"):
-        ShardedInstance.from_json(ps, blob)
+        _shards_from_json(blob, ps.n)
 
 
 def test_site_budget_clamp_on_small_shard():
@@ -255,8 +262,7 @@ def test_assembled_coreset_reports_a_site_fallback(planted_120):
     # assembled coreset is a fallback too.
     ps = planted_120
     params = ParamSet(k=2, z=4, n=ps.n, seed=3)
-    inst = ShardedInstance(ps, (np.arange(2), np.arange(2, ps.n)))
-    result = run_protocol(ps, params, instance=inst)
+    result = run_protocol(ps, params, shards=(np.arange(2), np.arange(2, ps.n)))
     sent = [p.coresets[b] for p, b in zip(result.profiles, result.decision.budgets)]
     assert [cs.meta["fallback"] for cs in sent] == [True, False]
     assert result.coreset.meta["fallback"] is True
@@ -267,9 +273,8 @@ def test_a_small_shard_builds_and_warns_its_fallback_once(planted_120, caplog):
     # Every grid budget of a shard of at most k points reuses one fallback.
     ps = planted_120
     params = ParamSet(k=2, z=8, n=ps.n, seed=3)
-    inst = ShardedInstance(ps, (np.arange(2), np.arange(2, ps.n)))
     with caplog.at_level(logging.WARNING, logger="robustcenter.coreset"):
-        result = run_protocol(ps, params, instance=inst)
+        result = run_protocol(ps, params, shards=(np.arange(2), np.arange(2, ps.n)))
     assert [r.getMessage() for r in caplog.records] == [
         "site: falling back to unit weights (shard of 2 points holds at most k centers)"
     ]
@@ -307,12 +312,13 @@ def test_protocol_argument_validation(planted_120):
     params = ParamSet(k=2, z=4, n=ps.n)
     with pytest.raises(ValueError):
         run_protocol(ps, params)
-    inst = ShardedInstance.balanced(ps, 2, np.random.default_rng(0))
+    shards = np.array_split(np.random.default_rng(0).permutation(ps.n), 2)
     with pytest.raises(ValueError):
-        run_protocol(ps, params, s=2, instance=inst)
+        run_protocol(ps, params, s=2, shards=shards)
+    # Shards made for another point set's n.
     other = PointSet.from_coords(np.arange(10.0).reshape(-1, 1))
-    with pytest.raises(ValueError):
-        run_protocol(other, ParamSet(k=2, z=4, n=10), instance=inst)
+    with pytest.raises(ValueError, match=r"point indices must lie in \[0, 10\)"):
+        run_protocol(other, ParamSet(k=2, z=4, n=10), shards=shards)
 
 
 @pytest.mark.parametrize("s", [-1, 2.0])
@@ -329,8 +335,7 @@ def test_protocol_rejects_one_site_with_outliers_before_any_build(planted_120, m
     evals = ps.stats.evals
     monkeypatch.setattr(PointSet, "subset", lambda self, idx: made.append(idx))
     params = ParamSet(k=2, z=1, n=ps.n)
-    one_shard = ShardedInstance(ps, (np.arange(ps.n),))
-    for kwargs in ({"s": 1}, {"instance": one_shard}):
+    for kwargs in ({"s": 1}, {"shards": (np.arange(ps.n),)}):
         with pytest.raises(ValueError, match=r"site count 1 at z=1"):
             run_protocol(ps, params, **kwargs)
     assert not made and ps.stats.evals == evals
@@ -357,3 +362,38 @@ def test_protocol_random_runs_meet_guarantees(planted_120):
         assert sum(result.decision.budgets) <= 2 * params.z
         got = max(oracles.radius_at(p, b) for p, b in zip(result.profiles, result.decision.budgets))
         assert got == oracles.minimax_oracle(result.profiles, params.z)
+
+
+@pytest.mark.parametrize("mode", ["euclidean", "matrix"])
+def test_explicit_shards_of_the_balanced_split_reproduce_the_site_count_run(planted_120, mode):
+    # The balanced split is the last spawned child's permutation cut by
+    # array_split; given as plain unsorted lists, it runs bit for bit alike.
+    ps = planted_120
+    if mode == "matrix":
+        ps = PointSet.from_distance_matrix(np.sqrt(((ps.coords[:, None] - ps.coords[None]) ** 2).sum(-1)))
+    s, params = 3, ParamSet(k=2, z=4, n=ps.n, seed=17)
+    rng = np.random.default_rng(np.random.SeedSequence(params.seed).spawn(s + 1)[-1])
+    shards = [part.tolist() for part in np.array_split(rng.permutation(ps.n), s)]
+    assert all(shard != sorted(shard) for shard in shards)
+    a, b = run_protocol(ps, params, s=s), run_protocol(ps, params, shards=shards)
+    assert a.coreset.indices.tobytes() == b.coreset.indices.tobytes()
+    assert a.coreset.weights.tobytes() == b.coreset.weights.tobytes()
+    assert a.decision.budgets == b.decision.budgets
+    assert a.ledger.to_json() == b.ledger.to_json()
+    assert [p.radii for p in a.profiles] == [p.radii for p in b.profiles]
+
+
+def test_assemble_maps_site_coresets_back_through_their_shards():
+    shards = (np.array([0, 2, 5]), np.array([1, 3, 4, 6]))
+    meta_a = {"far_count": 1, "map_radius": 0.5, "fallback": False}
+    meta_b = {"far_count": 2, "map_radius": 1.5, "fallback": False}
+    site_a = WeightedCoreset(np.array([2, 0]), np.array([1, 2]), 3, meta=meta_a)
+    site_b = WeightedCoreset(np.array([1, 3]), np.array([3, 1]), 4, meta=meta_b)
+    decision = ThresholdDecision(value=1.5, site=1, budgets=(1, 2))
+    out = assemble(shards, 7, [site_a, site_b], decision)
+    assert out.indices.tolist() == [5, 0, 3, 6]
+    assert out.weights.tolist() == [1, 2, 3, 1] and out.total_weight() == out.source_n == 7
+    assert out.meta["map_radius"] == 1.5 and out.meta["far_count"] == 3
+    assert out.meta["fallback"] is False
+    site_b = WeightedCoreset(site_b.indices, site_b.weights, 4, meta={**meta_b, "fallback": True})
+    assert assemble(shards, 7, [site_a, site_b], decision).meta["fallback"] is True

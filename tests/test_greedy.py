@@ -24,7 +24,6 @@ import robustcenter.coreset as coreset
 import robustcenter.greedy as greedy
 from robustcenter.coreset import WeightedCoreset, build_coreset, build_coreset_auto, compose_with_host
 from robustcenter.distributed import (
-    ShardedInstance,
     SiteProfile,
     coordinator_threshold,
     outlier_budget_grid,
@@ -79,7 +78,7 @@ _P = params_for(2, 1, 10)
 _PROFILES = (SiteProfile(0, (0, 1), (1.0, 0.0), {}, 5), SiteProfile(1, (0, 1), (2.0, 0.0), {}, 5))
 # Each entry: the count's name in the error, and a call passing a non-integer.
 NON_INTEGER_COUNTS = {
-    "sites": ("site count", lambda: ShardedInstance.balanced(_LINE, 2.5, np.random.default_rng(0))),
+    "sites": ("site count", lambda: run_protocol(_LINE, _P, s=2.5)),
     "budget_grid": ("z", lambda: outlier_budget_grid(2.5)),
     "threshold_budget": ("z", lambda: coordinator_threshold(_PROFILES, 2.5)),
     "threshold_bool_budget": ("z", lambda: coordinator_threshold(_PROFILES, True)),
