@@ -24,17 +24,10 @@ from .core import (
     clustering_cost,
     load_points_csv,
 )
-from .coreset import build_coreset, build_coreset_auto, compose_with_host
-from .distributed import _shards_from_json, run_protocol
+from .coreset import _check_doubling_dim, build_coreset, build_coreset_auto, compose_with_host
+from .distributed import _shards_from_json, _site_count, run_protocol
 from .generate import GeneratorSpec, planted_instance
-from .greedy import (
-    bicriteria,
-    gonzalez,
-    greedy_config,
-    sublinear_bicriteria,
-    sublinear_config,
-    two_approx_boosted,
-)
+from .greedy import _sample_plan, bicriteria, gonzalez, greedy_config, sublinear_bicriteria, two_approx_boosted
 from .solvers import brute_force_opt, charikar_3approx
 
 __all__ = ["ALGORITHMS", "ExperimentSpec", "run_experiment"]
@@ -95,6 +88,8 @@ class ExperimentSpec:
             raise ValueError(f"repeated algorithms: {repeated}; name each once")
         if "coreset" in self.algos and self.doubling_dim is None:
             raise ValueError("the fixed-dimension coreset needs --rho")
+        if self.doubling_dim is not None:
+            _check_doubling_dim(self.doubling_dim)
         if "distributed" in self.algos and self.sites < 1 and self.shards_path is None:
             raise ValueError("distributed runs need --sites or --shards")
         if self.sites >= 1 and self.shards_path is not None:
@@ -130,7 +125,7 @@ def _run_one(
     elif algo == "two_approx":
         centers = two_approx_boosted(ps, params, rng)
     elif algo == "sublinear":
-        centers = sublinear_bicriteria(ps, greedy_config(params), sublinear_config(params), rng)
+        centers = sublinear_bicriteria(ps, params, rng)
     elif algo == "gonzalez":
         centers = gonzalez(ps, params.k, rng)
     elif algo == "charikar":
@@ -229,13 +224,18 @@ def run_experiment(spec: ExperimentSpec):
     """Run every (algorithm, seed) pair, seed by seed; returns (records,
     aggregates) and writes them when the spec names an output base path.
 
-    Every seed's parameters are checked, and the shard file read and
-    checked against n, before any instance is planted."""
+    Every seed's parameters, the sample plan and the site count are
+    checked, and the shard file read and checked against n, before any
+    instance is planted."""
     loaded = None if isinstance(spec.source, GeneratorSpec) else load_points_csv(spec.source)
     n = spec.source.n_inliers + spec.source.outliers if loaded is None else loaded.n
     params = ParamSet(k=spec.k, z=spec.z, n=n, eps=spec.eps, eta=spec.eta, mu=spec.mu)
     per_seed = [replace(params, seed=seed) for seed in spec.seeds]
     shards = None if spec.shards_path is None else _shards_from_json(json.loads(Path(spec.shards_path).read_text()), n)
+    if "sublinear" in spec.algos:
+        _sample_plan(params)
+    if "distributed" in spec.algos:
+        _site_count(spec.sites if shards is None else len(shards), n, spec.z)
     records = []
     for seed_params in per_seed:
         if loaded is None:

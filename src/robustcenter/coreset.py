@@ -105,6 +105,11 @@ def _weigh_centers(run: GreedyRun, exclusions: int, meta: dict) -> WeightedCores
     )
 
 
+def _check_doubling_dim(doubling_dim: float) -> None:
+    if not 0 < doubling_dim < math.inf:
+        raise ValueError("doubling dimension must be positive and finite")
+
+
 def build_coreset(
     ps: PointSet,
     params: ParamSet,
@@ -118,8 +123,7 @@ def build_coreset(
     n the unit-weight fallback is returned instead.
     """
     _check_n(ps, params.n)
-    if not 0 < doubling_dim < math.inf:
-        raise ValueError("doubling dimension must be positive and finite")
+    _check_doubling_dim(doubling_dim)
     exclusions = _count(relaxed_exclusions(params.z, 1.0), "exclusion budget 2z", 0, ps.n - 1)
     raw_rounds = math.inf  # (2/mu)^dim > n already puts the budget above n
     if doubling_dim * math.log(2.0 / params.mu) <= math.log(ps.n):

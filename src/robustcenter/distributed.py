@@ -191,6 +191,13 @@ def _check_rank(s: int, z: int) -> None:
         raise ValueError(f"site count {s} at z={z}: rank 2z+1 exceeds the s(z+1) ranked pairs; use two or more sites")
 
 
+def _site_count(s, n: int, z: int) -> int:
+    """The site count rule: an integer in [1, n] that meets the rank rule."""
+    s = _count(s, "site count", 1, n)
+    _check_rank(s, z)
+    return s
+
+
 def coordinator_threshold(profiles, z: int) -> ThresholdDecision:
     """Pick the (2z+1)-th largest (h(q), site id) pair over budgets q = 0..z.
 
@@ -277,8 +284,7 @@ def run_protocol(
     _check_n(ps, params.n)
     if shards is not None:
         shards = _partition(shards, ps.n)
-    sites = _count(s, "site count", 1, ps.n) if shards is None else len(shards)
-    _check_rank(sites, params.z)
+    sites = _site_count(s if shards is None else len(shards), ps.n, params.z)
     children = np.random.SeedSequence(params.seed).spawn(sites + 1)
     if shards is None:
         rng = np.random.default_rng(children[-1])

@@ -38,9 +38,7 @@ from .solvers import ENUMERATION_GUARD
 
 __all__ = [
     "GreedyConfig",
-    "SublinearConfig",
     "greedy_config",
-    "sublinear_config",
     "boost_repetitions",
     "GreedyRun",
     "bicriteria",
@@ -85,21 +83,10 @@ def greedy_config(params: ParamSet) -> GreedyConfig:
     )
 
 
-@dataclass(frozen=True)
-class SublinearConfig:
-    """Per-round sampling plan for the sample-only variant."""
-
-    sample_size: int
-    take_per_round: int
-
-    def __post_init__(self) -> None:
-        size = _count(self.sample_size, "sample_size", 1)
-        _count(self.take_per_round, "take_per_round", 1, size)
-
-
-def sublinear_config(params: ParamSet) -> SublinearConfig:
-    """sigma = 2 / (1 + sqrt(1 + 4(1+eps)/(3 eps))); the sample size makes the
-    farthest-set hit count concentrate within a (1 +- sigma) factor."""
+def _sample_plan(params: ParamSet) -> tuple[int, int]:
+    """Per-round (sample size, take) of the sample-only greedy.  sigma = 2 /
+    (1 + sqrt(1 + 4(1+eps)/(3 eps))); the sample size makes the farthest-set
+    hit count concentrate within a (1 +- sigma) factor."""
     eps, gamma, eta = params.eps, params.gamma, params.eta
     if gamma == 0:
         raise ValueError("sample-only selection needs outliers (z >= 1)")
@@ -108,7 +95,7 @@ def sublinear_config(params: ParamSet) -> SublinearConfig:
     denominator = sigma * sigma * (1.0 + eps) * gamma
     sample_size = ceil_count(3.0 / denominator * math.log(4.0 / eta) if denominator else math.inf)
     take = ceil_count((1.0 + sigma) * (1.0 + eps) * gamma * sample_size)
-    return SublinearConfig(sample_size=sample_size, take_per_round=take)
+    return sample_size, _count(take, "take_per_round", 1, sample_size)
 
 
 def boost_repetitions(params: ParamSet) -> int:
@@ -236,31 +223,29 @@ def two_approx_boosted(ps: PointSet, params: ParamSet, rng: np.random.Generator)
     )
 
 
-def sublinear_bicriteria(
-    ps: PointSet,
-    cfg: GreedyConfig,
-    sub: SublinearConfig,
-    rng: np.random.Generator,
-) -> CenterSet:
-    """Sample-only greedy: each round scores a fresh uniform sample against
-    the current centers and keeps the take_per_round farthest sampled points.
+def sublinear_bicriteria(ps: PointSet, params: ParamSet, rng: np.random.Generator) -> CenterSet:
+    """Sample-only greedy: after greedy_config's seed, each round scores a
+    fresh uniform sample against the current centers and keeps the take
+    farthest sampled points, sized by ``_sample_plan(params)``.
 
     No tracker over the full set is maintained; a round evaluates exactly
     |sample| * |centers| distances, independent of n, in row blocks of at
     most 2**17 distances each.
     """
-    _check_n(ps, cfg.params.n)
+    _check_n(ps, params.n)
+    cfg = greedy_config(params)
+    sample_size, take = _sample_plan(params)
     n = ps.n
     chosen: dict[int, int] = {}
     _add_new(chosen, rng.choice(n, size=min(cfg.init_sample, n), replace=False), 1)
 
-    draw = min(sub.sample_size, n)
-    if draw < sub.sample_size:
-        log.info("sample-only greedy: per-round sample of %d capped at n=%d", sub.sample_size, n)
+    draw = min(sample_size, n)
+    if draw < sample_size:
+        log.info("sample-only greedy: per-round sample of %d capped at n=%d", sample_size, n)
     for j in range(2, cfg.rounds + 1):
         sample = rng.choice(n, size=draw, replace=False)
         dists = ps.nearest_dists(sample, list(chosen))
         if float(dists.max()) == 0.0:
             break
-        _add_new(chosen, sample[farthest_m(dists, min(sub.take_per_round, draw))], j)
+        _add_new(chosen, sample[farthest_m(dists, min(take, draw))], j)
     return CenterSet(tuple(chosen), tuple(chosen.values()))

@@ -30,7 +30,6 @@ from robustcenter.greedy import (
     gonzalez,
     greedy_config,
     sublinear_bicriteria,
-    sublinear_config,
     two_approx_boosted,
 )
 from robustcenter.solvers import brute_force_opt, charikar_3approx
@@ -128,11 +127,8 @@ def test_04_subsampled_greedy_rate_and_scale_free_work(exact20):
     ps, r_opt = exact20
     floor = three_sigma_floor(0.5)
     p = ParamSet(k=2, z=2, n=ps.n, eps=1.0, eta=0.25)
-    cfg, sub = greedy_config(p), sublinear_config(p)
     hits = sum(
-        cost_radius(
-            ps, sublinear_bicriteria(ps, cfg, sub, np.random.default_rng(s)), p.z, p.eps
-        )
+        cost_radius(ps, sublinear_bicriteria(ps, p, np.random.default_rng(s)), p.z, p.eps)
         <= 2 * r_opt + 1e-9
         for s in range(TRIALS)
     )
@@ -148,7 +144,7 @@ def test_04_subsampled_greedy_rate_and_scale_free_work(exact20):
         for s in range(3):
             # Each round makes one counter increment: its sample scoring.
             logged = replace(big, stats=oracles.EvalLog())
-            sublinear_bicriteria(logged, greedy_config(bp), sublinear_config(bp), np.random.default_rng(s))
+            sublinear_bicriteria(logged, bp, np.random.default_rng(s))
             per_seed.append(logged.stats.increments)
         counts.append(per_seed)
     same = counts[0] == counts[1]
@@ -344,9 +340,7 @@ def test_10_every_algorithm_is_seed_deterministic():
         payload["bicriteria"] = [cs.indices, cs.round_of, cost_radius(ps, cs, z, 1.0)]
         cs = two_approx_boosted(ps, p, np.random.default_rng(seed))
         payload["two_approx"] = [cs.indices, cost_radius(ps, cs, z, 1.0)]
-        cs = sublinear_bicriteria(
-            ps, greedy_config(p), sublinear_config(p), np.random.default_rng(seed)
-        )
+        cs = sublinear_bicriteria(ps, p, np.random.default_rng(seed))
         payload["sublinear"] = [cs.indices, cost_radius(ps, cs, z, 1.0)]
         cs = gonzalez(ps, k, np.random.default_rng(seed))
         payload["gonzalez"] = [cs.indices, clustering_cost(ps, cs, z, 0.0).radius]

@@ -359,6 +359,22 @@ def test_experiment_is_checked_before_any_instance_is_planted(tmp_path, capsys, 
     missing = tmp_path / "missing"
     assert main([*base[:-1], str(missing / "r"), "--k", "2", "--z", "2", "--generate", gen]) == 2
     assert f"output directory not found: {missing}" in capsys.readouterr().err
+    # The sample plan, --rho and the site count need only the recipe, so
+    # each exits before bicriteria, listed first, plants its seed.
+    big = "n=3000,clusters=2,dim=2,grid=2,radius=1.0,outliers=1400"
+    for extra, message in (
+        (["sublinear", "--z", "0", "--generate", gen], "sample-only selection needs outliers (z >= 1)"),
+        (["sublinear", "--z", "1400", "--generate", big], "take_per_round must lie in [1, 28] and be an integer, got 31"),
+        (["coreset", "--rho", "-1", "--z", "2", "--generate", gen], "doubling dimension must be positive and finite"),
+        (["coreset", "--rho", "nan", "--z", "2", "--generate", gen], "doubling dimension must be positive and finite"),
+        (["distributed", "--sites", "2", "--rho", "0", "--z", "2", "--generate", gen], "doubling dimension must be positive and finite"),
+        (["distributed", "--sites", "1", "--z", "2", "--generate", gen], "rank 2z+1 exceeds the s(z+1) ranked pairs"),
+        (["distributed", "--sites", "5000", "--z", "2", "--generate", big.replace("outliers=1400", "outliers=30")],
+         "site count must lie in [1, 3030]"),
+    ):
+        algo, *rest = extra
+        assert main(["--algo", f"bicriteria,{algo}", "--k", "2", *rest, "--out", str(tmp_path / "r")]) == 2
+        assert message in capsys.readouterr().err
     assert plants == [] and hashes == []
     # A valid recipe plants and hashes each seed once for all its algorithms.
     assert main([*base, "--k", "2", "--z", "2", "--seed", "4", "--seeds", "3", "--generate", gen]) == 0

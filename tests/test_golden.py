@@ -20,7 +20,6 @@ from robustcenter.greedy import (
     bicriteria,
     greedy_config,
     sublinear_bicriteria,
-    sublinear_config,
     two_approx_boosted,
 )
 from robustcenter.solvers import charikar_3approx
@@ -88,7 +87,7 @@ def golden_digest(instance: str, algo: str) -> str:
         centers = two_approx_boosted(ps, p, rng)
         _centers(d, centers).text("relaxed", clustering_cost(ps, centers, z, EPS).relaxed.hex())
     elif algo == "sublinear_bicriteria":
-        _centers(d, sublinear_bicriteria(ps, greedy_config(p), sublinear_config(p), rng))
+        _centers(d, sublinear_bicriteria(ps, p, rng))
     elif algo == "coreset_rho1":
         cs = build_coreset(ps, p, 1.0, rng)
         assert not cs.meta["fallback"]

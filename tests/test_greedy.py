@@ -38,7 +38,6 @@ from robustcenter.greedy import (
     gonzalez,
     greedy_config,
     sublinear_bicriteria,
-    sublinear_config,
     two_approx,
     two_approx_boosted,
 )
@@ -89,8 +88,6 @@ NON_INTEGER_COUNTS = {
     "rounds": ("rounds", lambda: replace(greedy_config(_P), rounds=2.5)),
     "init_sample": ("init_sample", lambda: replace(greedy_config(_P), init_sample=1.5)),
     "per_round_sample": ("per_round_sample", lambda: replace(greedy_config(_P), per_round_sample=1.5)),
-    "sample_size": ("sample_size", lambda: replace(sublinear_config(_P), sample_size=500.5)),
-    "take_per_round": ("take_per_round", lambda: replace(sublinear_config(_P), take_per_round=1.5)),
     # z=2.5 rounded up to 3 exclusions: radius 6.0 on the line, not an error.
     "cost_z": ("z", lambda: clustering_cost(_LINE, [0], 2.5)),
 }
@@ -109,9 +106,7 @@ _HOST = lambda sub, w, k, z: [0]  # noqa: E731
 MISMATCHED_N = {
     "bicriteria": lambda: bicriteria(_LINE, greedy_config(_FOR_30), np.random.default_rng(0)),
     "two_approx": lambda: two_approx(_LINE, _FOR_30, np.random.default_rng(0)),
-    "sublinear": lambda: sublinear_bicriteria(
-        _LINE, greedy_config(_FOR_30), sublinear_config(_FOR_30), np.random.default_rng(0)
-    ),
+    "sublinear": lambda: sublinear_bicriteria(_LINE, _FOR_30, np.random.default_rng(0)),
     "build_coreset": lambda: build_coreset(_LINE, _FOR_30, 1.0, np.random.default_rng(0)),
     "build_coreset_auto": lambda: build_coreset_auto(_LINE, _FOR_30, np.random.default_rng(0)),
     "compose_params": lambda: compose_with_host(
@@ -146,17 +141,23 @@ def test_boosted_two_approx_guard_trips_before_any_repetition(k, eps):
 
 def test_sublinear_config_frozen():
     p = params_for(3, 1, 20, eps=1.0, eta=0.25)
-    sub = sublinear_config(p)
-    assert sub.sample_size == 177
-    assert sub.take_per_round == 30
+    assert greedy._sample_plan(p) == (177, 30)
 
 
 def test_sublinear_config_needs_outliers():
     with pytest.raises(ValueError):
-        sublinear_config(params_for(2, 0, 10))
+        greedy._sample_plan(params_for(2, 0, 10))
 
 
-@pytest.mark.parametrize(("helper", "eps"), [(sublinear_config, 5e-324), (boost_repetitions, 1e-300)])
+def test_sublinear_take_must_fit_its_sample():
+    # eps=0.5 at gamma=1/2 plans a take of 37 from a sample of 30.
+    ps = PointSet.from_coords(np.arange(40.0))
+    with pytest.raises(ValueError, match=r"^take_per_round must lie in \[1, 30\] and be an integer, got 37$"):
+        sublinear_bicriteria(ps, ParamSet(k=2, z=20, n=40, eps=0.5), np.random.default_rng(0))
+    assert ps.stats.evals == 0
+
+
+@pytest.mark.parametrize(("helper", "eps"), [(greedy._sample_plan, 5e-324), (boost_repetitions, 1e-300)])
 def test_config_helpers_reject_a_count_that_overflows(helper, eps):
     # A zero denominator and an overflowing power, each an infinite count.
     with pytest.raises(ValueError, match="non-finite"):
@@ -246,10 +247,9 @@ def test_sublinear_round_evals_track_center_count():
     ps = planted_instance(spec, 3).ps
     p = params_for(3, 10, ps.n, eps=1.0, eta=0.25)
     cfg = greedy_config(p)
-    sub = sublinear_config(p)
     logged = replace(ps, stats=oracles.EvalLog())
-    cs = sublinear_bicriteria(logged, cfg, sub, np.random.default_rng(4))
-    draw = min(sub.sample_size, ps.n)
+    cs = sublinear_bicriteria(logged, p, np.random.default_rng(4))
+    draw = min(greedy._sample_plan(p)[0], ps.n)
     evals = logged.stats.increments
     added = [cs.round_of.count(j) for j in range(2, len(evals) + 2)]
     centers_before = cfg.init_sample
@@ -262,16 +262,19 @@ def test_sublinear_round_evals_track_center_count():
 def test_sublinear_logs_its_capped_draw(caplog):
     ps = PointSet.from_coords(np.arange(40.0))
     p = params_for(2, 2, ps.n, eps=0.5)
-    sub = sublinear_config(p)
-    assert sub.sample_size > ps.n
+    sample_size = greedy._sample_plan(p)[0]
+    assert sample_size > ps.n
     with caplog.at_level(logging.INFO, logger="robustcenter.greedy"):
-        sublinear_bicriteria(ps, greedy_config(p), sub, np.random.default_rng(0))
+        sublinear_bicriteria(ps, p, np.random.default_rng(0))
     assert [r.getMessage() for r in caplog.records] == [
-        f"sample-only greedy: per-round sample of {sub.sample_size} capped at n=40"
+        f"sample-only greedy: per-round sample of {sample_size} capped at n=40"
     ]
     caplog.clear()
+    # z=15 plans a sample of 39 on the same 40 points: nothing is capped.
+    uncapped = params_for(2, 15, ps.n, eps=0.5)
+    assert greedy._sample_plan(uncapped) == (39, 36)
     with caplog.at_level(logging.INFO, logger="robustcenter.greedy"):
-        sublinear_bicriteria(ps, greedy_config(p), replace(sub, sample_size=40), np.random.default_rng(0))
+        sublinear_bicriteria(ps, uncapped, np.random.default_rng(0))
     assert not caplog.records
 
 
@@ -284,7 +287,7 @@ def test_sublinear_counts_independent_of_n():
         ps = planted_instance(spec, 0).ps
         p = params_for(3, z, ps.n, eps=1.0, eta=0.25)
         logged = replace(ps, stats=oracles.EvalLog())
-        sublinear_bicriteria(logged, greedy_config(p), sublinear_config(p), np.random.default_rng(0))
+        sublinear_bicriteria(logged, p, np.random.default_rng(0))
         counts[ps.n] = logged.stats.increments
     a, b = counts.values()
     assert a == b
@@ -292,7 +295,7 @@ def test_sublinear_counts_independent_of_n():
 
 def _sublinear_run(ps, p, seed):
     logged = replace(ps, stats=oracles.EvalLog())
-    cs = sublinear_bicriteria(logged, greedy_config(p), sublinear_config(p), np.random.default_rng(seed))
+    cs = sublinear_bicriteria(logged, p, np.random.default_rng(seed))
     return cs.indices, cs.round_of, logged.stats.increments
 
 
@@ -317,7 +320,7 @@ def test_sublinear_scorer_memory_stays_bounded():
     p = params_for(5, 10, ps.n, eps=0.1)
     tracemalloc.start()
     try:
-        cs = sublinear_bicriteria(ps, greedy_config(p), sublinear_config(p), np.random.default_rng(0))
+        cs = sublinear_bicriteria(ps, p, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -391,9 +394,8 @@ def test_sublinear_deterministic():
     )
     ps = planted_instance(spec, 1).ps
     p = params_for(2, 10, ps.n)
-    args = (greedy_config(p), sublinear_config(p))
-    a = sublinear_bicriteria(ps, *args, np.random.default_rng(8))
-    b = sublinear_bicriteria(ps, *args, np.random.default_rng(8))
+    a = sublinear_bicriteria(ps, p, np.random.default_rng(8))
+    b = sublinear_bicriteria(ps, p, np.random.default_rng(8))
     assert a.indices == b.indices
 
 
