@@ -21,10 +21,18 @@ from .core import (
     DistanceStats,
     ParamSet,
     PointSet,
+    _exclusion_budget,
     clustering_cost,
     load_points_csv,
 )
-from .coreset import _check_doubling_dim, build_coreset, build_coreset_auto, compose_with_host
+from .coreset import (
+    _adaptive_exclusions,
+    _check_doubling_dim,
+    _fixed_dim_exclusions,
+    build_coreset,
+    build_coreset_auto,
+    compose_with_host,
+)
 from .distributed import _shards_from_json, _site_count, run_protocol
 from .generate import GeneratorSpec, planted_instance
 from .greedy import _sample_plan, bicriteria, gonzalez, greedy_config, sublinear_bicriteria, two_approx_boosted
@@ -224,9 +232,9 @@ def run_experiment(spec: ExperimentSpec):
     """Run every (algorithm, seed) pair, seed by seed; returns (records,
     aggregates) and writes them when the spec names an output base path.
 
-    Every seed's parameters, the sample plan and the site count are
-    checked, and the shard file read and checked against n, before any
-    instance is planted."""
+    Every seed's parameters, the sample plan, the site count and each
+    algorithm's exclusion budget are checked, and the shard file read and
+    checked against n, before any instance is planted."""
     loaded = None if isinstance(spec.source, GeneratorSpec) else load_points_csv(spec.source)
     n = spec.source.n_inliers + spec.source.outliers if loaded is None else loaded.n
     params = ParamSet(k=spec.k, z=spec.z, n=n, eps=spec.eps, eta=spec.eta, mu=spec.mu)
@@ -236,6 +244,12 @@ def run_experiment(spec: ExperimentSpec):
         _sample_plan(params)
     if "distributed" in spec.algos:
         _site_count(spec.sites if shards is None else len(shards), n, spec.z)
+    builders = {"coreset": _fixed_dim_exclusions, "coreset_auto": _adaptive_exclusions}
+    for algo in spec.algos:
+        if algo in builders:
+            builders[algo](spec.z, n)
+        elif algo != "distributed":  # the record scores its centers with clustering_cost
+            _exclusion_budget(spec.z, spec.eps, n)
     records = []
     for seed_params in per_seed:
         if loaded is None:

@@ -104,6 +104,13 @@ def relaxed_exclusions(z: int, eps: float) -> int:
     return ceil_count((1.0 + eps) * z)
 
 
+def _exclusion_budget(z: int, eps: float, n: int, name: str = "ceil((1+eps)z)") -> int:
+    """ceil((1+eps) * z) points to drop from n, at most n - 1; otherwise a
+    ValueError that names the budget.  ``clustering_cost``, the coreset
+    builders and ``bench.run_experiment``, before it plants, share it."""
+    return _count(relaxed_exclusions(z, eps), f"exclusion budget {name}", 0, n - 1)
+
+
 @dataclass
 class DistanceStats:
     """Mutable instrumentation cell; every pairwise evaluation adds one."""
@@ -742,7 +749,7 @@ def clustering_cost(ps: PointSet, centers, z: int, eps: float = 0.0) -> Clusteri
     radii are equal."""
     idx = _point_indices(centers, ps.n)
     strict = relaxed_exclusions(z, 0.0)
-    m = _count(relaxed_exclusions(z, eps), "exclusion budget ceil((1+eps)z)", 0, ps.n - 1)
+    m = _exclusion_budget(z, eps, ps.n)
     if isinstance(centers, CenterSet) and centers._source is ps:
         return _evaluate(centers._mindist, strict, m)
     tracker = NearestTracker(ps)

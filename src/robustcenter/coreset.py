@@ -21,7 +21,7 @@ from .core import (
     ParamSet,
     PointSet,
     _check_n,
-    _count,
+    _exclusion_budget,
     _point_indices,
     ceil_count,
     clustering_cost,
@@ -105,6 +105,16 @@ def _weigh_centers(run: GreedyRun, exclusions: int, meta: dict) -> WeightedCores
     )
 
 
+def _fixed_dim_exclusions(z: int, n: int) -> int:
+    """``build_coreset``'s exclusion budget 2z, checked against n."""
+    return _exclusion_budget(z, 1.0, n, "2z")
+
+
+def _adaptive_exclusions(z: int, n: int) -> int:
+    """``build_coreset_auto``'s exclusion budget 6z, checked against n."""
+    return _exclusion_budget(z, 5.0, n, "6z")
+
+
 def _check_doubling_dim(doubling_dim: float) -> None:
     if not 0 < doubling_dim < math.inf:
         raise ValueError("doubling dimension must be positive and finite")
@@ -124,7 +134,7 @@ def build_coreset(
     """
     _check_n(ps, params.n)
     _check_doubling_dim(doubling_dim)
-    exclusions = _count(relaxed_exclusions(params.z, 1.0), "exclusion budget 2z", 0, ps.n - 1)
+    exclusions = _fixed_dim_exclusions(params.z, ps.n)
     raw_rounds = math.inf  # (2/mu)^dim > n already puts the budget above n
     if doubling_dim * math.log(2.0 / params.mu) <= math.log(ps.n):
         target = ceil_count((2.0 / params.mu) ** doubling_dim * params.k)
@@ -145,7 +155,7 @@ def build_coreset_auto(ps: PointSet, params: ParamSet, rng: np.random.Generator)
     the phase-1 radius.
     """
     _check_n(ps, params.n)
-    exclusions = _count(relaxed_exclusions(params.z, 5.0), "exclusion budget 6z", 0, ps.n - 1)
+    exclusions = _adaptive_exclusions(params.z, ps.n)
     cfg = greedy_config(dataclasses.replace(params, eps=1.0))
     run = _bicriteria_run(ps, cfg, rng)
     r_phase1 = radius_after_exclusions(run.tracker.mindist, relaxed_exclusions(params.z, 1.0))

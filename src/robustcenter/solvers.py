@@ -146,6 +146,18 @@ def _candidate_radii(dmat: np.ndarray) -> np.ndarray:
     return vals[first]
 
 
+def _farthest_first_bound(dmat: np.ndarray, w: np.ndarray, k: int, z: float) -> float:
+    # U, the exact weighted radius (``peel_weight``) of k host points picked
+    # by a weighted farthest-first traversal in host order: the heaviest
+    # point first, then each pick maximising weight times distance to the
+    # picks so far, the lowest index on ties.  Any k points bound the
+    # optimum, so the picks only decide how tight U is.
+    mind = dmat[int(np.argmax(w))].copy()
+    for _ in range(min(k, dmat.shape[0]) - 1):
+        np.minimum(mind, dmat[int(np.argmax(w * mind))], out=mind)
+    return float(peel_weight(mind, w, z)[0])
+
+
 def charikar_3approx(
     ps: PointSet, weights: np.ndarray | None, k: int, z: float
 ) -> CenterSet:
@@ -198,6 +210,53 @@ def charikar_3approx(
     In a sweep of _BAND_ROWS over 64, 128 and 256 on 2,000-point coreset
     hosts, 64 and 128 ran the probes within a few percent of each other
     and 256 about 10% slower; 128 makes half as many products as 64.
+
+    The search does not run the probes that Charikar et al.'s lemma
+    decides.  On coordinates with integer weights (the float32 coverage
+    path, whose scores are exact) the host first computes U, the exact
+    weighted radius of k points from a weighted farthest-first traversal
+    (``_farthest_first_bound``: k row reads and one peel, no new distance).
+    A visited guess
+
+        r > fl(fl(U (1 + 2**-40)) + 2**-500)
+
+    is feasible, so the search moves hi to it without running its greedy;
+    when the final hi is such a guess, its greedy runs once at the end.  The
+    probe sequence and the picks equal those of the search without the
+    bound.  A matrix, which need not obey the triangle inequality, and real
+    weights, whose scores round, never skip a probe.
+
+    Why every skipped guess is feasible.  Write d(p, q) for the kernel's
+    rooted distance (the block's entry), t(p, q) for the exact distance
+    between the stored coordinates, and u = 2**-53.  To first order in u:
+    - Kernel error.  Each axis's difference rounds once (exactly when it
+      underflows), its square once, losing at most 2**-1075 when it
+      underflows, and ``core._sum_axes`` passes each square through at most
+      L <= 24 + log2 D additions of non-negative terms (at most 24 up to
+      128 axes, one more per halving above).  The root rounds once.  So
+      (1 - e)t - a <= d <= (1 + e)t + a, with e = (L + 5)u/2 and
+      a = sqrt(2D 2**-1075).  An array holds fewer than 2**60 doubles, so
+      for every D that ``PointSet.from_coords`` admits, L < 84, e < 45u
+      and a < 2**-506; its magnitude rule keeps every square finite.
+    - Rounded triangle inequality.  Let d(c, p) <= U, d(c, q) <= U and
+      d(g, q) <= r for a skipped r.  Then t(g, p) <= t(g, q) + t(q, c) +
+      t(c, p) <= (r + 2U + 3a)/(1 - e), so d(g, p) <= (1 + 2e)(r + 2U +
+      3a) + a.  The skip test rounds twice, so 2U < 2r(1 - 2**-40 + 2u) -
+      1.99 * 2**-500, and d(g, p) < 3r - (2**-39 - 280u)r - (1.99 *
+      2**-500 - 4a) < 3r(1 - u) <= fl(3.0 * r), as r > 2**-500 makes 3r a
+      normal number.  The 2**-40 term covers the relative part many times
+      over, the floor the absolute one.
+    - Charikar et al.'s count.  Let t_1..t_k be the traversal's picks and
+      O_j the points within U of t_j and of no earlier pick.  The points
+      outside every O_j lie beyond U of all picks, so ``peel_weight`` peeled
+      them whole and they weigh at most z (integer weights keep its float64
+      running sum exact).  U < r puts each O_j in the r-disk of t_j, and
+      by the inequality above, a pick whose r-disk meets O_j covers all
+      of O_j within 3r.  So each greedy round either covers whole every
+      remaining O_j that its disk meets, or meets none and covers, outside
+      the remaining O_j, at least the uncovered weight of one of them: its
+      exact score is at least t_j's.  After k rounds, or an earlier stop at
+      score 0 with nothing left uncovered, at most z weight remains.
     """
     n = ps.n
     k = _count(k, "k", 1)
@@ -206,23 +265,30 @@ def charikar_3approx(
     _guard_pairwise(n, 8 + np.dtype(dtype).itemsize, "the radius-guessing solver")
     order, xs = _band_order(ps)
     inv = np.argsort(order)
-    w = w[order].astype(dtype)
+    w = w[order]
     dmat = _pairwise_block(ps, order)
     candidates = _candidate_radii(dmat)
+    feasible_above = math.inf  # every guess above it is feasible (proof above)
+    if ps.mode == "euclidean" and dtype is np.float32:
+        feasible_above = _farthest_first_bound(dmat, w, k, z) * (1.0 + 2.0**-40) + 2.0**-500
+    w = w.astype(dtype)
     cover = np.empty((n, n), dtype=dtype)
     picks: list[int] | None = None
     lo, hi = -1, candidates.size - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
+        if candidates[mid] > feasible_above:
+            hi, picks = mid, None
+            continue
         found, leftover = _coverage_greedy(dmat, cover, w, k, float(candidates[mid]), xs, inv)
         if leftover <= z:
             hi, picks = mid, found
         else:
             lo = mid
-    if picks is None:  # no guess below the largest distance was feasible
+    if picks is None:  # the final guess is the largest distance or was skipped
         picks, leftover = _coverage_greedy(dmat, cover, w, k, float(candidates[hi]), xs, inv)
         if leftover > z:
-            raise RuntimeError("largest pairwise distance must be feasible")
+            raise RuntimeError("the final guess must be feasible: it is the largest distance or lies above the bound")
     return CenterSet(tuple(picks), tuple(range(1, len(picks) + 1)))
 
 

@@ -382,6 +382,44 @@ def test_experiment_is_checked_before_any_instance_is_planted(tmp_path, capsys, 
     assert [r["seed"] for r in _written(tmp_path / "r", "run")] == [4, 5, 6] * 2
 
 
+def test_cli_exclusion_budgets_are_checked_before_planting(tmp_path, capsys, monkeypatch):
+    # Each budget needs only the recipe: ceil((1+eps)z) for an algorithm
+    # whose centers the record scores, 2z for coreset and 6z for
+    # coreset_auto.  None of these recipes plants an instance.
+    plants = []
+    planted = bench.planted_instance
+    monkeypatch.setattr(bench, "planted_instance", lambda source, seed: plants.append(seed) or planted(source, seed))
+    small = "n=240,clusters=2,dim=2,grid=2,radius=1.0,outliers=60"
+    large = "n=160,clusters=2,dim=2,grid=2,radius=1.0,outliers=150"
+    for argv, message in (
+        (["bicriteria,coreset_auto", "--z", "60", "--generate", small], "exclusion budget 6z must lie in [0, 299]"
+         " and be an integer, got 360"),
+        (["bicriteria,coreset", "--rho", "1", "--z", "160", "--generate", large],
+         "exclusion budget ceil((1+eps)z) must lie in [0, 309] and be an integer, got 320"),
+        (["coreset", "--rho", "1", "--z", "160", "--generate", large],
+         "exclusion budget 2z must lie in [0, 309] and be an integer, got 320"),
+    ):
+        algos, *rest = argv
+        assert main(["--algo", algos, "--k", "2", *rest, "--out", str(tmp_path / "r")]) == 2
+        assert message in capsys.readouterr().err
+    assert plants == []
+
+
+def test_cli_console_smoke_recipes(tmp_path, capsys):
+    # The recipes of the CI's console-script smoke step, through cli.main;
+    # coreset_auto runs the composed host on each seed.
+    out = tmp_path / "ci_smoke"
+    argv = ["--algo", "bicriteria,sublinear,distributed,coreset_auto", "--k", "3", "--z", "15",
+            "--generate", "n=285,clusters=3,dim=2,grid=2,radius=1.0,outliers=15", "--seeds", "10", "--sites", "3"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.with_suffix(".jsonl").stat().st_size > 0
+    hosted = [r for r in _written(out, "run") if r["algo"] == "coreset_auto"]
+    assert [r["seed"] for r in hosted] == list(range(10)) and all(r["composed_radius"] > 0 for r in hosted)
+    argv = ["--algo", "gonzalez,gonzalez", "--k", "2", "--z", "2", "--generate", GEN]
+    assert main([*argv, "--out", str(tmp_path / "ci_repeat")]) == 2
+    capsys.readouterr()
+
+
 def test_cli_count_message_stays_short(tmp_path, capsys):
     # ceil((1+eps)z) at eps=1e300 is an integer of 301 digits.
     argv = ["--algo", "bicriteria", "--k", "2", "--z", "2", "--eps", "1e300", "--out", str(tmp_path / "r")]

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robustcenter.core import GuardError, PointSet, cost_radius, weighted_cost
+from robustcenter import solvers
+from robustcenter.core import GuardError, ParamSet, PointSet, _max_coordinate, cost_radius, weighted_cost
+from robustcenter.coreset import build_coreset_auto
+from robustcenter.generate import GeneratorSpec, planted_instance
 from robustcenter.greedy import gonzalez
 from robustcenter.solvers import (
     _BAND_ROWS,
@@ -525,3 +528,135 @@ def test_brute_force_weighted_excludes_the_points_peeled_whole():
         assert got.r_opt == want_r
         assert got.opt_centers.indices == want_c
         assert got.opt_excluded == frozenset(want_peeled)
+
+
+def _probe_log(monkeypatch):
+    # Record each computed probe's radius and leftover.
+    log = []
+    greedy = solvers._coverage_greedy
+
+    def recording(dmat, cover, w, k, r, xs, inv):
+        found, leftover = greedy(dmat, cover, w, k, r, xs, inv)
+        log.append((r, leftover))
+        return found, leftover
+
+    monkeypatch.setattr(solvers, "_coverage_greedy", recording)
+    return log
+
+
+def _solve_with_bound(monkeypatch, bound, ps, w, k, z):
+    # Picks and computed probes with the farthest-first bound replaced by
+    # ``bound`` (None keeps the real one).
+    log = _probe_log(monkeypatch)
+    if bound is not None:
+        monkeypatch.setattr(solvers, "_farthest_first_bound", lambda *args: bound)
+    picks = charikar_3approx(ps, w, k, z).indices
+    monkeypatch.undo()
+    return picks, log
+
+
+def _skip_instance(rng, kind, dim):
+    # Coordinates for the skip tests: "coreset" is a few weighted clusters
+    # with far unit-weight points, "lattice" small integers with duplicated
+    # points and distances, "tiny" and "huge" that lattice near 1e-160 and
+    # near the magnitude limit M(D).
+    if kind == "coreset":
+        n_near, n_far = int(rng.integers(20, 160)), int(rng.integers(1, 12))
+        centers = rng.normal(scale=20.0, size=(int(rng.integers(1, 6)), dim))
+        near = centers[rng.integers(0, len(centers), n_near)] + rng.normal(size=(n_near, dim))
+        far = rng.normal(scale=400.0, size=(n_far, dim))
+        x = np.vstack([near, far])
+        w = np.concatenate([rng.integers(1, 40, n_near), np.ones(n_far, dtype=np.int64)])
+        return PointSet.from_coords(x), w, n_far
+    x = rng.integers(-4, 5, size=(int(rng.integers(2, 60)), dim)).astype(np.float64)
+    x = {"lattice": x, "tiny": x * 1e-160, "huge": x * (_max_coordinate(dim) / 4.0)}[kind]
+    w = None if rng.random() < 0.3 else rng.integers(1, 6, size=len(x))
+    total = len(x) if w is None else int(w.sum())
+    return PointSet.from_coords(x), w, int(rng.integers(0, total // 3 + 1))
+
+
+def test_farthest_first_bound_is_the_weighted_radius_of_its_picks():
+    # The heaviest point, then weight times distance to the picks so far,
+    # the lowest index on ties; U peels z off the picks' distances and
+    # bounds the discrete optimum.
+    rng = np.random.default_rng(89)
+    for _ in range(40):
+        n = int(rng.integers(2, 10))
+        ps = PointSet.from_coords(rng.integers(-5, 6, size=(n, 2)).astype(np.float64))
+        w = rng.integers(1, 5, size=n).astype(np.float64)
+        k, z = int(rng.integers(1, n + 1)), int(rng.integers(0, int(w.sum())))
+        dmat = _pairwise(ps).tolist()
+        picks = [max(range(n), key=lambda i: (w[i], -i))]
+        for _ in range(k - 1):
+            near = [min(dmat[p][i] for p in picks) for i in range(n)]
+            picks.append(max(range(n), key=lambda i: (w[i] * near[i], -i)))
+        near = [min(dmat[p][i] for p in picks) for i in range(n)]
+        bound = solvers._farthest_first_bound(np.array(dmat), w, k, z)
+        assert bound == oracles.weighted_peel(near, w.tolist(), z)[0]
+        assert bound >= brute_force_opt(ps, k, z, w).r_opt
+
+
+@pytest.mark.parametrize("kind", ["coreset", "lattice", "tiny", "huge"])
+def test_bound_leaves_probes_and_picks_unchanged(kind, monkeypatch):
+    # Skipping probes above the farthest-first bound changes neither the
+    # picks nor the result of any probe that runs, and under integer
+    # weights the picks equal the pure-Python search's.
+    rng = np.random.default_rng(["coreset", "lattice", "tiny", "huge"].index(kind) + 70)
+    skipped = 0
+    for dim in range(1, 9):
+        for _ in range(4):
+            ps, w, z = _skip_instance(rng, kind, dim)
+            k = int(rng.integers(1, 6))
+            got, computed = _solve_with_bound(monkeypatch, None, ps, w, k, z)
+            want, every = _solve_with_bound(monkeypatch, math.inf, ps, w, k, z)
+            assert got == want
+            assert set(computed) <= set(every)
+            skipped += len(every) - len(computed)
+            if ps.n <= 60:
+                unit = [1] * ps.n if w is None else w.tolist()
+                assert got == oracles.charikar_reference(_pairwise(ps).tolist(), unit, k, z)
+    # Below the bound's 2**-500 floor nothing is skipped.
+    assert (skipped > 0) == (kind != "tiny")
+
+
+@pytest.mark.parametrize("matrix", [False, True])
+def test_matrix_mode_and_real_weights_never_skip(matrix, monkeypatch):
+    # A bound of 0 would skip every positive guess; matrix mode and real
+    # weights must not read it.
+    rng = np.random.default_rng(83 + matrix)
+    for _ in range(6):
+        ps = PointSet.from_coords(rng.integers(-6, 7, size=(int(rng.integers(4, 200)), 2)).astype(np.float64))
+        w = rng.uniform(0.5, 3.0, size=ps.n)
+        if matrix:
+            ps, w = PointSet.from_distance_matrix(_pairwise(ps)), np.ceil(w)
+        z = float(rng.uniform(0.0, 0.3 * w.sum()))
+        got, computed = _solve_with_bound(monkeypatch, 0.0, ps, w, 2, z)
+        want, every = _solve_with_bound(monkeypatch, math.inf, ps, w, 2, z)
+        assert got == want and computed == every
+
+
+def test_planted_coreset_host_skips_probes(monkeypatch):
+    spec = GeneratorSpec(n_inliers=3000, clusters=5, dim=2, grid_dim=2, cluster_radius=1.0, outliers=60)
+    ps = planted_instance(spec, 3).ps
+    cs = build_coreset_auto(ps, ParamSet(k=5, z=60, n=ps.n), np.random.default_rng(0))
+    sub = ps.subset(cs.indices)
+    got, computed = _solve_with_bound(monkeypatch, None, sub, cs.weights, 5, 60)
+    want, every = _solve_with_bound(monkeypatch, math.inf, sub, cs.weights, 5, 60)
+    assert got == want and len(computed) < len(every)
+
+
+def test_skipped_final_guess_runs_once_more(monkeypatch):
+    # A bound just below the smallest feasible guess skips every feasible
+    # probe, so the final guess runs at the end and gives the same picks;
+    # a bound of 0 makes that final guess infeasible, which the guard reports.
+    ps = PointSet.from_coords(np.array([[0.0, 0.0], [1.0, 0.0], [9.0, 0.0], [10.0, 1.0], [30.0, 5.0], [31.0, 5.0]]))
+    want, every = _solve_with_bound(monkeypatch, math.inf, ps, None, 2, 1)
+    r_min = min(r for r, left in every if left <= 1)
+    below = max(r for r, left in every if left > 1)
+    assert below < r_min
+    got, computed = _solve_with_bound(monkeypatch, below, ps, None, 2, 1)
+    assert got == want
+    assert all(left > 1 for _, left in computed[:-1]) and computed[-1][0] == r_min
+    monkeypatch.setattr(solvers, "_farthest_first_bound", lambda *args: 0.0)
+    with pytest.raises(RuntimeError, match="final guess must be feasible"):
+        charikar_3approx(ps, None, 2, 1)
