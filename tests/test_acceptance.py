@@ -22,7 +22,7 @@ from robustcenter.coreset import (
     build_coreset_auto,
     compose_with_host,
 )
-from robustcenter.distributed import run_protocol
+from robustcenter.distributed import outlier_budget_grid, run_protocol
 from robustcenter.generate import GeneratorSpec, planted_instance
 from robustcenter.greedy import (
     _round_constant,
@@ -376,3 +376,56 @@ def test_10_every_algorithm_is_seed_deterministic():
 
     digests = {run_all() for _ in range(10)}
     _report(10, len(digests) == 1, f"9 algorithms, 10 repeats, {len(digests)} distinct digest(s)")
+
+
+def test_11_adaptive_protocol_accuracy():
+    # Test 9's 2mu check on the adaptive path, on an instance that the
+    # summary compresses (about 2,100 of 6,000 points).  Per site and grid
+    # budget, the one random event behind the guarantee is phase 1's
+    # bi-criteria bound r1 <= 2 OPT_i, which fails with probability at most
+    # 2 eta (the rate test 2 checks).  If it holds everywhere, each uploaded
+    # site's map radius is at most its table entry, the coordinator's
+    # threshold is at most 2 mu OPT, and every point sits within it of its
+    # entry, so every center set passes.  A union bound over the sites and
+    # the grid's budgets gives p0 = 1 - 2 s |grid| eta = 0.58.
+    spec = GeneratorSpec(
+        n_inliers=5940,
+        clusters=3,
+        dim=5,
+        grid_dim=1,
+        cluster_radius=1.0,
+        outliers=60,
+        outlier_scale=3.0,
+    )
+    inst = planted_instance(spec, 0)
+    ps = inst.ps
+    k, z, sites, eta, mu, trials = 3, 60, 3, 0.01, 0.25, 20
+    p0 = 1 - 2 * sites * len(outlier_budget_grid(z)) * eta
+    floor = three_sigma_floor(p0, trials)
+    t0 = time.perf_counter()
+    budget_ok = True
+    hits = sizes = 0
+    for seed in range(trials):
+        p = ParamSet(k=k, z=z, n=ps.n, eta=eta, mu=mu, seed=seed)
+        res = run_protocol(ps, p, s=sites)
+        budget_ok = budget_ok and sum(res.decision.budgets) <= 2 * z
+        cs = res.coreset
+        sizes += len(cs)
+        host = cs.indices[charikar_3approx(ps.subset(cs.indices), cs.weights, k, z).as_array()]
+        h_rng = np.random.default_rng(66_000 + seed)
+        center_sets = [inst.center_indices, host] + [h_rng.choice(ps.n, size=k, replace=False) for _ in range(100)]
+        good = True
+        for H in center_sets:
+            base = clustering_cost(ps, H, z, 0.0).radius
+            if abs(weighted_cost(ps, cs.indices, cs.weights, H, z) - base) > 2 * mu * base + 1e-9:
+                good = False
+                break
+        hits += good
+    took = time.perf_counter() - t0
+    ok = budget_ok and hits / trials >= floor and sizes < trials * ps.n / 2
+    _report(
+        11,
+        ok,
+        f"adaptive sites: budgets<=2z: {budget_ok}, mean coreset "
+        f"{sizes / trials:.0f} of {ps.n}, 2mu accuracy {hits}/{trials} (floor {floor:.4f}), {took:.0f}s",
+    )
