@@ -35,7 +35,15 @@ from .coreset import (
 )
 from .distributed import _shards_from_json, _site_count, run_protocol
 from .generate import GeneratorSpec, planted_instance
-from .greedy import _sample_plan, bicriteria, gonzalez, greedy_config, sublinear_bicriteria, two_approx_boosted
+from .greedy import (
+    _boost_plan,
+    _sample_plan,
+    bicriteria,
+    gonzalez,
+    greedy_config,
+    sublinear_bicriteria,
+    two_approx_boosted,
+)
 from .solvers import brute_force_opt, charikar_3approx
 
 __all__ = ["ALGORITHMS", "ExperimentSpec", "run_experiment"]
@@ -232,9 +240,9 @@ def run_experiment(spec: ExperimentSpec):
     """Run every (algorithm, seed) pair, seed by seed; returns (records,
     aggregates) and writes them when the spec names an output base path.
 
-    Every seed's parameters, the sample plan, the site count and each
-    algorithm's exclusion budget are checked, and the shard file read and
-    checked against n, before any instance is planted."""
+    Every seed's parameters, the sample plan, the boosting guard, the site
+    count and each algorithm's exclusion budget are checked, and the shard
+    file read and checked against n, before any instance is planted."""
     loaded = None if isinstance(spec.source, GeneratorSpec) else load_points_csv(spec.source)
     n = spec.source.n_inliers + spec.source.outliers if loaded is None else loaded.n
     params = ParamSet(k=spec.k, z=spec.z, n=n, eps=spec.eps, eta=spec.eta, mu=spec.mu)
@@ -242,6 +250,8 @@ def run_experiment(spec: ExperimentSpec):
     shards = None if spec.shards_path is None else _shards_from_json(json.loads(Path(spec.shards_path).read_text()), n)
     if "sublinear" in spec.algos:
         _sample_plan(params)
+    if "two_approx" in spec.algos:
+        _boost_plan(params)
     if "distributed" in spec.algos:
         _site_count(spec.sites if shards is None else len(shards), n, spec.z)
     builders = {"coreset": _fixed_dim_exclusions, "coreset_auto": _adaptive_exclusions}

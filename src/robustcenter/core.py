@@ -66,7 +66,19 @@ _GRAM_ROWS = 4
 
 
 class GuardError(RuntimeError):
-    """A desk-scale enumeration or round guard tripped."""
+    """A desk-scale enumeration, round or memory guard tripped."""
+
+
+# The one memory budget: 4,000 x 4,000 pairs at 16 bytes, the host's widest
+# pairwise layout.  No guarded allocation may take more.
+_BYTE_BUDGET = 256_000_000
+
+
+def _guard_bytes(nbytes: int, what: str) -> None:
+    """GuardError when ``what``, which opens the message, would need more
+    than _BYTE_BUDGET bytes."""
+    if nbytes > _BYTE_BUDGET:
+        raise GuardError(f"{what} would need {nbytes} bytes, more than the budget of {_BYTE_BUDGET}")
 
 
 def _max_coordinate(dim: int) -> float:

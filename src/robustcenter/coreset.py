@@ -146,6 +146,34 @@ def build_coreset(
     return _weigh_centers(run, exclusions, {"builder": "fixed_dim", "fallback": False})
 
 
+def _adaptive_phase_one(ps: PointSet, params: ParamSet, rng: np.random.Generator) -> tuple[GreedyRun, float]:
+    """Phase 1 of the adaptive builder: the standard round budget at
+    relaxation 1, and r1, its radius after the 2z relaxed exclusions."""
+    _check_n(ps, params.n)
+    _adaptive_exclusions(params.z, ps.n)
+    run = _bicriteria_run(ps, greedy_config(dataclasses.replace(params, eps=1.0)), rng)
+    return run, radius_after_exclusions(run.tracker.mindist, relaxed_exclusions(params.z, 1.0))
+
+
+def _adaptive_target(params: ParamSet, r_phase1: float) -> float:
+    """Phase 2's target: (mu/2) r1."""
+    return (params.mu / 2.0) * r_phase1
+
+
+def _adaptive_phase_two(run: GreedyRun, params: ParamSet, r_phase1: float) -> WeightedCoreset:
+    """Phase 2 of the adaptive builder: grow ``run`` until its radius after
+    6z exclusions is at most the target, then weigh it."""
+    exclusions = _adaptive_exclusions(params.z, run.ps.n)
+    per_round = greedy_config(dataclasses.replace(params, eps=1.0)).per_round_sample
+    # While the radius after 6z exclusions is above the target, every pool
+    # point is at positive distance, so each round adds a center: n rounds
+    # always reach the target.
+    target = _adaptive_target(params, r_phase1)
+    spent = run.grow(exclusions, per_round, run.ps.n, exclusions=exclusions, target=target)
+    meta = {"builder": "adaptive", "fallback": False, "phase1_radius": r_phase1, "phase2_rounds": spent}
+    return _weigh_centers(run, exclusions, meta)
+
+
 def build_coreset_auto(ps: PointSet, params: ParamSet, rng: np.random.Generator) -> WeightedCoreset:
     """Coreset for data of unknown doubling dimension.
 
@@ -154,18 +182,8 @@ def build_coreset_auto(ps: PointSet, params: ParamSet, rng: np.random.Generator)
     budget tripled until the cost excluding 6z points drops to (mu/2) times
     the phase-1 radius.
     """
-    _check_n(ps, params.n)
-    exclusions = _adaptive_exclusions(params.z, ps.n)
-    cfg = greedy_config(dataclasses.replace(params, eps=1.0))
-    run = _bicriteria_run(ps, cfg, rng)
-    r_phase1 = radius_after_exclusions(run.tracker.mindist, relaxed_exclusions(params.z, 1.0))
-    # While the radius after 6z exclusions is above the target, every pool
-    # point is at positive distance, so each round adds a center: n rounds
-    # always reach the target.
-    target = (params.mu / 2.0) * r_phase1
-    spent = run.grow(exclusions, cfg.per_round_sample, ps.n, exclusions=exclusions, target=target)
-    meta = {"builder": "adaptive", "fallback": False, "phase1_radius": float(r_phase1), "phase2_rounds": spent}
-    return _weigh_centers(run, exclusions, meta)
+    run, r_phase1 = _adaptive_phase_one(ps, params, rng)
+    return _adaptive_phase_two(run, params, r_phase1)
 
 
 def compose_with_host(cs: WeightedCoreset, ps: PointSet, params: ParamSet, host) -> ClusteringEval:

@@ -1,13 +1,16 @@
 """Two-round distributed coreset protocol.
 
-Sites hold disjoint shards of one point set.  Round one: every site builds a
-coreset per budget on a shared geometric grid and uploads its radius table.
-The coordinator ranks the tables' runs over budgets 0..z, broadcasts the
-(2z+1)-th largest radius as the threshold, and each site derives its own
-outlier budget from it; the budgets always sum to at most 2z.  Round two:
-each site uploads the coreset built at its derived budget.  A ledger records
-float traffic per phase; point transfers cost dim+1 floats each (coordinates
-plus weight), or 2 in matrix mode (index plus weight).
+Sites hold disjoint shards of one point set.  Round one: every site reports
+a radius per budget on a shared geometric grid.  A fixed-dimension site
+builds its coreset at each budget and reports its map radius; an adaptive
+site runs only phase 1 at each budget and reports phase 2's target, keeping
+the phase-1 picks.  The coordinator ranks the tables' runs over budgets
+0..z, broadcasts the (2z+1)-th largest radius as the threshold, and each
+site derives its own outlier budget from it; the budgets always sum to at
+most 2z.  Round two: an adaptive site grows phase 2 at its derived budget
+only, and each site uploads the coreset at that budget.  A ledger records
+float traffic per phase; point transfers cost dim+1 floats each
+(coordinates plus weight), or 2 in matrix mode (index plus weight).
 """
 
 from __future__ import annotations
@@ -18,7 +21,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import ParamSet, PointSet, _all_distinct, _check_n, _count, _point_indices
-from .coreset import WeightedCoreset, _identity_coreset, build_coreset, build_coreset_auto
+from .coreset import (
+    WeightedCoreset,
+    _adaptive_phase_one,
+    _adaptive_phase_two,
+    _adaptive_target,
+    _identity_coreset,
+    build_coreset,
+    build_coreset_auto,  # noqa: F401  (a module attribute that perfbench's spans wrap)
+)
+from .greedy import GreedyRun
 
 __all__ = [
     "outlier_budget_grid",
@@ -28,6 +40,7 @@ __all__ = [
     "ProtocolResult",
     "site_round_one",
     "coordinator_threshold",
+    "site_round_two",
     "assemble",
     "run_protocol",
 ]
@@ -67,12 +80,30 @@ def _shards_from_json(blob, n: int) -> tuple[np.ndarray, ...]:
 
 
 @dataclass(frozen=True)
+class _PhaseOne:
+    """An adaptive site's phase-1 run at one budget, kept as its picks and
+    round number: its tracker is dropped, and round two rebuilds it."""
+
+    params: ParamSet
+    chosen: dict[int, int]
+    round_no: int
+    r_phase1: float
+
+
+@dataclass(frozen=True)
 class SiteProfile:
-    """One site's round-one output: its radius table (grid strictly increasing
-    from 0, radii never increasing) and the coreset built at each grid budget.
+    """One site's radius table (grid strictly increasing from 0, radii never
+    increasing) and its coresets.
+
+    After round one, ``coresets`` holds the coreset built at each grid
+    budget on the fixed-dimension path, or a shard's unit-weight fallback,
+    and ``phase_one`` holds an adaptive site's phase-1 picks per budget,
+    whose radii are phase 2's targets.  After round two, ``coresets`` holds
+    only the uploaded coreset, keyed by its budget, and ``phase_one`` is
+    empty.
 
     ``dist_evals`` counts the distance evaluations made on the shard, whose
-    point set carries its own counter."""
+    point set carries its own counter, in the rounds the profile has seen."""
 
     site_id: int
     grid: tuple[int, ...]
@@ -81,6 +112,7 @@ class SiteProfile:
     n_points: int
     clamps: dict[int, int] = field(default_factory=dict)
     dist_evals: int = 0
+    phase_one: dict[int, _PhaseOne] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if not self.grid or len(self.grid) != len(self.radii):
@@ -136,22 +168,37 @@ def site_round_one(
     site_id: int = 0,
     doubling_dim: float | None = None,
 ) -> SiteProfile:
-    """Build one coreset per grid budget on this site's shard.
+    """This site's radius table over the grid budgets.
+
+    A fixed-dimension site builds its coreset at each budget and reports its
+    map radius.  An adaptive site (``doubling_dim is None``) runs only
+    phase 1 of ``build_coreset_auto`` at each budget q, keeps the picks, and
+    reports phase 2's target (mu/2) r1(q); ``site_round_two`` grows phase 2
+    at the one budget the coordinator assigns.
+
+    Why a target serves as the radius: phase 2 stops only once the radius
+    after 6q exclusions is at most its target, and n rounds always reach it,
+    so the uploaded map radius is at most the reported radius at its budget,
+    and the coordinator's table bound holds unchanged.  That bound rests on
+    the bi-criteria guarantee of phase 1: with probability at least
+    1 - 2 eta, r1(q), the radius after 2q exclusions, is at most
+    2 OPT_i(k, q), the shard's optimum with q outliers.  So the target is at
+    most mu OPT_i(k, q), as a built coreset's map radius is.
 
     Budgets are clamped so the shard can absorb them (the relaxed exclusion
     set must leave at least one point, and k + z < n must hold); a clamped
-    build still reports under its original grid label, which only raises the
+    budget still reports under its original grid label, which only raises the
     reported radius and stays safe for the coordinator's rank argument.  A
-    budget whose radius would rise reuses the previous coreset and radius.
-    A unit-weight fallback, for a shard of at most k points or a
-    fixed-dimension round budget (which ignores the outlier budget) past the
-    shard, is built once and reused at every later budget.
+    budget whose radius would rise reuses the previous budget's coreset or
+    picks, and its radius.  A unit-weight fallback, for a shard of at most k
+    points or a fixed-dimension round budget (which ignores the outlier
+    budget) past the shard, is built once and reused at every later budget.
     """
     n_i = sub_ps.n
     k = params.k
     evals_before = sub_ps.stats.evals
     radii: list[float] = []
-    coresets: dict[int, WeightedCoreset] = {}
+    built: dict[int, WeightedCoreset | _PhaseOne] = {}
     clamps: dict[int, int] = {}
     small = n_i <= k
     reason = f"shard of {n_i} points holds at most k centers"
@@ -162,25 +209,48 @@ def site_round_one(
             clamps[q] = q_eff
             log.info("site %d: budget %d clamped to %d (shard size %d)", site_id, q, q_eff, n_i)
         if fallback is not None:
-            cs = fallback
+            entry, r = fallback, 0.0
         elif doubling_dim is None:
-            cs = build_coreset_auto(sub_ps, replace(params, z=q_eff, n=n_i), rng)
+            site_params = replace(params, z=q_eff, n=n_i)
+            run, r_phase1 = _adaptive_phase_one(sub_ps, site_params, rng)
+            entry = _PhaseOne(site_params, run.chosen, run.round_no, r_phase1)
+            r = _adaptive_target(site_params, r_phase1)
         else:
-            cs = build_coreset(sub_ps, replace(params, z=q_eff, n=n_i), doubling_dim, rng)
-            fallback = cs if cs.meta["fallback"] else None
-        r = float(cs.meta["map_radius"])
+            entry = build_coreset(sub_ps, replace(params, z=q_eff, n=n_i), doubling_dim, rng)
+            r = float(entry.meta["map_radius"])
+            fallback = entry if entry.meta["fallback"] else None
         if j and r > radii[-1]:
-            cs, r = coresets[grid[j - 1]], radii[-1]
-        coresets[q] = cs
+            entry, r = built[grid[j - 1]], radii[-1]
+        built[q] = entry
         radii.append(r)
     return SiteProfile(
         site_id=site_id,
         grid=tuple(grid),
         radii=tuple(radii),
-        coresets=coresets,
+        coresets={q: e for q, e in built.items() if isinstance(e, WeightedCoreset)},
         n_points=n_i,
         clamps=clamps,
         dist_evals=sub_ps.stats.evals - evals_before,
+        phase_one={q: e for q, e in built.items() if isinstance(e, _PhaseOne)},
+    )
+
+
+def site_round_two(sub_ps: PointSet, profile: SiteProfile, budget: int, rng: np.random.Generator) -> SiteProfile:
+    """The profile after round two: ``coresets`` holds only the coreset at
+    ``budget``, and ``dist_evals`` adds this round's evaluations.  An
+    adaptive site rebuilds the tracker of its phase-1 picks at that budget,
+    which draws nothing, then grows phase 2 to the target it reported."""
+    evals_before = sub_ps.stats.evals
+    cs = profile.coresets.get(budget)
+    if cs is None:
+        entry = profile.phase_one[budget]
+        run = GreedyRun.resumed(sub_ps, rng, entry.chosen, entry.round_no)
+        cs = _adaptive_phase_two(run, entry.params, entry.r_phase1)
+    return replace(
+        profile,
+        coresets={budget: cs},
+        phase_one={},
+        dist_evals=profile.dist_evals + sub_ps.stats.evals - evals_before,
     )
 
 
@@ -291,16 +361,11 @@ def run_protocol(
         shards = _partition(np.array_split(rng.permutation(ps.n), sites), ps.n)
     grid = outlier_budget_grid(params.z)
     ledger = CommLedger()
+    subs = [ps.subset(shard) for shard in shards]
+    rngs = [np.random.default_rng(child) for child in children[:sites]]
     profiles = tuple(
-        site_round_one(
-            ps.subset(shard),
-            params,
-            grid,
-            np.random.default_rng(children[i]),
-            site_id=i,
-            doubling_dim=doubling_dim,
-        )
-        for i, shard in enumerate(shards)
+        site_round_one(sub, params, grid, rng, site_id=i, doubling_dim=doubling_dim)
+        for i, (sub, rng) in enumerate(zip(subs, rngs))
     )
     ledger.add(
         "sites_to_coordinator",
@@ -311,6 +376,7 @@ def run_protocol(
     if sum(decision.budgets) > 2 * params.z:
         raise RuntimeError("derived budgets exceed 2z")
     ledger.add("broadcast", 2 * sites, note="threshold value and owning site to every site")
+    profiles = tuple(site_round_two(*site) for site in zip(subs, profiles, decision.budgets, rngs))
     round_two = [p.coresets[b] for p, b in zip(profiles, decision.budgets)]
     per_point = (ps.dim + 1) if ps.dim is not None else 2
     ledger.add(

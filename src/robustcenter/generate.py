@@ -21,6 +21,7 @@ from .core import (
     _count,
     _gram_bound,
     _gram_scale,
+    _guard_bytes,
     _keys_at,
     _max_coordinate,
     euclidean_dists,
@@ -202,8 +203,12 @@ def planted_instance(spec: GeneratorSpec, seed: int) -> PlantedInstance:
 
     A recipe whose outlier ball could reach past the magnitude rule of
     ``PointSet.from_coords`` raises ValueError naming ``outlier_scale``;
-    ``GeneratorSpec`` already bounds the inliers.
+    ``GeneratorSpec`` already bounds the inliers.  One whose n x dim
+    coordinates would pass the byte budget raises GuardError before any
+    allocation.
     """
+    n = spec.n_inliers + spec.outliers
+    _guard_bytes(8 * n * spec.dim, f"planting {n} x {spec.dim} float64 coordinates")
     rng = np.random.default_rng(seed)
     base = spec.n_inliers // spec.clusters
     counts = [base + (1 if j < spec.n_inliers % spec.clusters else 0) for j in range(spec.clusters)]

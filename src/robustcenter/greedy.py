@@ -132,6 +132,18 @@ class GreedyRun:
         self.round_no = 1
         self._add(rng.choice(ps.n, size=min(init_sample, ps.n), replace=False))
 
+    @classmethod
+    def resumed(cls, ps: PointSet, rng: np.random.Generator, chosen: dict[int, int], round_no: int) -> GreedyRun:
+        """The run that drew ``chosen`` (pick to round, oldest first) through
+        round ``round_no``, its tracker rebuilt from the picks in order.  It
+        draws nothing, and ``add_centers`` gives the tracker the picks were
+        drawn with, bit for bit."""
+        run = cls.__new__(cls)
+        run.ps, run.rng, run.chosen, run.round_no = ps, rng, dict(chosen), round_no
+        run.tracker = NearestTracker(ps)
+        run.tracker.add_centers(run.chosen)
+        return run
+
     def _add(self, picks: np.ndarray) -> None:
         self.tracker.add_centers(_add_new(self.chosen, picks, self.round_no))
 
@@ -204,19 +216,27 @@ def gonzalez(ps: PointSet, k: int, rng: np.random.Generator) -> CenterSet:
     return run.centers()
 
 
-def two_approx_boosted(ps: PointSet, params: ParamSet, rng: np.random.Generator) -> CenterSet:
-    """Repeat two_approx boost_repetitions(params) times and keep the
-    candidate with the smallest relaxed cost, which caps the failure
-    probability at 10%.  Each candidate is scored from its own run's
-    distances, so the boost makes repetitions x k tracker passes (fewer only
-    when a run covers every point early); raises GuardError up front when
-    that count exceeds ENUMERATION_GUARD."""
+def _boost_plan(params: ParamSet) -> int:
+    """boost_repetitions(params), or GuardError when repetitions x k tracker
+    passes exceed ENUMERATION_GUARD.  It needs only the recipe, so
+    ``run_experiment`` checks it before any instance is planted."""
     # ratio ** (k - 1) alone is a lower bound on the repetitions; comparing
     # it in logs first keeps boost_repetitions from overflowing a float.
     log_floor = (params.k - 1) * math.log((1.0 + params.eps) / params.eps)
     reps = math.inf if log_floor > math.log(ENUMERATION_GUARD) else boost_repetitions(params)
     if reps * params.k > ENUMERATION_GUARD:
         raise GuardError(f"boosting needs repetitions x k={params.k} tracker passes, more than {ENUMERATION_GUARD}")
+    return reps
+
+
+def two_approx_boosted(ps: PointSet, params: ParamSet, rng: np.random.Generator) -> CenterSet:
+    """Repeat two_approx boost_repetitions(params) times and keep the
+    candidate with the smallest relaxed cost, which caps the failure
+    probability at 10%.  Each candidate is scored from its own run's
+    distances, so the boost makes repetitions x k tracker passes (fewer only
+    when a run covers every point early); raises GuardError up front when
+    that count exceeds ENUMERATION_GUARD (``_boost_plan``)."""
+    reps = _boost_plan(params)
     return min(  # min keeps the first of equal costs
         (two_approx(ps, params, rng) for _ in range(reps)),
         key=lambda candidate: clustering_cost(ps, candidate, params.z, params.eps).relaxed,

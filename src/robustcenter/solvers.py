@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CenterSet, GuardError, PointSet, _checked_weights, _count, _rows_per_chunk
+from .core import CenterSet, GuardError, PointSet, _BYTE_BUDGET, _checked_weights, _count, _guard_bytes, _rows_per_chunk
 from .core import clustering_cost, peel_weight
 
 __all__ = [
@@ -24,7 +24,11 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 2_000_000
-_MATRIX_GUARD = 4_000  # full pairwise block above this is not desk-scale
+# Every pairwise layout is charged the widest one's bytes per pair (a float64
+# block plus a float64 coverage matrix), so all of them trip past the same
+# _MATRIX_GUARD = 4,000 points under the byte budget.
+_PAIR_BYTES = 16
+_MATRIX_GUARD = math.isqrt(_BYTE_BUDGET // _PAIR_BYTES)
 _BAND_ROWS = 128  # host rows per block build and per coverage window (charikar_3approx)
 
 
@@ -58,11 +62,12 @@ def _pairwise_block(ps: PointSet, order: np.ndarray | None = None) -> np.ndarray
 
 
 def _guard_pairwise(n: int, bytes_per_pair: int, what: str) -> None:
-    if n > _MATRIX_GUARD:
-        raise GuardError(
-            f"instance too large for {what} (n={n} > {_MATRIX_GUARD}): its n x n blocks "
-            f"would need {n * n * bytes_per_pair} bytes ({bytes_per_pair} per pair)"
-        )
+    held = f"{n * n * bytes_per_pair} bytes ({bytes_per_pair} per pair)"
+    _guard_bytes(
+        n * n * _PAIR_BYTES,
+        f"instance too large for {what} (n={n} > {_MATRIX_GUARD}): its n x n blocks of {held}, "
+        f"charged at {_PAIR_BYTES} per pair,",
+    )
 
 
 def _coverage_dtype(w: np.ndarray) -> type:

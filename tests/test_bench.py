@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import robustcenter
 from robustcenter import bench, cli, distributed
 from robustcenter.bench import ExperimentSpec, run_experiment
 from robustcenter.cli import build_parser, main, parse_generator
-from robustcenter.core import CenterSet, ParamSet
+from robustcenter.core import CenterSet, ParamSet, PointSet
 from robustcenter.generate import GeneratorSpec
 from robustcenter.greedy import boost_repetitions
 
@@ -142,6 +143,26 @@ def test_dist_evals_of_every_algorithm_are_pinned(dim):
     spec = ExperimentSpec(algos=bench.ALGORITHMS, k=2, z=4, seeds=(3,), source=source, sites=3, doubling_dim=0.25)
     records, _ = run_experiment(spec)
     assert {r["algo"]: r["dist_evals"] for r in records} == _DIST_EVALS
+
+
+def test_adaptive_distributed_record_counts_both_rounds_on_the_shards(monkeypatch):
+    # The record adds the profiles' evaluations to the parent's; round two's
+    # tracker rebuild and phase 2 run on the shards, so the profiles must
+    # carry them.  The shards' own counters are the reference.
+    shard_stats = []
+    real_protocol, real_subset = bench.run_protocol, PointSet.subset
+
+    def counted_protocol(ps, params, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PointSet, "subset", lambda self, idx: shard_stats.append((c := real_subset(self, idx)).stats) or c)
+            return real_protocol(ps, params, **kwargs)
+
+    monkeypatch.setattr(bench, "run_protocol", counted_protocol)
+    gen = GeneratorSpec(n_inliers=890, clusters=3, dim=2, grid_dim=2, cluster_radius=1.0, outliers=10)
+    records, _ = run_experiment(ExperimentSpec(algos=("distributed",), k=3, z=10, seeds=(0,), source=gen, sites=3))
+    (rec,) = records
+    assert len(shard_stats) == 3 and rec["points_sent"] < gen.n_inliers + gen.outliers
+    assert rec["dist_evals"] == sum(stats.evals for stats in shard_stats)
 
 
 def test_aggregate_hash_none_when_instances_differ():
@@ -403,6 +424,29 @@ def test_cli_exclusion_budgets_are_checked_before_planting(tmp_path, capsys, mon
         assert main(["--algo", algos, "--k", "2", *rest, "--out", str(tmp_path / "r")]) == 2
         assert message in capsys.readouterr().err
     assert plants == []
+
+
+def test_cli_boosting_guard_is_checked_before_planting(tmp_path, capsys, monkeypatch):
+    # repetitions x k needs only the recipe: k=10 at eps=0.1 asks for about
+    # 11**9 repetitions, so the run exits 3 without planting an instance.
+    plants = []
+    planted = bench.planted_instance
+    monkeypatch.setattr(bench, "planted_instance", lambda source, seed: plants.append(seed) or planted(source, seed))
+    argv = ["--algo", "bicriteria,two_approx", "--k", "10", "--z", "2", "--eps", "0.1"]
+    assert main([*argv, "--generate", GEN, "--out", str(tmp_path / "r")]) == 3
+    assert "boosting needs repetitions x k=10" in capsys.readouterr().err
+    assert plants == []
+
+
+def test_cli_over_budget_recipe_exits_3_before_planting_its_coordinates(tmp_path, capsys):
+    # 40,000,000 x 1 float64 coordinates are 320 MB, past the byte budget.
+    gen = "n=39999990,clusters=2,dim=1,grid=1,radius=1.0,outliers=10"
+    t0 = time.perf_counter()
+    assert main(["--algo", "bicriteria", "--k", "2", "--z", "10", "--generate", gen, "--out", str(tmp_path / "r")]) == 3
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert "planting 40000000 x 1 float64 coordinates would need 320000000 bytes" in err
+    assert not (tmp_path / "r.jsonl").exists()
 
 
 def test_cli_console_smoke_recipes(tmp_path, capsys):

@@ -47,17 +47,20 @@ def test_site_profile_lookup():
 
 
 def test_monotone_repair_reuses_previous_coreset(monkeypatch):
+    # An adaptive site reports phase 2's target (mu/2) r1 per budget; a
+    # budget whose target would rise reuses the previous budget's picks.
     canned = iter([5.0, 6.0, 3.0])
 
-    def fake_build(sub_ps, params, rng):
-        return SimpleNamespace(budget=params.z, meta={"map_radius": next(canned)})
+    def fake_phase_one(sub_ps, params, rng):
+        return SimpleNamespace(chosen={params.z: 1}, round_no=1), next(canned)
 
-    monkeypatch.setattr(distributed, "build_coreset_auto", fake_build)
+    monkeypatch.setattr(distributed, "_adaptive_phase_one", fake_phase_one)
     ps = PointSet.from_coords(np.arange(20.0).reshape(-1, 1))
-    prof = site_round_one(ps, ParamSet(k=1, z=2, n=20), [0, 1, 2], np.random.default_rng(0))
-    assert prof.radii == (5.0, 5.0, 3.0)
-    assert prof.coresets[1] is prof.coresets[0]
-    assert prof.coresets[2].budget == 2
+    prof = site_round_one(ps, ParamSet(k=1, z=2, n=20, mu=0.5), [0, 1, 2], np.random.default_rng(0))
+    assert prof.radii == (1.25, 1.25, 0.75)
+    assert prof.coresets == {}
+    assert prof.phase_one[1] is prof.phase_one[0]
+    assert prof.phase_one[2].params.z == 2 and prof.phase_one[2].chosen == {2: 1}
 
 
 def test_coordinator_worked_example():
@@ -209,7 +212,9 @@ def test_site_budget_clamp_on_small_shard():
     prof = site_round_one(ps, params, [0, 6], np.random.default_rng(0))
     # adaptive cap is (n_i - 1) // 6 = 1
     assert prof.clamps == {6: 1}
-    assert len(prof.coresets) == 2
+    # Round one keeps each budget's phase-1 picks and builds no coreset.
+    assert prof.coresets == {}
+    assert [(q, e.params.z) for q, e in prof.phase_one.items()] == [(0, 0), (6, 1)]
 
 
 @pytest.fixture(scope="module")
@@ -397,3 +402,45 @@ def test_assemble_maps_site_coresets_back_through_their_shards():
     assert out.meta["fallback"] is False
     site_b = WeightedCoreset(site_b.indices, site_b.weights, 4, meta={**meta_b, "fallback": True})
     assert assemble(shards, 7, [site_a, site_b], decision).meta["fallback"] is True
+
+
+def _absorption_check(sub, cs):
+    """Rebuild which entry absorbed each shard point: the last far_count
+    entries absorb themselves, and every other point goes to its nearest
+    center entry, the earlier one on ties, as the tracker assigns it.
+    Returns the largest such distance; asserts that the absorbed counts
+    are the weights."""
+    m = len(cs) - cs.meta["far_count"]
+    centers, far = cs.indices[:m], cs.indices[m:]
+    assert (cs.weights[m:] == 1).all()
+    near = np.setdiff1d(np.arange(sub.n), far)
+    d = np.stack([sub.dists_from(int(c))[near] for c in centers])
+    owner = d.argmin(axis=0)
+    assert np.bincount(owner, minlength=m).tolist() == cs.weights[:m].tolist()
+    return float(d.min(axis=0).max())
+
+
+@pytest.mark.parametrize("mode", ["d2", "d8", "matrix"])
+def test_adaptive_sites_upload_within_their_reported_radius(mode):
+    # Round one reports phase 2's target; round two's map radius must be at
+    # most that entry, and every shard point must lie within the map radius
+    # of the entry that absorbed it.
+    if mode == "matrix":
+        x = np.random.default_rng(5).normal(size=(600, 2))
+        ps = PointSet.from_distance_matrix(np.sqrt(((x[:, None] - x[None]) ** 2).sum(-1)))
+    else:
+        dim = 2 if mode == "d2" else 8
+        gen = GeneratorSpec(n_inliers=890, clusters=3, dim=dim, grid_dim=2, cluster_radius=1.0, outliers=10)
+        ps = planted_instance(gen, 4).ps
+    shards = np.array_split(np.random.default_rng(9).permutation(ps.n), 3)
+    compressed = 0
+    for seed in range(3):
+        params = ParamSet(k=3, z=10, n=ps.n, mu=0.5, seed=seed)
+        result = run_protocol(ps, params, shards=shards)
+        for p, b, shard in zip(result.profiles, result.decision.budgets, shards):
+            (cs,) = p.coresets.values()
+            assert p.coresets == {b: cs} and p.phase_one == {}
+            assert cs.meta["map_radius"] <= oracles.radius_at(p, b)
+            assert _absorption_check(ps.subset(np.sort(shard)), cs) <= cs.meta["map_radius"]
+            compressed += len(cs) < cs.source_n
+    assert compressed == 9

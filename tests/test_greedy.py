@@ -516,3 +516,30 @@ def test_one_point_draw_is_the_integer_draw(n):
     for seed in range(50):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         assert a.choice(n, size=1, replace=False).tolist() == [int(b.integers(n))]
+
+
+@pytest.mark.parametrize("mode", ["d2", "d8", "matrix"])
+def test_a_resumed_run_rebuilds_the_live_tracker_bit_for_bit(mode):
+    # The adaptive protocol keeps a run's picks, not its tracker, between its
+    # rounds.  The rebuilt tracker must equal the live one, draw nothing, and
+    # grow on exactly as the live run does.
+    if mode == "matrix":
+        x = np.random.default_rng(3).normal(size=(400, 3))
+        ps = PointSet.from_distance_matrix(np.sqrt(((x[:, None] - x[None]) ** 2).sum(-1)))
+    else:
+        gen = GeneratorSpec(n_inliers=1990, clusters=3, dim=2 if mode == "d2" else 8, grid_dim=2,
+                            cluster_radius=1.0, outliers=10)
+        ps = planted_instance(gen, 2).ps
+    p = params_for(3, 10, ps.n, eps=1.0)
+    live = greedy._bicriteria_run(ps, greedy_config(p), np.random.default_rng(6))
+    live.grow(60, 4, 30)
+    rng = np.random.default_rng()
+    rng.bit_generator.state = live.rng.bit_generator.state
+    rebuilt = GreedyRun.resumed(ps, rng, live.chosen, live.round_no)
+    assert rng.bit_generator.state == live.rng.bit_generator.state
+    for step in ("rebuilt", "grown"):
+        for name in ("mindist", "keys", "owner", "gap"):
+            a, b = getattr(live.tracker, name), getattr(rebuilt.tracker, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), (step, name)
+        assert list(rebuilt.chosen.items()) == list(live.chosen.items()) and rebuilt.round_no == live.round_no
+        assert live.grow(60, 4, 5) == rebuilt.grow(60, 4, 5)
