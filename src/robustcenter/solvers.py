@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CenterSet, GuardError, PointSet, _BYTE_BUDGET, _checked_weights, _count, _guard_bytes, _rows_per_chunk
-from .core import clustering_cost, peel_weight
+from .core import CenterSet, GuardError, PointSet, _BYTE_BUDGET, _checked_weights, _count, _guard_bytes
+from .core import _rows_per_chunk, clustering_cost, peel_weight
 
 __all__ = [
     "OracleResult",

@@ -152,9 +152,14 @@ def test_adaptive_distributed_record_counts_both_rounds_on_the_shards(monkeypatc
     shard_stats = []
     real_protocol, real_subset = bench.run_protocol, PointSet.subset
 
+    def counted_subset(ps, indices):
+        child = real_subset(ps, indices)
+        shard_stats.append(child.stats)
+        return child
+
     def counted_protocol(ps, params, **kwargs):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(PointSet, "subset", lambda self, idx: shard_stats.append((c := real_subset(self, idx)).stats) or c)
+            mp.setattr(PointSet, "subset", counted_subset)
             return real_protocol(ps, params, **kwargs)
 
     monkeypatch.setattr(bench, "run_protocol", counted_protocol)
