@@ -179,16 +179,16 @@ def _run_one(
         rec["fallback"] = bool(coreset.meta.get("fallback", False))
         rec["map_radius"] = float(coreset.meta["map_radius"])
         rec["composed_radius"] = composed.radius
+        rec["far_entries"] = int(coreset.meta["far_count"])
+        rec["far_points"] = int(coreset.meta["far_points"])
         excluded = composed.excluded
     if protocol is not None:
-        far = int(protocol.coreset.meta["far_count"])
         rec["budgets"] = [int(b) for b in protocol.decision.budgets]
         rec["budget_total"] = int(sum(protocol.decision.budgets))
         rec["threshold_value"] = protocol.decision.value
         rec["threshold_site"] = protocol.decision.site
         rec["points_sent"] = len(protocol.coreset)
-        rec["far_points"] = far
-        rec["machinery"] = len(protocol.coreset) - far
+        rec["machinery"] = len(protocol.coreset) - rec["far_entries"]
         rec["ledger"] = protocol.ledger.to_json()
     if injected is not None and injected.size > 0 and excluded is not None:
         hit = len(excluded.intersection(injected.tolist()))

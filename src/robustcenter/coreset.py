@@ -3,8 +3,9 @@
 A coreset entry is an original point index plus a positive integer weight;
 weights always sum to the source size n.  Builders select centers with the
 greedy loop, snap every near point onto its nearest selected center, and
-append the far points with unit weight, so each original point sits within
-``meta["map_radius"]`` of the entry that absorbed it.
+cover the far points at the map radius, each cover point weighted by the far
+points it absorbs; so each original point sits within ``meta["map_radius"]``
+of the entry that absorbed it.
 """
 
 from __future__ import annotations
@@ -82,26 +83,74 @@ def _identity_coreset(ps: PointSet, builder: str, reason: str) -> WeightedCorese
             "reason": reason,
             "map_radius": 0.0,
             "far_count": 0,
+            "far_points": 0,
             "selected": n,
         },
     )
 
 
+# Rows per block of ``_far_cover``: one distance call per block, not one per
+# representative; wider blocks spend more evaluations on rows an earlier row
+# of the block covers.
+_COVER_ROWS = 32
+
+
+def _far_cover(ps: PointSet, far: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cover of the far points (ascending) at ``radius``: the lowest-index
+    uncovered far point represents, and absorbs, every uncovered far point at
+    distance <= radius, itself included.  Returns the representatives and
+    their absorbed counts.  Each block of the uncovered points' first rows
+    takes one counted ``cross_dists`` call; a row resolves in order and is
+    skipped once an earlier row of its block covers its point, so the cover
+    is the one-row-per-representative cover."""
+    reps, counts = [], []
+    left = far
+    while left.size:
+        within = ps.cross_dists(left[:_COVER_ROWS], left) <= radius
+        free = np.ones(left.size, dtype=bool)
+        for i, row in enumerate(within):
+            if free[i]:
+                row &= free
+                free ^= row
+                reps.append(left[i])
+                counts.append(np.count_nonzero(row))
+        left = left[free]
+    return np.array(reps, dtype=np.intp), np.array(counts, dtype=np.int64)
+
+
 def _weigh_centers(run: GreedyRun, exclusions: int, meta: dict) -> WeightedCoreset:
-    """Snap points within the exclusion radius onto their nearest center,
-    append the rest with unit weight."""
+    """Snap the points within the map radius delta, the radius after
+    ``exclusions``, onto their nearest center, and cover the far points, those
+    beyond delta, at delta: walked in index order, the lowest-index uncovered
+    far point becomes an entry that absorbs every uncovered far point at
+    distance <= delta, weighted by their count (``_far_cover``).
+
+    So every point lies within delta of the entry that absorbed it, as it did
+    when each far point was its own unit-weight entry.  The sandwich bound,
+    the composed bound and the coordinator's table bound rest on that
+    displacement alone, so they hold unchanged, and the cover only merges far
+    entries.  It draws nothing.  ``meta`` gains ``map_radius``, the far
+    entries as ``far_count``, the far points as ``far_points``, and
+    ``selected``."""
     ps, tracker = run.ps, run.tracker
     radius = radius_after_exclusions(tracker.mindist, exclusions)
     inside = tracker.mindist <= radius
     far = np.flatnonzero(~inside)
+    reps, absorbed = _far_cover(ps, far, radius)
     cidx = np.fromiter(run.chosen, dtype=np.intp, count=len(run.chosen))
     counts = np.bincount(tracker.owner[inside], minlength=ps.n)[cidx]
     keep = counts > 0
     return WeightedCoreset(
-        indices=np.concatenate([cidx[keep], far]),
-        weights=np.concatenate([counts[keep], np.ones(far.size, dtype=np.int64)]),
+        indices=np.concatenate([cidx[keep], reps]),
+        weights=np.concatenate([counts[keep], absorbed]),
         source_n=ps.n,
-        meta=dict(meta, map_radius=float(radius), far_count=int(far.size), selected=int(cidx.size)),
+        meta=dict(
+            meta,
+            map_radius=float(radius),
+            far_count=int(reps.size),
+            far_points=int(far.size),
+            selected=int(cidx.size),
+        ),
     )
 
 

@@ -312,11 +312,10 @@ def assemble(
     decision: ThresholdDecision,
 ) -> WeightedCoreset:
     """Map each site coreset back to global indices through its shard of the
-    n points and concatenate.  The result is a fallback when any site sent
-    its unit-weight fallback."""
+    n points and concatenate, summing the sites' far entries and far points.
+    The result is a fallback when any site sent its unit-weight fallback."""
     indices = np.concatenate([shard[cs.indices] for shard, cs in zip(shards, site_coresets)])
     weights = np.concatenate([cs.weights for cs in site_coresets])
-    far_total = sum(int(cs.meta["far_count"]) for cs in site_coresets)
     return WeightedCoreset(
         indices=indices,
         weights=weights,
@@ -327,7 +326,8 @@ def assemble(
             "budgets": list(decision.budgets),
             "threshold_value": decision.value,
             "threshold_site": decision.site,
-            "far_count": far_total,
+            "far_count": sum(int(cs.meta["far_count"]) for cs in site_coresets),
+            "far_points": sum(int(cs.meta["far_points"]) for cs in site_coresets),
             "map_radius": max(float(cs.meta["map_radius"]) for cs in site_coresets),
         },
     )

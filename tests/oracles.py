@@ -215,6 +215,23 @@ def radius_at(profile, q: int) -> float:
     return [r for g, r in zip(profile.grid, profile.radii) if g <= q][-1]
 
 
+def far_cover_reference(ps, far, radius: float):
+    """The cover of the far points ``far`` (ascending) at ``radius``, walked
+    in index order.  Each uncovered far point takes one whole distance row
+    from the library's kernel, so that a point at exactly ``radius``
+    compares as it does in the builder, and absorbs every uncovered far
+    point at distance <= radius, itself included.  Returns the
+    representatives, their absorbed counts, and each far point's
+    representative as a dict."""
+    owner = {}
+    for f in far:
+        if f not in owner:
+            row = ps.dists_from(f)
+            owner.update((g, f) for g in far if g not in owner and row[g] <= radius)
+    reps = sorted(set(owner.values()))
+    return reps, [sum(r == rep for r in owner.values()) for rep in reps], owner
+
+
 def minimax_oracle(profiles, z: int) -> float:
     """Exhaustive min over budget allocations summing to at most 2z of the
     worst reported site radius."""

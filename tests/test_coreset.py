@@ -6,12 +6,16 @@ import pytest
 from robustcenter.core import NearestTracker, ParamSet, PointSet, clustering_cost
 from robustcenter.coreset import (
     WeightedCoreset,
+    _weigh_centers,
     build_coreset,
     build_coreset_auto,
     compose_with_host,
 )
 from robustcenter.generate import GeneratorSpec, planted_instance
+from robustcenter.greedy import GreedyRun
 from robustcenter.solvers import brute_force_opt
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -23,20 +27,33 @@ def planted_400():
 
 
 def check_mapping(ps, cs):
-    """Rebuild the weights from the kept centers, taken in coreset order: a
-    point within map_radius counts for the first kept center at its minimum
-    distance, and every point beyond it is a far entry, in index order."""
+    """Rebuild the entry that absorbed each point and return each point's
+    distance to it, in plain numpy.  A point within map_radius of the kept
+    centers, taken in coreset order, counts for the first one at its minimum
+    distance; the points beyond it are covered at map_radius in index order
+    (``oracles.far_cover_reference``), whose representatives and counts must
+    be the far entries and their weights."""
     assert cs.total_weight() == ps.n
-    kept = cs.indices[: len(cs) - cs.meta["far_count"]].tolist()
+    m = len(cs) - cs.meta["far_count"]
+    kept = cs.indices[:m].tolist()
     tracker = NearestTracker(ps)
     for c in kept:
         tracker.add_center(c)
     inside = tracker.mindist <= cs.meta["map_radius"]
     pos = {c: i for i, c in enumerate(kept)}
     counts = np.bincount([pos[o] for o in tracker.owner[inside].tolist()], minlength=len(kept))
-    assert counts.tolist() == cs.weights[: len(kept)].tolist()
-    assert cs.indices[len(kept) :].tolist() == np.flatnonzero(~inside).tolist()
-    assert (cs.weights[len(kept) :] == 1).all()
+    assert counts.tolist() == cs.weights[:m].tolist()
+    far = np.flatnonzero(~inside).tolist()
+    assert cs.meta["far_points"] == len(far)
+    reps, absorbed, owner = oracles.far_cover_reference(ps, far, cs.meta["map_radius"])
+    assert cs.indices[m:].tolist() == reps
+    assert cs.weights[m:].tolist() == absorbed
+    entry = tracker.owner.copy()
+    entry[far] = [owner[f] for f in far]
+    if ps.mode == "matrix":
+        return ps.dmat[np.arange(ps.n), entry]
+    x = np.ascontiguousarray(ps.coords)
+    return np.sqrt(((x - x[entry]) ** 2).sum(-1))
 
 
 def test_fixed_dim_build(planted_400):
@@ -57,6 +74,85 @@ def test_adaptive_build(planted_400):
     assert cs.meta["phase1_radius"] > 0
     assert cs.meta["map_radius"] <= (p.mu / 2) * cs.meta["phase1_radius"] + 1e-12
     check_mapping(ps, cs)
+
+
+def _mapping_instance(mode):
+    if mode == "matrix":
+        x = np.random.default_rng(5).normal(size=(300, 2))
+        return PointSet.from_distance_matrix(np.sqrt(((x[:, None] - x[None]) ** 2).sum(-1)))
+    gen = GeneratorSpec(n_inliers=590, clusters=3, dim=2 if mode == "d2" else 8, grid_dim=2, cluster_radius=1.0, outliers=10)
+    return planted_instance(gen, 4).ps
+
+
+@pytest.mark.parametrize("mode", ["d2", "d8", "matrix"])
+def test_every_point_lies_within_the_map_radius_of_its_entry(mode):
+    # Both builders: far entries <= far points <= the exclusion budget (2z
+    # fixed-dimension, 6z adaptive), and the cover merges far points.
+    ps = _mapping_instance(mode)
+    p = ParamSet(k=3, z=10, n=ps.n, mu=0.5)
+    merged = 0
+    for seed in range(3):
+        built = [
+            (build_coreset(ps, p, 1.0, np.random.default_rng(seed)), 2 * p.z),
+            (build_coreset_auto(ps, p, np.random.default_rng(seed)), 6 * p.z),
+        ]
+        for cs, cap in built:
+            assert not cs.meta["fallback"]
+            assert (check_mapping(ps, cs) <= cs.meta["map_radius"]).all()
+            assert cs.meta["far_count"] <= cs.meta["far_points"] <= cap
+            merged += cs.meta["far_count"] < cs.meta["far_points"]
+    assert merged > 0
+
+
+def test_no_far_entries_without_outliers(planted_400):
+    ps = planted_400
+    p = ParamSet(k=3, z=0, n=ps.n, mu=0.5)
+    for cs in (build_coreset(ps, p, 1.0, np.random.default_rng(1)), build_coreset_auto(ps, p, np.random.default_rng(1))):
+        assert cs.meta["far_count"] == cs.meta["far_points"] == 0
+        assert (check_mapping(ps, cs) <= cs.meta["map_radius"]).all()
+
+
+def _weighed(coords, exclusions):
+    # One center, point 0, weighed with the given exclusion budget.
+    ps = PointSet.from_coords(np.array(coords, dtype=np.float64))
+    return _weigh_centers(GreedyRun.resumed(ps, np.random.default_rng(0), {0: 1}, 1), exclusions, {})
+
+
+def test_cover_merges_duplicated_far_points_at_zero_radius():
+    cs = _weighed([0.0] * 10 + [5.0, 9.0, 5.0, 5.0, 9.0], 5)
+    assert cs.meta["map_radius"] == 0.0
+    assert cs.indices.tolist() == [0, 10, 11] and cs.weights.tolist() == [10, 3, 2]
+    assert cs.meta["far_count"] == 2 and cs.meta["far_points"] == 5
+
+
+def test_cover_absorbs_a_far_point_exactly_at_the_map_radius():
+    # The map radius is 4; far point 11 (at 6) absorbs 12 (at 7) and 13 (at
+    # 10, exactly 4 away).
+    cs = _weighed([0.0] * 10 + [4.0, 6.0, 7.0, 10.0], 3)
+    assert cs.meta["map_radius"] == 4.0
+    assert cs.indices.tolist() == [0, 11] and cs.weights.tolist() == [11, 3]
+    assert cs.meta["far_count"] == 1 and cs.meta["far_points"] == 3
+
+
+def test_cover_counts_its_blocks_on_the_builders_point_set(planted_400, monkeypatch):
+    # The cover takes one cross_dists block of at most 32 rows over the
+    # uncovered far points per call, on the builder's own point set and
+    # counter; the first block spans every far point.
+    calls, real = [], PointSet.cross_dists
+
+    def spy(self, rows, cols):
+        out = real(self, rows, cols)
+        calls.append((self, out.shape))
+        return out
+
+    monkeypatch.setattr(PointSet, "cross_dists", spy)
+    ps = PointSet.from_coords(planted_400.coords)
+    p = ParamSet(k=3, z=8, n=ps.n, mu=0.5)
+    cs = build_coreset_auto(ps, p, np.random.default_rng(7))
+    far = cs.meta["far_points"]
+    assert far > 32 and len(calls) >= 2
+    assert all(owner is ps for owner, _ in calls)
+    assert calls[0][1] == (32, far) and all(rows <= min(32, cols) for _, (rows, cols) in calls)
 
 
 def test_fixed_dim_falls_back_when_budget_exceeds_n():

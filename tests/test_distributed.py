@@ -390,34 +390,37 @@ def test_explicit_shards_of_the_balanced_split_reproduce_the_site_count_run(plan
 
 def test_assemble_maps_site_coresets_back_through_their_shards():
     shards = (np.array([0, 2, 5]), np.array([1, 3, 4, 6]))
-    meta_a = {"far_count": 1, "map_radius": 0.5, "fallback": False}
-    meta_b = {"far_count": 2, "map_radius": 1.5, "fallback": False}
+    meta_a = {"far_count": 1, "far_points": 1, "map_radius": 0.5, "fallback": False}
+    meta_b = {"far_count": 2, "far_points": 3, "map_radius": 1.5, "fallback": False}
     site_a = WeightedCoreset(np.array([2, 0]), np.array([1, 2]), 3, meta=meta_a)
     site_b = WeightedCoreset(np.array([1, 3]), np.array([3, 1]), 4, meta=meta_b)
     decision = ThresholdDecision(value=1.5, site=1, budgets=(1, 2))
     out = assemble(shards, 7, [site_a, site_b], decision)
     assert out.indices.tolist() == [5, 0, 3, 6]
     assert out.weights.tolist() == [1, 2, 3, 1] and out.total_weight() == out.source_n == 7
-    assert out.meta["map_radius"] == 1.5 and out.meta["far_count"] == 3
+    assert out.meta["map_radius"] == 1.5 and out.meta["far_count"] == 3 and out.meta["far_points"] == 4
     assert out.meta["fallback"] is False
     site_b = WeightedCoreset(site_b.indices, site_b.weights, 4, meta={**meta_b, "fallback": True})
     assert assemble(shards, 7, [site_a, site_b], decision).meta["fallback"] is True
 
 
 def _absorption_check(sub, cs):
-    """Rebuild which entry absorbed each shard point: the last far_count
-    entries absorb themselves, and every other point goes to its nearest
-    center entry, the earlier one on ties, as the tracker assigns it.
-    Returns the largest such distance; asserts that the absorbed counts
-    are the weights."""
+    """Rebuild which entry absorbed each shard point and return the largest
+    such distance.  A point within map_radius of the center entries goes to
+    its nearest, the earlier one on ties, as the tracker assigns it; the
+    points beyond it are covered at map_radius in index order
+    (``oracles.far_cover_reference``).  Asserts that the absorbed counts are
+    the weights and that the cover's representatives are the far entries."""
     m = len(cs) - cs.meta["far_count"]
-    centers, far = cs.indices[:m], cs.indices[m:]
-    assert (cs.weights[m:] == 1).all()
-    near = np.setdiff1d(np.arange(sub.n), far)
-    d = np.stack([sub.dists_from(int(c))[near] for c in centers])
-    owner = d.argmin(axis=0)
-    assert np.bincount(owner, minlength=m).tolist() == cs.weights[:m].tolist()
-    return float(d.min(axis=0).max())
+    radius = cs.meta["map_radius"]
+    d = np.stack([sub.dists_from(int(c)) for c in cs.indices[:m]])
+    nearest = d.min(axis=0)
+    inside = nearest <= radius
+    assert np.bincount(d.argmin(axis=0)[inside], minlength=m).tolist() == cs.weights[:m].tolist()
+    far = np.flatnonzero(~inside).tolist()
+    reps, absorbed, owner = oracles.far_cover_reference(sub, far, radius)
+    assert cs.indices[m:].tolist() == reps and cs.weights[m:].tolist() == absorbed
+    return max([float(nearest[inside].max())] + [sub.dist(f, owner[f]) for f in far])
 
 
 @pytest.mark.parametrize("mode", ["d2", "d8", "matrix"])
